@@ -281,7 +281,10 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
 
     The relative-interior coface route (on the computed Gale points) and
     the closed-form per-type criterion are evaluated independently for
-    every subset and must agree.
+    every subset and must agree. Faces are graded by Gale duality,
+    dim aff(J) = |J| - 1 - ambient + rank(Gale points off J), and the
+    first face met with each Gale support is also graded by exact affine
+    rank of its incidence vectors; the two must agree.
     """
     npts = s.n + 2
     if npts > ANALYSIS_VERTEX_CAP:
@@ -294,8 +297,8 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
             m |= 1 << j
         smasks.append(m)
 
-    # group vertices by identical Gale point; the relint test only depends
-    # on which distinct points appear in the complement
+    # group vertices by identical Gale point; face status and dimension
+    # only depend on which distinct points appear in the complement
     groups: dict[Point, int] = {}
     for pt in g.points:
         groups.setdefault(pt, len(groups))
@@ -303,26 +306,23 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
     group_masks = [0] * len(groups)
     for j, pt in enumerate(g.points):
         group_masks[groups[pt]] |= 1 << j
-    support_cache: dict[int, bool] = {}
+    # support -> (zero in the relint of its points, rank of its points)
+    support_cache: dict[int, tuple[bool, int]] = {}
+    anchored: set[int] = set()
 
-    def relint_route(mask: int) -> bool:
+    faces: dict[frozenset[int], int] = {}
+    for mask in range(full + 1):
         comp = full & ~mask
-        if comp == 0:
-            return False
         support = 0
         for i, gm in enumerate(group_masks):
             if comp & gm:
                 support |= 1 << i
-        hit = support_cache.get(support)
-        if hit is None:
+        cached = support_cache.get(support)
+        if cached is None:
             pts = [group_points[i] for i in range(len(group_points)) if support >> i & 1]
-            hit = relint_contains_zero(pts)
-            support_cache[support] = hit
-        return hit
-
-    faces: dict[frozenset[int], int] = {}
-    for mask in range(full + 1):
-        by_relint = relint_route(mask)
+            cached = (relint_contains_zero(pts), rank(pts) if pts else 0)
+            support_cache[support] = cached
+        by_relint, gale_rank = cached
         by_formula = _closed_form_mask(t.hull_type, mask, smasks, full)
         if by_relint != by_formula:
             raise CriterionMismatch(
@@ -331,7 +331,16 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
             )
         if by_formula:
             members = frozenset(j for j in range(npts) if mask >> j & 1)
-            faces[members] = affine_dimension([s.vectors[j] for j in sorted(members)])
+            dim = mask.bit_count() - 1 - g.ambient + gale_rank
+            if support not in anchored:
+                anchored.add(support)
+                exact = affine_dimension([s.vectors[j] for j in sorted(members)])
+                if exact != dim:
+                    raise CriterionMismatch(
+                        f"subset {mask:b} of sizes {t.sorted_sizes}: Gale rank "
+                        f"grades it dim {dim}, exact affine rank says {exact}"
+                    )
+            faces[members] = dim
 
     top = frozenset(range(npts))
     top_dim = affine_dimension(s.vectors)

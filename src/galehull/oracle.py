@@ -20,7 +20,7 @@ from .errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from .gale import FaceLattice, IncidenceSystem, TypeReport, gale_transform
+from .gale import FaceLattice, GaleDiagram, IncidenceSystem, TypeReport
 from .linalg import affine_dimension, dot, rref, spanning_hyperplane
 
 POINT_CAP = 26
@@ -154,13 +154,15 @@ def beyond_facets(
     return count
 
 
-def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport) -> dict:
-    """Confirm the apex class of a type II/III hull: zero Gale points, and
-    each apex vertex on every facet except exactly one."""
+def verify_pyramid_structure(
+    s: IncidenceSystem, t: TypeReport, g: GaleDiagram, lattice: FaceLattice
+) -> dict:
+    """Confirm the apex class of a type II/III hull: zero Gale points in the
+    diagram g, and each apex vertex on every facet of the oracle lattice
+    except exactly one."""
     if t.hull_type not in ("II", "III"):
         raise ValueError(f"pyramid structure applies to types II/III, not {t.hull_type}")
     apex_slot = 0 if t.hull_type == "II" else 2
-    g = gale_transform(s)
     apexes = s.class_indices(apex_slot)
     for j in apexes:
         if any(x != 0 for x in g.points[j]):
@@ -169,7 +171,6 @@ def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport) -> dict:
         if j not in apexes and all(x == 0 for x in g.points[j]):
             raise StructureMismatch(f"non-apex vertex {j} has zero Gale point")
 
-    lattice = oracle_lattice(s.vectors)
     facets = [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
     for j in apexes:
         missing = sum(1 for f in facets if j not in f)

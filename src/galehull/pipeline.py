@@ -156,7 +156,9 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
 
     pyramid_report = None
     if report.hull_type in ("II", "III"):
-        pyramid_report = verify_pyramid_structure(analysis.system, report)
+        pyramid_report = verify_pyramid_structure(
+            analysis.system, report, analysis.diagram, oracle
+        )
 
     neighborliness_matches = None
     if report.hull_type == "IV":

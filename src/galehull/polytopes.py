@@ -14,6 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import (
     BadEdge,
+    BadInput,
     BadParameters,
     DegenerateFace,
     Disconnected,
@@ -83,11 +84,17 @@ def _face_edges(face: Face) -> Iterable[frozenset[int]]:
 
 def validate(raw: Sequence[Sequence[int]]) -> PlanarPolytope:
     """Check the polyhedral-map axioms and build derived structures."""
+    if not isinstance(raw, (list, tuple)):
+        raise BadInput("faces must be a list of vertex-id lists")
     if not raw:
         raise DegenerateFace("no faces given")
     faces: list[Face] = []
     for idx, cycle in enumerate(raw):
-        cyc = tuple(int(v) for v in cycle)
+        if not isinstance(cycle, (list, tuple)):
+            raise BadInput(f"face {idx} is not a list of vertex ids")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in cycle):
+            raise BadInput(f"face {idx} has a vertex id that is not an integer")
+        cyc = tuple(cycle)
         if len(cyc) < 3:
             raise DegenerateFace(f"face {idx} has fewer than 3 vertices")
         if len(set(cyc)) != len(cyc):
@@ -97,6 +104,13 @@ def validate(raw: Sequence[Sequence[int]]) -> PlanarPolytope:
         faces.append(cyc)
 
     num_vertices = max(max(f) for f in faces) + 1
+    incidences = sum(len(f) for f in faces)
+    if num_vertices > incidences:
+        # checked before any per-vertex table is sized by the largest id
+        raise NotCubic(
+            f"vertex ids run to {num_vertices - 1}, but the faces have only "
+            f"{incidences} vertex slots, so some vertex lies on no face"
+        )
     edge_faces: dict[frozenset[int], list[int]] = {}
     for i, f in enumerate(faces):
         for e in _face_edges(f):

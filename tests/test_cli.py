@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from galehull import catalog
 from galehull.cli import main
 
 TETRAHEDRON = {"faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
@@ -152,3 +155,27 @@ def test_unknown_catalog(capsys):
     code, out = run(capsys, ["analyze", "--catalog", "icosahedron"])
     assert code == 2
     assert json.loads(out)["error"]["code"] == "UnknownName"
+
+
+def _cube_with(first_id):
+    faces = [list(f) for f in catalog("cube").faces]
+    faces[0][0] = first_id
+    return {"faces": faces}
+
+
+MALFORMED = {
+    "faces-not-a-list": {"faces": 5},
+    "string-vertex-id": {"faces": [["a", 1, 2]]},
+    "null-face": {"faces": [[0, 1, 2], None]},
+    "float-vertex-id": _cube_with(0.25),
+    "bool-vertex-id": _cube_with(False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_documents_are_bad_input(name, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    code, out = run(capsys, ["analyze", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["code"] == "BadInput"

@@ -5,7 +5,9 @@ from itertools import combinations
 
 import pytest
 
+import instances
 from galehull import (
+    catalog,
     classify,
     enumerate_faces,
     fvector,
@@ -19,6 +21,7 @@ from galehull import (
 )
 from galehull.errors import DimensionMismatch, TheoremViolation
 from galehull.gale import IncidenceSystem
+from galehull.linalg import affine_dimension
 from galehull.polytopes import coloring_from_assignment
 
 F = Fraction
@@ -239,6 +242,74 @@ def test_enumerate_rejects_inconsistent_diagram(prism6_analysis):
     )
     with pytest.raises(CriterionMismatch):
         enumerate_faces(prism6_analysis.system, bad, prism6_analysis.report)
+
+
+def _grading_instances():
+    yield "cube", catalog("cube")
+    yield "prism:6", catalog("prism", 6)
+    yield "prism:8", catalog("prism", 8)
+    yield "truncated-octahedron", catalog("truncated-octahedron")
+    for build in (
+        instances.all_equal_polytope,
+        instances.smallest_distinct_polytope,
+        instances.largest_distinct_polytope,
+        instances.type_one_polytope,
+        instances.type_one_polytope_mirror,
+    ):
+        yield build.__name__, build()
+
+
+GRADING_INSTANCES = list(_grading_instances())
+
+
+def _analyzed(p):
+    s = incidence_system(p, three_color(p))
+    g = gale_transform(s)
+    return s, g, classify(s, g)
+
+
+@pytest.mark.parametrize("name,p", GRADING_INSTANCES, ids=[n for n, _ in GRADING_INSTANCES])
+def test_gale_rank_grading_equals_exact_rank(name, p):
+    s, g, t = _analyzed(p)
+    lattice = enumerate_faces(s, g, t)
+    for face, dim in lattice.faces.items():
+        assert dim == affine_dimension([s.vectors[j] for j in sorted(face)]), sorted(face)
+
+
+@pytest.mark.parametrize("name,p", GRADING_INSTANCES, ids=[n for n, _ in GRADING_INSTANCES])
+def test_exact_rank_runs_once_per_gale_support(name, p, monkeypatch):
+    import galehull.gale as gale_module
+
+    s, g, t = _analyzed(p)
+    calls = []
+    exact = gale_module.affine_dimension
+
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
+
+    monkeypatch.setattr(gale_module, "affine_dimension", counting)
+    lattice = enumerate_faces(s, g, t)
+    npts = len(g.points)
+    supports = {
+        frozenset(g.points[j] for j in range(npts) if j not in face)
+        for face in lattice.faces
+        if face != lattice.top
+    }
+    assert len(supports) <= 7
+    # one anchor per support, plus the top face
+    assert len(calls) == len(supports) + 1
+
+
+def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis):
+    from dataclasses import replace
+
+    from galehull.errors import CriterionMismatch
+
+    a = prism6_analysis
+    bad = replace(a.diagram, ambient=a.diagram.ambient + 1)
+    with pytest.raises(CriterionMismatch, match=r"sizes \(2, 3, 3\).*dim -2.*says -1"):
+        enumerate_faces(a.system, bad, a.report)
 
 
 def test_fvector_prism6_matches_reference(prism6_analysis):

@@ -134,7 +134,10 @@ def test_beyond_facets_outside_affine_hull():
 
 def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
     for analysis in (prism6_analysis, prism8_analysis):
-        report = verify_pyramid_structure(analysis.system, analysis.report)
+        oracle = oracle_lattice(analysis.system.vectors)
+        report = verify_pyramid_structure(
+            analysis.system, analysis.report, analysis.diagram, oracle
+        )
         apexes = set(analysis.system.class_indices(0))
         assert set(report["apexVertices"]) == apexes
         assert report["apexCount"] == 2
@@ -143,4 +146,7 @@ def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
 
 def test_verify_pyramid_structure_rejects_type_four(cube_analysis):
     with pytest.raises(ValueError):
-        verify_pyramid_structure(cube_analysis.system, cube_analysis.report)
+        verify_pyramid_structure(
+            cube_analysis.system, cube_analysis.report, cube_analysis.diagram,
+            cube_analysis.lattice,
+        )

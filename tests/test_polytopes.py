@@ -55,6 +55,10 @@ def test_validate_vertex_id_gap_is_not_cubic(cube):
     raw = [[v + 1 for v in f] for f in cube.faces]  # id 0 unused
     with pytest.raises(NotCubic):
         validate(raw)
+    raw = [list(f) for f in cube.faces]
+    raw[0][0] = 10**12  # refused before a table of that size is built
+    with pytest.raises(NotCubic):
+        validate(raw)
 
 
 def test_validate_degenerate_faces():
