@@ -21,8 +21,6 @@ from .polytopes import (
     CATALOG_NAMES,
     PlanarPolytope,
     catalog,
-    coloring_from_assignment,
-    essential_partitions,
     hamiltonian_cycle,
     validate,
 )
@@ -105,17 +103,7 @@ def _hull_report(a: Analysis) -> dict:
 
 
 def _analysis_report(a: Analysis) -> dict:
-    report = {"polytope": _polytope_report(a), "hull": _hull_report(a)}
-    if a.coloring.essential_colorings > 1:
-        alternatives = []
-        for colors in essential_partitions(a.polytope):
-            alt_coloring = coloring_from_assignment(
-                colors, a.coloring.essential_colorings
-            )
-            alt = analyze_polytope(a.polytope, alt_coloring)
-            alternatives.append(_hull_report(alt))
-        report["alternativeAnalyses"] = alternatives
-    return report
+    return {"polytope": _polytope_report(a), "hull": _hull_report(a)}
 
 
 def cmd_analyze(args) -> dict:

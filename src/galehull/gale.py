@@ -30,6 +30,7 @@ from .linalg import (
     null_space_basis,
     primitive_vector,
     rank,
+    rref,
     simplex_maximize,
 )
 from .polytopes import FaceColoring, PlanarPolytope
@@ -92,7 +93,7 @@ def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
     """Build and sanity-check the indicator vectors of all faces."""
     V = p.num_vertices
     vectors = tuple(
-        tuple(1 if v in set(face) else 0 for v in range(V)) for face in p.faces
+        tuple(1 if v in face else 0 for v in range(V)) for face in map(set, p.faces)
     )
     for v in range(V):
         if sum(vec[v] for vec in vectors) != 3:
@@ -121,26 +122,50 @@ def hull_dimension(s: IncidenceSystem) -> int:
 
 
 def gale_transform(s: IncidenceSystem) -> GaleDiagram:
-    """Rows of the canonical null-space basis of the homogenized vertex
-    matrix, tagged with face colors and normalized to primitive directions."""
-    d = hull_dimension(s)
+    """Canonical Gale diagram, built from the class sizes.
+
+    Every vertex lies on one face of each class, so the class-constant
+    x = (y1, y2, y3) with y1 + y2 + y3 = 0 = m1 y1 + m2 y2 + m3 y3 are
+    affine dependencies of the hull vertices. The exact hull dimension
+    proves they span the whole null space. Reducing them with pivots from
+    the last column backwards gives the basis null_space_basis returns (a
+    1 at each free column, 0 at the other), with no elimination over the
+    vertex rows. Each basis vector is checked against the incidences.
+    """
+    hull_dimension(s)  # pins the null-space dimension to len(span)
     npts = s.n + 2
-    matrix = [[1] * npts] + [
-        [s.vectors[j][v] for j in range(npts)] for v in range(2 * s.n)
-    ]
-    basis = null_space_basis(matrix)
-    expected_ambient = npts - d - 1
-    if len(basis) != expected_ambient:
-        raise TheoremViolation(
-            f"null space dimension {len(basis)} != {expected_ambient}"
-        )
+    m1, m2, m3 = s.coloring.class_sizes
+    if m1 == m2 == m3:
+        span = [(1, -1, 0), (0, 1, -1)]
+    else:
+        span = [(m3 - m2, m1 - m3, m2 - m1)]
+    slot = {label: i for i, label in enumerate(s.coloring.slot_colors)}
+    R, _ = rref([[y[slot[c]] for c in reversed(s.coloring.colors)] for y in span])
+    basis = [tuple(reversed(row)) for row in reversed(R)]
+
+    faces_at = [[j for j, x in enumerate(col) if x] for col in zip(*s.vectors)]
+    for i, b in enumerate(basis):
+        bad = next((v for v, fs in enumerate(faces_at) if sum(b[j] for j in fs)), None)
+        if bad is not None:
+            raise TheoremViolation(f"Gale vector {i} is no dependency at vertex {bad}")
+        if sum(b):
+            raise TheoremViolation(f"Gale vector {i} does not sum to zero")
     points = tuple(tuple(b[j] for b in basis) for j in range(npts))
     return GaleDiagram(
         points=points,
         normalized=tuple(primitive_vector(pt) for pt in points),
         colors=s.coloring.colors,
-        ambient=expected_ambient,
+        ambient=len(basis),
     )
+
+
+def rref_gale_points(s: IncidenceSystem) -> tuple[Point, ...]:
+    """The Gale points by elimination: rows of the canonical null-space
+    basis of the homogenized vertex matrix. Cubic in n; verification runs
+    it as an independent cross-check of gale_transform."""
+    npts = s.n + 2
+    basis = null_space_basis([[1] * npts] + [list(col) for col in zip(*s.vectors)])
+    return tuple(tuple(b[j] for b in basis) for j in range(npts))
 
 
 def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:

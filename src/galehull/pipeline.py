@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import CriterionMismatch, StructureMismatch
+from .errors import CriterionMismatch, DiagramMismatch, StructureMismatch
 from .gale import (
     FaceLattice,
     GaleDiagram,
@@ -17,6 +17,7 @@ from .gale import (
     gale_transform,
     incidence_system,
     neighborliness,
+    rref_gale_points,
     simpliciality_check,
 )
 from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
@@ -44,11 +45,9 @@ class Analysis:
     neighborly: int
 
 
-def analyze_polytope(
-    p: PlanarPolytope, coloring: Optional[FaceColoring] = None
-) -> Analysis:
+def analyze_polytope(p: PlanarPolytope) -> Analysis:
     """Color, build incidence vectors, classify, and enumerate the hull."""
-    c = coloring if coloring is not None else three_color(p)
+    c = three_color(p)
     s = incidence_system(p, c)
     g = gale_transform(s)
     report = classify(s, g)
@@ -144,6 +143,14 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     analysis = analyze_polytope(p)
     report = analysis.report
     oracle = oracle_lattice(analysis.system.vectors)
+    # the oracle's point cap also bounds this cubic elimination
+    by_rref, closed = rref_gale_points(analysis.system), analysis.diagram.points
+    for j, (a, b) in enumerate(zip(closed, by_rref)):
+        if a != b:
+            raise DiagramMismatch(
+                f"Gale point {j}: class sizes give {list(map(str, a))}, "
+                f"the RREF null space gives {list(map(str, b))}"
+            )
 
     if analysis.lattice.faces != oracle.faces or analysis.lattice.dim != oracle.dim:
         raise CriterionMismatch(

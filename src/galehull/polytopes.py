@@ -10,7 +10,7 @@ polytopal maps of the 2-sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import ClassVar, Iterable, Optional, Sequence
 
 from .errors import (
     BadEdge,
@@ -69,7 +69,7 @@ class FaceColoring:
     colors: tuple[int, ...]               # face index -> color in {1,2,3}
     class_sizes: tuple[int, int, int]
     slot_colors: tuple[int, int, int]
-    essential_colorings: int
+    essential_colorings: ClassVar[int] = 1  # unique up to permutation (Heawood)
 
     def class_members(self, slot: int) -> tuple[int, ...]:
         """Face indices of sorted class `slot` (0, 1 or 2)."""
@@ -166,50 +166,41 @@ def validate(raw: Sequence[Sequence[int]]) -> PlanarPolytope:
     )
 
 
-def _color_backtrack(adjacency, colors, idx, collect, first_only):
-    """Lexicographic backtracking over face colors; collect partitions."""
-    if idx == len(adjacency):
-        collect(tuple(colors))
-        return first_only
-    for c in (1, 2, 3):
-        if idx == 0 and c != 1:
-            break  # fix face 0 to color 1; partitions are unaffected
-        if any(colors[j] == c for j in adjacency[idx] if j < idx):
-            continue
-        colors[idx] = c
-        if _color_backtrack(adjacency, colors, idx + 1, collect, first_only):
-            return True
-        colors[idx] = 0
-    return False
-
-
 def three_color(p: PlanarPolytope) -> FaceColoring:
-    """First proper 3-coloring in lexicographic order, plus the number of
-    essentially different colorings (partitions up to color permutation)."""
-    F = len(p.faces)
-    found: list[tuple[int, ...]] = []
-    partitions: set[frozenset[frozenset[int]]] = set()
+    """The proper face 3-coloring, by propagation.
 
-    def collect_first(cs):
-        found.append(cs)
-
-    colors = [0] * F
-    _color_backtrack(p.adjacency, colors, 0, collect_first, True)
-    if not found:
+    The three faces at a vertex pairwise share an edge, so two colored
+    faces at a vertex force the third. Walking the connected 1-skeleton
+    from the faces at one vertex therefore fixes every color (Heawood):
+    the coloring is unique up to permuting colors. Labels are assigned in
+    order of first appearance (face 0 gets 1), which gives the
+    lexicographically first proper coloring.
+    """
+    colors = [0] * len(p.faces)
+    start = p.faces[0][0]
+    for label, f in enumerate(p.vertex_faces[start], 1):
+        colors[f] = label
+    nbrs = p.skeleton()
+    seen, stack = {start}, [start]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w in seen:
+                continue
+            seen.add(w)
+            stack.append(w)
+            # the edge just walked lies on two faces at w, both colored
+            blank = [f for f in p.vertex_faces[w] if not colors[f]]
+            if blank:
+                missing = {1, 2, 3} - {colors[f] for f in p.vertex_faces[w]}
+                if len(missing) != 1:
+                    raise NotThreeColorable("faces admit no proper 3-coloring")
+                colors[blank[0]] = missing.pop()
+    first_seen = list(dict.fromkeys(colors))
+    colors = [first_seen.index(c) + 1 for c in colors]
+    if any(colors[a] == colors[b] for a, adj in enumerate(p.adjacency) for b in adj):
         raise NotThreeColorable("faces admit no proper 3-coloring")
 
-    def collect_all(cs):
-        partitions.add(
-            frozenset(
-                frozenset(i for i, c in enumerate(cs) if c == label)
-                for label in (1, 2, 3)
-            )
-        )
-
-    colors = [0] * F
-    _color_backtrack(p.adjacency, colors, 0, collect_all, False)
-
-    coloring = coloring_from_assignment(found[0], len(partitions))
+    coloring = coloring_from_assignment(colors)
     if coloring.class_sizes[0] < 2:
         raise NotThreeColorable(
             f"color class of size {coloring.class_sizes[0]} cannot cover all vertices"
@@ -217,9 +208,7 @@ def three_color(p: PlanarPolytope) -> FaceColoring:
     return coloring
 
 
-def coloring_from_assignment(
-    colors: Sequence[int], essential_colorings: int
-) -> FaceColoring:
+def coloring_from_assignment(colors: Sequence[int]) -> FaceColoring:
     """Wrap an already-proper color assignment as a FaceColoring."""
     chosen = tuple(int(c) for c in colors)
     sizes = {label: sum(1 for c in chosen if c == label) for label in (1, 2, 3)}
@@ -228,24 +217,7 @@ def coloring_from_assignment(
         colors=chosen,
         class_sizes=tuple(sizes[label] for label in order),
         slot_colors=tuple(order),
-        essential_colorings=essential_colorings,
     )
-
-
-def essential_partitions(p: PlanarPolytope) -> list[tuple[int, ...]]:
-    """One representative coloring per essentially different partition,
-    in deterministic order."""
-    partitions: dict[frozenset[frozenset[int]], tuple[int, ...]] = {}
-
-    def collect(cs):
-        key = frozenset(
-            frozenset(i for i, c in enumerate(cs) if c == label) for label in (1, 2, 3)
-        )
-        partitions.setdefault(key, cs)
-
-    colors = [0] * len(p.faces)
-    _color_backtrack(p.adjacency, colors, 0, collect, False)
-    return sorted(partitions.values())
 
 
 # --- catalog ----------------------------------------------------------------

@@ -113,3 +113,12 @@ def type_one_polytope() -> PlanarPolytope:
 def type_one_polytope_mirror() -> PlanarPolytope:
     """Octagonal onto hexagonal bipyramid, same sizes (4, 5, 6), n = 13."""
     return glued_dual(8, 6, {3: 0, 0: 2, 2: 3})
+
+
+INSTANCE_BUILDERS = (
+    all_equal_polytope,
+    smallest_distinct_polytope,
+    largest_distinct_polytope,
+    type_one_polytope,
+    type_one_polytope_mirror,
+)

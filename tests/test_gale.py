@@ -4,9 +4,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instances
 from galehull import (
+    analyze_polytope,
     catalog,
     classify,
     enumerate_faces,
@@ -18,9 +21,12 @@ from galehull import (
     relint_contains_zero,
     simpliciality_check,
     three_color,
+    validate,
+    verify_polytope,
 )
+from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
-from galehull.gale import IncidenceSystem
+from galehull.gale import IncidenceSystem, rref_gale_points
 from galehull.linalg import affine_dimension
 from galehull.polytopes import coloring_from_assignment
 
@@ -58,7 +64,7 @@ def test_hull_dimension_theorem(cube_analysis, prism6_analysis, trunc_oct_analys
 def test_hull_dimension_violation_is_detected(cube):
     # an improper "coloring" with unequal class sizes predicts dim n = 4,
     # the actual hull has dimension 3
-    fake = coloring_from_assignment((1, 2, 2, 3, 3, 3), 1)
+    fake = coloring_from_assignment((1, 2, 2, 3, 3, 3))
     s = IncidenceSystem(
         vectors=tuple(
             tuple(1 if v in set(face) else 0 for v in range(8)) for face in cube.faces
@@ -77,6 +83,102 @@ def test_gale_transform_residuals_are_zero(prism6_analysis):
         assert sum(g.points[j][b] for j in range(npts)) == 0
         for v in range(2 * s.n):
             assert sum(s.vectors[j][v] * g.points[j][b] for j in range(npts)) == 0
+
+
+def _gale_instances():
+    yield "cube", catalog("cube")
+    for k in (6, 8, 12, 24, 64):
+        yield f"prism:{k}", catalog("prism", k)
+    yield "truncated-octahedron", catalog("truncated-octahedron")
+    for build in instances.INSTANCE_BUILDERS:
+        yield build.__name__, build()
+
+
+GALE_INSTANCES = list(_gale_instances())
+
+
+@pytest.mark.parametrize("name,p", GALE_INSTANCES, ids=[n for n, _ in GALE_INSTANCES])
+def test_closed_form_diagram_equals_rref_route(name, p):
+    s = incidence_system(p, three_color(p))
+    assert gale_transform(s).points == rref_gale_points(s)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_closed_form_diagram_equals_rref_route_relabelled(data):
+    _, p = data.draw(st.sampled_from(GALE_INSTANCES))
+    faces = data.draw(st.permutations(p.faces))
+    labels = data.draw(st.permutations(range(p.num_vertices)))
+    q = validate([[labels[v] for v in f] for f in faces])
+    s = incidence_system(q, three_color(q))
+    assert gale_transform(s).points == rref_gale_points(s)
+
+
+def test_only_verify_runs_the_rref_route(monkeypatch):
+    import galehull.gale as gale_module
+
+    calls = []
+    exact = gale_module.null_space_basis
+
+    def counting(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(gale_module, "null_space_basis", counting)
+    for name, param in (("cube", None), ("prism", 6)):
+        p = catalog(name, param)
+        analyze_polytope(p)
+        assert calls == []
+        verify_polytope(p)
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_disagreeing_rref_route_fails_verify(monkeypatch, capsys):
+    import json
+
+    import galehull.pipeline as pipeline_module
+
+    honest = pipeline_module.rref_gale_points
+
+    def disagreeing(s):
+        pts = list(honest(s))
+        pts[0] = tuple(-x for x in pts[0])
+        return tuple(pts)
+
+    monkeypatch.setattr(pipeline_module, "rref_gale_points", disagreeing)
+    assert main(["verify", "--catalog", "cube"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["code"] == "DiagramMismatch"
+    assert "Gale point 0" in doc["error"]["message"]
+
+
+def test_corrupted_basis_trips_the_residual_check(prism6_analysis, monkeypatch):
+    import galehull.gale as gale_module
+
+    exact = gale_module.rref
+
+    def corrupted(rows):
+        R, pivots = exact(rows)
+        R[0][-1] += 1  # face 0 (a hexagon) moves off its class value
+        return R, pivots
+
+    monkeypatch.setattr(gale_module, "rref", corrupted)
+    with pytest.raises(TheoremViolation, match="no dependency at vertex"):
+        gale_transform(prism6_analysis.system)
+
+
+def test_wrong_classes_of_the_right_sizes_trip_the_residual_check(cube):
+    # classes {0,2}, {1,4}, {3,5}: sizes (2,2,2) and hull dimension 3 as for
+    # the true coloring, but faces 0 and 2 share an edge
+    s = incidence_system(cube, three_color(cube))
+    fake = IncidenceSystem(
+        vectors=s.vectors,
+        coloring=coloring_from_assignment((1, 2, 1, 3, 2, 3)),
+        n=s.n,
+    )
+    with pytest.raises(TheoremViolation, match="no dependency at vertex"):
+        gale_transform(fake)
 
 
 def test_gale_diagram_cube(cube_analysis):
@@ -121,9 +223,7 @@ def test_classify_stable_under_permuting_tied_classes(cube):
     base = three_color(cube)
     # swap the labels of two tied classes; sizes and type must not move
     swap = {1: 2, 2: 1, 3: 3}
-    swapped = coloring_from_assignment(
-        tuple(swap[c] for c in base.colors), base.essential_colorings
-    )
+    swapped = coloring_from_assignment(tuple(swap[c] for c in base.colors))
     s = incidence_system(cube, swapped)
     g = gale_transform(s)
     r = classify(s, g)
@@ -249,13 +349,7 @@ def _grading_instances():
     yield "prism:6", catalog("prism", 6)
     yield "prism:8", catalog("prism", 8)
     yield "truncated-octahedron", catalog("truncated-octahedron")
-    for build in (
-        instances.all_equal_polytope,
-        instances.smallest_distinct_polytope,
-        instances.largest_distinct_polytope,
-        instances.type_one_polytope,
-        instances.type_one_polytope_mirror,
-    ):
+    for build in instances.INSTANCE_BUILDERS:
         yield build.__name__, build()
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from galehull import catalog, hamiltonian_cycle, three_color, validate
@@ -15,7 +17,7 @@ from galehull.errors import (
     TooLarge,
     UnknownName,
 )
-from galehull.polytopes import essential_partitions
+from instances import INSTANCE_BUILDERS
 
 TETRAHEDRON = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
@@ -115,10 +117,41 @@ def test_three_color_class_sums_are_all_ones(prism6, prism6_analysis):
             assert sum(s.vectors[i][v] for i in members) == 1
 
 
-def test_essential_colorings_unique_on_catalog(cube, prism6, prism8, trunc_oct):
-    for p in (cube, prism6, prism8, trunc_oct):
-        assert three_color(p).essential_colorings == 1
-        assert len(essential_partitions(p)) == 1
+def _backtracking_colors(p):
+    """Lexicographically first proper face coloring with face 0 fixed to 1,
+    by plain backtracking: the reference the propagation must reproduce."""
+    colors = [0] * len(p.faces)
+
+    def extend(idx):
+        if idx == len(colors):
+            return True
+        for c in (1,) if idx == 0 else (1, 2, 3):
+            if all(colors[j] != c for j in p.adjacency[idx] if j < idx):
+                colors[idx] = c
+                if extend(idx + 1):
+                    return True
+        colors[idx] = 0
+        return False
+
+    return tuple(colors) if extend(0) else None
+
+
+def test_propagation_equals_backtracking_colors(cube, prism6, prism8, trunc_oct):
+    rng = random.Random(7)
+    polytopes = [cube, prism6, prism8, trunc_oct, catalog("prism", 12)]
+    polytopes += [build() for build in INSTANCE_BUILDERS]
+    for p in polytopes:
+        variants = [p]
+        for _ in range(3):
+            labels = list(range(p.num_vertices))
+            rng.shuffle(labels)
+            faces = [[labels[v] for v in f] for f in p.faces]
+            rng.shuffle(faces)
+            variants.append(validate(faces))
+        for q in variants:
+            c = three_color(q)
+            assert c.colors == _backtracking_colors(q)
+            assert c.essential_colorings == 1
 
 
 def test_catalog_prism6_fvector(prism6):
