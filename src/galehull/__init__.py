@@ -15,6 +15,7 @@ from .gale import (
     hull_dimension,
     incidence_system,
     lattice_to_json,
+    members,
     neighborliness,
     relint_contains_zero,
     simpliciality_check,
@@ -30,7 +31,6 @@ from .polytopes import (
     validate,
 )
 from .reference import (
-    ReferenceLattice,
     cyclic_facets,
     lattice_isomorphic,
     pyramid,
@@ -48,7 +48,6 @@ __all__ = [
     "GalehullError",
     "IncidenceSystem",
     "PlanarPolytope",
-    "ReferenceLattice",
     "TypeReport",
     "Verification",
     "analyze_polytope",
@@ -67,6 +66,7 @@ __all__ = [
     "incidence_system",
     "lattice_isomorphic",
     "lattice_to_json",
+    "members",
     "neighborliness",
     "oracle_lattice",
     "pyramid",

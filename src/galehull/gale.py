@@ -72,21 +72,26 @@ class TypeReport:
 
 @dataclass(frozen=True)
 class FaceLattice:
-    """All faces of a polytope as vertex-index sets with exact dimensions,
-    including the empty face (dim -1) and the full polytope (dim d)."""
+    """All faces of a polytope as vertex bitmasks (bit j set when vertex j
+    lies on the face) with exact dimensions, including the empty face 0
+    (dim -1) and the full polytope `top` (dim d)."""
 
     dim: int
-    top: frozenset[int]
-    faces: dict[frozenset[int], int]
+    top: int
+    faces: dict[int, int]
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
-        return tuple(
-            sorted(next(iter(f)) for f, d in self.faces.items() if d == 0 and len(f) == 1)
-        )
+        singletons = [f for f, d in self.faces.items() if d == 0 and f.bit_count() == 1]
+        return tuple(sorted(f.bit_length() - 1 for f in singletons))
 
-    def proper_faces(self) -> dict[frozenset[int], int]:
+    def proper_faces(self) -> dict[int, int]:
         return {f: d for f, d in self.faces.items() if 0 <= d < self.dim}
+
+
+def members(mask: int) -> list[int]:
+    """The vertex indices of a face bitmask, ascending."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
@@ -335,7 +340,7 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
     support_cache: dict[int, tuple[bool, int]] = {}
     anchored: set[int] = set()
 
-    faces: dict[frozenset[int], int] = {}
+    faces: dict[int, int] = {}
     for mask in range(full + 1):
         comp = full & ~mask
         support = 0
@@ -355,24 +360,21 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
                 f"type {t.hull_type} criterion says {by_formula}"
             )
         if by_formula:
-            members = frozenset(j for j in range(npts) if mask >> j & 1)
             dim = mask.bit_count() - 1 - g.ambient + gale_rank
             if support not in anchored:
                 anchored.add(support)
-                exact = affine_dimension([s.vectors[j] for j in sorted(members)])
+                on_face = [s.vectors[j] for j in range(npts) if mask >> j & 1]
+                exact = affine_dimension(on_face)
                 if exact != dim:
                     raise CriterionMismatch(
                         f"subset {mask:b} of sizes {t.sorted_sizes}: Gale rank "
                         f"grades it dim {dim}, exact affine rank says {exact}"
                     )
-            faces[members] = dim
+            faces[mask] = dim
 
-    top = frozenset(range(npts))
-    top_dim = affine_dimension(s.vectors)
-    if top_dim != t.dim:
-        raise TheoremViolation("top face dimension disagrees with the classification")
-    faces[top] = top_dim
-    return FaceLattice(dim=top_dim, top=top, faces=faces)
+    # gale_transform's hull_dimension already pinned the exact rank to t.dim
+    faces[full] = t.dim
+    return FaceLattice(dim=t.dim, top=full, faces=faces)
 
 
 def fvector(lattice: FaceLattice) -> tuple[int, ...]:
@@ -390,7 +392,7 @@ def simpliciality_check(lattice: FaceLattice, t: Optional[TypeReport] = None) ->
     Types I and IV must be simplicial, II and III must not; passing the
     type report turns that prediction into a hard check.
     """
-    simplicial = all(len(f) == d + 1 for f, d in lattice.proper_faces().items())
+    simplicial = all(f.bit_count() == d + 1 for f, d in lattice.proper_faces().items())
     if t is not None and simplicial != (t.hull_type in ("I", "IV")):
         raise TheoremViolation(
             f"type {t.hull_type} hull has simpliciality {simplicial}"
@@ -403,7 +405,7 @@ def neighborliness(lattice: FaceLattice) -> int:
     verts = lattice.vertex_indices
     best = 0
     for k in range(1, len(verts)):
-        if all(frozenset(c) in lattice.faces for c in combinations(verts, k)):
+        if all(sum(1 << v for v in c) in lattice.faces for c in combinations(verts, k)):
             best = k
         else:
             break
@@ -415,9 +417,9 @@ def lattice_to_json(lattice: FaceLattice) -> dict:
     return {
         "dim": lattice.dim,
         "faces": [
-            {"vertices": sorted(f), "dim": d}
+            {"vertices": members(f), "dim": d}
             for f, d in sorted(
-                lattice.faces.items(), key=lambda kv: (kv[1], sorted(kv[0]))
+                lattice.faces.items(), key=lambda kv: (kv[1], members(kv[0]))
             )
         ],
     }

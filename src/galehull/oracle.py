@@ -43,20 +43,20 @@ def _project_to_hull_coordinates(pts: list[tuple]) -> tuple[list[tuple], int]:
     Selecting the RREF pivot columns of the difference matrix is a linear
     isomorphism of the affine hull onto R^d, so faces are preserved.
     """
-    d = affine_dimension(pts)
     p0 = pts[0]
     diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
     if not diffs:
         return [()] * len(pts), 0
     _, pivots = rref(diffs)
-    return [tuple(p[c] for c in pivots) for p in pts], d
+    return [tuple(p[c] for c in pivots) for p in pts], len(pivots)
 
 
 def _facet_supports(qpts: list[tuple], d: int):
     """All facet supporting hyperplanes of full-dimensional conv(qpts) in R^d.
 
-    Yields (facet_index_set, normal, offset, side) with side = +1 if the
-    polytope satisfies normal.x <= offset, else -1.
+    Yields (facet_mask, normal, offset, side) with side = +1 if the
+    polytope satisfies normal.x <= offset, else -1; bit i of facet_mask
+    is set when qpts[i] lies on the facet.
     """
     n = len(qpts)
     seen: set[tuple] = set()
@@ -77,15 +77,15 @@ def _facet_supports(qpts: list[tuple], d: int):
             side = 1
         else:
             continue
-        members = frozenset(i for i, v in enumerate(values) if v == 0)
-        out.append((members, normal, offset, side))
+        mask = sum(1 << i for i, v in enumerate(values) if v == 0)
+        out.append((mask, normal, offset, side))
     return out
 
 
 def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     """Face lattice of conv(points) by exhaustive hyperplane scanning.
 
-    Faces are index sets over the input points; the empty face and the
+    Faces are bitmasks over the input points; the empty face and the
     full polytope are included, everything graded by exact affine
     dimension.
     """
@@ -94,10 +94,8 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     if d == 0:
         raise DegenerateInput("all points coincide")
 
-    facet_sets = {members for members, *_ in _facet_supports(qpts, d)}
+    masks = {mask for mask, *_ in _facet_supports(qpts, d)}
     n = len(pts)
-    full_mask = (1 << n) - 1
-    masks = {sum(1 << i for i in f) for f in facet_sets}
     closure = set(masks)
     queue = list(masks)
     while queue:
@@ -109,14 +107,13 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
                 queue.append(x)
     closure.add(0)
 
-    faces: dict[frozenset[int], int] = {}
-    for m in closure:
-        members = frozenset(i for i in range(n) if m >> i & 1)
-        faces[members] = affine_dimension([qpts[i] for i in sorted(members)])
-    for f in facet_sets:
-        if faces[f] != d - 1:
+    faces = {
+        m: affine_dimension([qpts[i] for i in range(n) if m >> i & 1]) for m in closure
+    }
+    for m in masks:
+        if faces[m] != d - 1:
             raise StructureMismatch("facet with wrong affine dimension")
-    top = frozenset(range(n))
+    top = (1 << n) - 1
     faces[top] = d
     return FaceLattice(dim=d, top=top, faces=faces)
 
@@ -130,16 +127,15 @@ def beyond_facets(
     the others is the strict-inside witness.
     """
     pts = _check_points(others)
-    d = affine_dimension(pts)
-    if affine_dimension(pts + [tuple(point)]) != d:
+    if len(point) != len(pts[0]):
+        raise DimensionMismatch("point and others of unequal dimension")
+    # a point inside the affine hull leaves the pivot columns as they are
+    projected, d = _project_to_hull_coordinates(pts + [tuple(point)])
+    if affine_dimension(pts) != d:
         raise PointOutsideAffineHull("point leaves the affine hull of the others")
     if d == 0:
         raise DegenerateInput("all points coincide")
-    p0 = pts[0]
-    diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
-    _, pivots = rref(diffs)
-    qpts = [tuple(p[c] for c in pivots) for p in pts]
-    qpoint = tuple(point[c] for c in pivots)
+    *qpts, qpoint = projected
 
     n = len(qpts)
     centroid = tuple(sum(q[r] for q in qpts) / n for r in range(d))
@@ -173,7 +169,7 @@ def verify_pyramid_structure(
 
     facets = [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
     for j in apexes:
-        missing = sum(1 for f in facets if j not in f)
+        missing = sum(1 for f in facets if not f >> j & 1)
         if missing != 1:
             raise StructureMismatch(
                 f"apex vertex {j} is outside {missing} facets, expected 1"

@@ -16,6 +16,7 @@ from .gale import (
     fvector,
     gale_transform,
     incidence_system,
+    members,
     neighborliness,
     rref_gale_points,
     simpliciality_check,
@@ -23,7 +24,6 @@ from .gale import (
 from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
 from .polytopes import FaceColoring, PlanarPolytope, three_color
 from .reference import (
-    ReferenceLattice,
     cyclic_facets,
     lattice_isomorphic,
     pyramid,
@@ -65,7 +65,7 @@ def analyze_polytope(p: PlanarPolytope) -> Analysis:
     )
 
 
-def reference_model(report: TypeReport, n: int) -> ReferenceLattice:
+def reference_model(report: TypeReport, n: int) -> FaceLattice:
     """The predicted lattice for a classified hull."""
     m1, m2, m3 = report.sorted_sizes
     if report.hull_type == "I":
@@ -85,11 +85,11 @@ def _face_diff(a: FaceLattice, b: FaceLattice, limit: int = 12) -> str:
     ]
     parts = []
     if only_a:
-        parts.append(f"criterion-only: {sorted(map(sorted, only_a))[:limit]}")
+        parts.append(f"criterion-only: {sorted(map(members, only_a))[:limit]}")
     if only_b:
-        parts.append(f"oracle-only: {sorted(map(sorted, only_b))[:limit]}")
+        parts.append(f"oracle-only: {sorted(map(members, only_b))[:limit]}")
     if graded:
-        parts.append(f"dimension disagreements: {sorted(map(sorted, graded))[:limit]}")
+        parts.append(f"dimension disagreements: {sorted(map(members, graded))[:limit]}")
     return "; ".join(parts) or "identical"
 
 
@@ -134,7 +134,7 @@ class Verification:
     pyramid_report: Optional[dict]
     neighborliness_matches: Optional[bool]
     type_one_report: Optional[dict]
-    reference: ReferenceLattice
+    reference: FaceLattice
     reference_witness: dict[int, int]
 
 

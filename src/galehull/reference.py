@@ -10,138 +10,126 @@ hull oracle where coordinates exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import BadParameters, TooManyPoints
-from .gale import ANALYSIS_VERTEX_CAP, FaceLattice
-
-Lattice = Union[FaceLattice, "ReferenceLattice"]
+from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, members
 
 
-@dataclass(frozen=True)
-class ReferenceLattice(FaceLattice):
-    """A face lattice with vertex-role bookkeeping (base, apexes, classes)."""
-
-    roles: dict[str, tuple[int, ...]] = None  # type: ignore[assignment]
-
-
-def _simplicial_lattice(num_vertices: int, facets: list[frozenset[int]], dim: int,
-                        roles: dict[str, tuple[int, ...]]) -> ReferenceLattice:
-    faces: dict[frozenset[int], int] = {}
+def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceLattice:
+    faces: dict[int, int] = {}
     for facet in facets:
-        for size in range(len(facet) + 1):
-            for sub in combinations(sorted(facet), size):
-                faces[frozenset(sub)] = size - 1
-    top = frozenset(range(num_vertices))
+        sub = facet
+        while True:  # every submask of the facet, down to the empty face
+            faces[sub] = sub.bit_count() - 1
+            if not sub:
+                break
+            sub = (sub - 1) & facet
+    top = (1 << num_vertices) - 1
     faces[top] = dim
-    return ReferenceLattice(dim=dim, top=top, faces=faces, roles=roles)
+    return FaceLattice(dim=dim, top=top, faces=faces)
 
 
-def gale_evenness(subset: frozenset[int], v: int) -> bool:
-    """Evenness condition on positions 0..v-1: any two positions outside the
-    subset are separated by an even number of subset members."""
-    outside = [i for i in range(v) if i not in subset]
+def gale_evenness(subset: int, v: int) -> bool:
+    """Evenness condition on positions 0..v-1 of a vertex bitmask: any two
+    positions outside the subset are separated by an even number of subset
+    members."""
+    outside = [i for i in range(v) if not subset >> i & 1]
     for a, b in combinations(outside, 2):
-        if sum(1 for x in subset if a < x < b) % 2:
+        if sum(1 for x in range(a + 1, b) if subset >> x & 1) % 2:
             return False
     return True
 
 
-def cyclic_facets(v: int, d: int) -> ReferenceLattice:
+def cyclic_facets(v: int, d: int) -> FaceLattice:
     """Face lattice of the cyclic polytope C(v, d) on vertices 0..v-1."""
     if not v > d >= 2:
         raise BadParameters(f"cyclic polytope needs v > d >= 2, got v={v} d={d}")
-    facets = [
-        frozenset(c) for c in combinations(range(v), d) if gale_evenness(frozenset(c), v)
-    ]
-    return _simplicial_lattice(v, facets, d, {"cycle": tuple(range(v))})
+    subsets = (sum(1 << i for i in c) for c in combinations(range(v), d))
+    return _simplicial_lattice(v, [f for f in subsets if gale_evenness(f, v)], d)
 
 
-def pyramid(base: Lattice, apex_count: int) -> ReferenceLattice:
-    """apex_count-fold pyramid: every face is (base face) union (apex subset)."""
+def pyramid(base: FaceLattice, apex_count: int) -> FaceLattice:
+    """apex_count-fold pyramid: every face is (base face) union (apex
+    subset); the apexes are vertices nbase .. nbase + apex_count - 1."""
     if apex_count < 0:
         raise BadParameters("apex count must be nonnegative")
-    nbase = len(base.top)
-    if base.top != frozenset(range(nbase)):
+    nbase = base.top.bit_count()
+    if base.top != (1 << nbase) - 1:
         raise BadParameters("pyramid base must use contiguous vertex indices")
-    apexes = tuple(range(nbase, nbase + apex_count))
-    faces: dict[frozenset[int], int] = {}
-    for size in range(apex_count + 1):
-        for aset in combinations(apexes, size):
-            for g, gdim in base.faces.items():
-                faces[g | frozenset(aset)] = gdim + size
+    faces: dict[int, int] = {}
+    for apexes in range(1 << apex_count):
+        for g, gdim in base.faces.items():
+            faces[g | apexes << nbase] = gdim + apexes.bit_count()
     dim = base.dim + apex_count
-    top = frozenset(range(nbase + apex_count))
+    top = (1 << (nbase + apex_count)) - 1
     faces[top] = dim
-    roles = dict(getattr(base, "roles", None) or {"base": tuple(range(nbase))})
-    roles["apexes"] = roles.get("apexes", ()) + apexes
-    return ReferenceLattice(dim=dim, top=top, faces=faces, roles=roles)
+    return FaceLattice(dim=dim, top=top, faces=faces)
 
 
-def tkn_model(n: int, k: int) -> ReferenceLattice:
+def tkn_model(n: int, k: int) -> FaceLattice:
     """Simplicial n-polytope with n+2 vertices: a simplex plus a point
-    beyond k facets. Classes A (k+1 vertices) and B (n+1-k vertices); a
+    beyond k facets. Classes A (vertices 0..k) and B (k+1..n+1); a
     proper face is any subset containing neither class entirely."""
     if not 1 <= k <= n // 2:
         raise BadParameters(f"model needs 1 <= k <= n/2, got n={n} k={k}")
     npts = n + 2
     if npts > ANALYSIS_VERTEX_CAP:
         raise TooManyPoints(f"{npts} vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
-    class_a = frozenset(range(k + 1))
-    class_b = frozenset(range(k + 1, npts))
-    faces: dict[frozenset[int], int] = {}
-    for mask in range(1 << npts):
-        members = frozenset(j for j in range(npts) if mask >> j & 1)
-        if members == frozenset(range(npts)):
-            continue
-        if not (class_a <= members) and not (class_b <= members):
-            faces[members] = len(members) - 1
-    top = frozenset(range(npts))
+    top = (1 << npts) - 1
+    class_a = (1 << (k + 1)) - 1
+    class_b = top & ~class_a
+    faces = {
+        f: f.bit_count() - 1
+        for f in range(top)
+        if f & class_a != class_a and f & class_b != class_b
+    }
     faces[top] = n
-    return ReferenceLattice(
-        dim=n, top=top, faces=faces,
-        roles={"classA": tuple(sorted(class_a)), "classB": tuple(sorted(class_b))},
-    )
+    return FaceLattice(dim=n, top=top, faces=faces)
 
 
-def type4_model(m: int) -> ReferenceLattice:
-    """Hull model for three equal classes of size m: 3m vertices, proper
-    faces are the subsets missing at least one vertex of every class."""
+def type4_model(m: int) -> FaceLattice:
+    """Hull model for three equal classes of size m: 3m vertices, class i
+    is the block i*m .. (i+1)*m - 1, and the proper faces are the subsets
+    missing at least one vertex of every class."""
     if m < 2:
         raise BadParameters(f"model needs m >= 2, got {m}")
     npts = 3 * m
     if npts > ANALYSIS_VERTEX_CAP:
         raise TooManyPoints(f"{npts} vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
-    classes = [frozenset(range(i * m, (i + 1) * m)) for i in range(3)]
-    faces: dict[frozenset[int], int] = {}
-    for mask in range(1 << npts):
-        members = frozenset(j for j in range(npts) if mask >> j & 1)
-        if any(cls <= members for cls in classes):
-            continue
-        faces[members] = len(members) - 1
-    top = frozenset(range(npts))
+    top = (1 << npts) - 1
+    classes = [((1 << m) - 1) << (i * m) for i in range(3)]
+    faces = {
+        f: f.bit_count() - 1 for f in range(top) if all(f & c != c for c in classes)
+    }
     faces[top] = 3 * m - 3
-    return ReferenceLattice(
-        dim=3 * m - 3, top=top, faces=faces,
-        roles={f"class{i + 1}": tuple(sorted(classes[i])) for i in range(3)},
-    )
+    return FaceLattice(dim=3 * m - 3, top=top, faces=faces)
 
 
 # --- isomorphism -------------------------------------------------------------
 
-def _facets(lattice: Lattice) -> list[frozenset[int]]:
+def _facets(lattice: FaceLattice) -> list[int]:
     return [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
 
 
-def _vertex_signature(lattice: Lattice, v: int, facets) -> tuple:
-    containing = [f for f in facets if v in f]
-    nfaces = sum(1 for f in lattice.faces if v in f)
-    return (len(containing), tuple(sorted(len(f) for f in containing)), nfaces)
+def _vertex_signature(lattice: FaceLattice, v: int, facets) -> tuple:
+    containing = [f for f in facets if f >> v & 1]
+    nfaces = sum(1 for f in lattice.faces if f >> v & 1)
+    return (len(containing), tuple(sorted(f.bit_count() for f in containing)), nfaces)
 
 
-def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[int, int]]:
+def _vertices(lattice: FaceLattice) -> list[int]:
+    """Every index occurring in a proper face (for honest vertex lattices
+    this is exactly the vertex set)."""
+    union = 0
+    for f in lattice.faces:
+        if f != lattice.top:
+            union |= f
+    return members(union)
+
+
+def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int]]:
     """Vertex bijection inducing a face-set bijection, or None.
 
     Backtracking over vertex-facet incidence with signature pruning; the
@@ -149,14 +137,11 @@ def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[int, int]]:
     """
     if a.dim != b.dim or len(a.faces) != len(b.faces):
         return None
-    # map every index occurring in a proper face (for honest vertex lattices
-    # this is exactly the vertex set)
-    va = sorted(set().union(*(f for f in a.faces if f != a.top)) or set())
-    vb = sorted(set().union(*(f for f in b.faces if f != b.top)) or set())
+    va, vb = _vertices(a), _vertices(b)
     if len(va) != len(vb):
         return None
     fa, fb = _facets(a), _facets(b)
-    if sorted(map(len, fa)) != sorted(map(len, fb)):
+    if sorted(f.bit_count() for f in fa) != sorted(f.bit_count() for f in fb):
         return None
     sig_a = {v: _vertex_signature(a, v, fa) for v in va}
     sig_b = {v: _vertex_signature(b, v, fb) for v in vb}
@@ -168,11 +153,14 @@ def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[int, int]]:
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
+    def image(face: int) -> int:
+        """The mask of the images of the face's vertices mapped so far."""
+        return sum(1 << w for v, w in mapping.items() if face >> v & 1)
+
     def facet_compatible() -> bool:
-        assigned = set(mapping)
         for f in fa:
-            image = {mapping[v] for v in f if v in assigned}
-            if not any(image <= g and len(g) == len(f) for g in fb):
+            img, size = image(f), f.bit_count()
+            if not any(img & g == img and g.bit_count() == size for g in fb):
                 return False
         return True
 
@@ -180,8 +168,7 @@ def lattice_isomorphic(a: Lattice, b: Lattice) -> Optional[dict[int, int]]:
         for face, dim in a.faces.items():
             if face == a.top:
                 continue  # tops correspond by the dim check above
-            img = frozenset(mapping[v] for v in face)
-            if b.faces.get(img, None) != dim:
+            if b.faces.get(image(face), None) != dim:
                 return False
         return True
 

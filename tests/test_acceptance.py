@@ -171,6 +171,9 @@ def test_criterion_5_equivalence_cross_validation():
             systems["cube"][1].system, systems["prism:6"][1].system
         )
 
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
 def _closed_form_faces(a):
     """Independent closed-form face sets, straight from the class rules."""
     npts = a.polytope.n + 2
@@ -230,7 +233,7 @@ def test_criterion_6_invariant_suite():
             closed = _closed_form_faces(a)
             byrelint = _relint_faces(a)
             assert closed == byrelint
-            assert closed == set(a.lattice.proper_faces()) | {frozenset()}
+            assert {_mask(f) for f in closed} == set(a.lattice.proper_faces()) | {0}
 
             simplicial = simpliciality_check(a.lattice)
             assert simplicial == (a.report.hull_type in ("I", "IV"))

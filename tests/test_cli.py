@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
+import instances
 from galehull import catalog
 from galehull.cli import main
 
@@ -179,3 +181,63 @@ def test_malformed_documents_are_bad_input(name, tmp_path, capsys):
     code, out = run(capsys, ["analyze", str(path)])
     assert code == 2
     assert json.loads(out)["error"]["code"] == "BadInput"
+
+
+def _faces_file(tmp_path, name, faces):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"faces": [list(f) for f in faces]}))
+    return str(path)
+
+
+def _golden_cases(tmp_path):
+    """(case name, argv) for every report whose bytes are pinned below."""
+    for spec in ("cube", "prism:6", "prism:8", "prism:12", "truncated-octahedron"):
+        yield f"analyze {spec}", ["analyze", "--catalog", spec]
+    for build in instances.INSTANCE_BUILDERS:
+        path = _faces_file(tmp_path, build.__name__, build().faces)
+        yield f"analyze {build.__name__}", ["analyze", path]
+    for spec in ("cube", "prism:6", "prism:8"):
+        yield f"verify {spec}", ["verify", "--catalog", spec]
+    path = _faces_file(tmp_path, "all_equal", instances.all_equal_polytope().faces)
+    yield "verify all_equal_polytope", ["verify", path]
+    cube = catalog("cube")
+    reversed_cube = [list(reversed(f)) for f in reversed(cube.faces)]
+    path = _faces_file(tmp_path, "reversed_cube", reversed_cube)
+    yield "compare cube reversed_cube", ["compare", "catalog:cube", path]
+
+
+# sha256 of stdout; reports, witness bijections included, must not move
+GOLDEN_DIGESTS = {
+    "analyze cube": "7675c7ca84edc68f82d011ee28d72ba64a220ec033cbcb0e7c5a1ce062146025",
+    "analyze prism:6": "f2b99848e125efec55385f4d1be46c0dc8c7d7749f702a4b46512e63b37ebc07",
+    "analyze prism:8": "2726eb1c44f4fa2052d18dd5f6d214ace582089dadb669004d662331bfce7bcd",
+    "analyze prism:12": "b1c8d0dbf13e875db7173ff3e8310513446ee9da8b8c3639572be8b3734da3ec",
+    "analyze truncated-octahedron":
+        "c1ac565946cd80094e24a7d8c3d285b90a2de23551fb5766f693d0caa9f02889",
+    "analyze all_equal_polytope":
+        "75e7db5182a07f0b80344e583f9301675269eb42755d041c4b8774b1272c7860",
+    "analyze smallest_distinct_polytope":
+        "e64fbad40828af2f1c2aadac397fb07e718351d3f6aad51fb4ff3ccc8228bad5",
+    "analyze largest_distinct_polytope":
+        "f3a19f8822b4677c311ad5e16d23febf26e992168de4dc1da4b5a6fcc787a9db",
+    "analyze type_one_polytope":
+        "7806b92edbf61240ecaf2eb2737f45319bc5f65b22b4836cbde8ea800002b2bf",
+    "analyze type_one_polytope_mirror":
+        "63550382d7d5246b936e6d9b3de9d2c649d879ce4dd2a167333fe6f346166600",
+    "verify cube": "db5356006e77d7dc77d25be242c8103626b856d0f7e9a9742239327fc5244bb7",
+    "verify prism:6": "f90e1c6d4d51aed10ddc8505b13aa40fb0e9e5a73529b241cbc648da545058c6",
+    "verify prism:8": "93c673bce32267989d9d2d88afcb36646306ff54cf57456ad5c001af18fd3e7b",
+    "verify all_equal_polytope":
+        "104c3c2f2fa133886be23ef59fdaf02c13ece8a33a24b3f83a26c9e722665d27",
+    "compare cube reversed_cube":
+        "bd8248c98f9e1790a592dbb8ec6f6c038886edba48bc81c254c5645ef85e930b",
+}
+
+
+def test_report_bytes_are_golden(tmp_path, capsys):
+    seen = {}
+    for name, argv in _golden_cases(tmp_path):
+        code, out = run(capsys, argv)
+        assert code == 0, name
+        seen[name] = hashlib.sha256(out.encode()).hexdigest()
+    assert seen == GOLDEN_DIGESTS

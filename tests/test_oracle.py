@@ -9,11 +9,13 @@ from galehull import (
     beyond_facets,
     fvector,
     lattice_isomorphic,
+    members,
     oracle_lattice,
     verify_pyramid_structure,
 )
 from galehull.errors import (
     DegenerateInput,
+    DimensionMismatch,
     PointOutsideAffineHull,
     TooManyPoints,
 )
@@ -70,7 +72,7 @@ def test_oracle_permutation_invariance():
         shuffled = [pts[i] for i in perm]
         lat = oracle_lattice(shuffled)
         relabeled = {
-            frozenset(perm.index(i) for i in f): d for f, d in base.faces.items()
+            sum(1 << perm.index(i) for i in members(f)): d for f, d in base.faces.items()
         }
         assert lat.faces == relabeled
 
@@ -98,12 +100,12 @@ def test_facet_hyperplanes_evaluate_exactly():
     for face, dim in lat.faces.items():
         if dim != lat.dim - 1:
             continue
-        hp = spanning_hyperplane([qpts[i] for i in sorted(face)], d)
+        hp = spanning_hyperplane([qpts[i] for i in members(face)], d)
         assert hp is not None
         normal, offset = hp
         values = [dot(normal, q) - offset for q in qpts]
-        assert all(v == 0 for i, v in enumerate(values) if i in face)
-        others = [v for i, v in enumerate(values) if i not in face]
+        assert all(v == 0 for i, v in enumerate(values) if face >> i & 1)
+        others = [v for i, v in enumerate(values) if not face >> i & 1]
         assert all(v > 0 for v in others) or all(v < 0 for v in others)
 
 
@@ -130,6 +132,11 @@ def test_beyond_facets_outside_affine_hull():
     square_in_3d = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
     with pytest.raises(PointOutsideAffineHull):
         beyond_facets((F(1, 2), F(1, 2), 1), square_in_3d)
+
+
+def test_beyond_facets_point_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        beyond_facets((1, 1, 1), [(0, 0), (3, 0), (0, 3)])
 
 
 def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):

@@ -8,6 +8,7 @@ from galehull import (
     cyclic_facets,
     fvector,
     lattice_isomorphic,
+    members,
     neighborliness,
     oracle_lattice,
     pyramid,
@@ -16,6 +17,10 @@ from galehull import (
     type4_model,
 )
 from galehull.errors import BadParameters
+
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
 
 
 def _criterion_faces(v):
@@ -28,7 +33,7 @@ def _criterion_faces(v):
         for sub in combinations(range(v), size):
             s = frozenset(sub)
             if not (odd <= s) and not (even <= s):
-                out.add(s)
+                out.add(_mask(s))
     return out
 
 
@@ -36,18 +41,18 @@ def test_cyclic_c64_fvector_and_faces():
     lat = cyclic_facets(6, 4)
     assert fvector(lat) == (6, 15, 18, 9)
     expected = _criterion_faces(6)
-    assert set(lat.proper_faces()) | {frozenset()} == expected | {frozenset()}
-    assert lat.faces[frozenset()] == -1
+    assert set(lat.proper_faces()) | {0} == expected | {0}
+    assert lat.faces[0] == -1
 
 
 def test_cyclic_c42_is_square():
     lat = cyclic_facets(4, 2)
     facets = {f for f, d in lat.faces.items() if d == 1}
     assert facets == {
-        frozenset({0, 1}),
-        frozenset({1, 2}),
-        frozenset({2, 3}),
-        frozenset({0, 3}),
+        _mask({0, 1}),
+        _mask({1, 2}),
+        _mask({2, 3}),
+        _mask({0, 3}),
     }
     assert fvector(lat) == (4, 4)
 
@@ -58,7 +63,7 @@ def test_cyclic_neighborliness_family():
         assert simpliciality_check(lat)
         assert neighborliness(lat) == m - 1
         facets = [f for f, d in lat.faces.items() if d == lat.dim - 1]
-        assert all(len(f) == 2 * m - 2 for f in facets)
+        assert all(f.bit_count() == 2 * m - 2 for f in facets)
 
 
 def test_cyclic_bad_parameters():
@@ -95,30 +100,22 @@ def test_pyramid_fvector_recurrence():
         assert fp[j] == count[j] + count[j - 1]
 
 
-def test_pyramid_roles():
-    lat = pyramid(cyclic_facets(4, 2), 2)
-    assert lat.roles["apexes"] == (4, 5)
-    assert set(lat.roles["cycle"]) | set(lat.roles["apexes"]) == set(range(6))
-
-
 def test_tkn_model_facets():
     for n, k in ((4, 1), (4, 2), (5, 2)):
         lat = tkn_model(n, k)
-        assert len(lat.top) == n + 2
+        assert lat.top.bit_count() == n + 2
         assert simpliciality_check(lat)
         facets = [f for f, d in lat.faces.items() if d == n - 1]
         assert len(facets) == (k + 1) * (n + 1 - k)
-        a = set(lat.roles["classA"])
-        b = set(lat.roles["classB"])
+        a = range(k + 1)  # class A is vertices 0..k, class B the rest
+        b = range(k + 1, n + 2)
         # facets are complements of one A-vertex and one B-vertex
-        assert {frozenset(set(range(n + 2)) - {x, y}) for x in a for y in b} == set(
-            facets
-        )
+        assert {lat.top & ~_mask({x, y}) for x in a for y in b} == set(facets)
 
 
 def test_tkn_class_is_not_a_face():
     lat = tkn_model(4, 1)
-    assert frozenset(lat.roles["classA"]) not in lat.faces
+    assert _mask(range(2)) not in lat.faces  # class A
 
 
 def test_tkn_bad_parameters():
@@ -130,12 +127,12 @@ def test_tkn_bad_parameters():
 
 def test_type4_model_octahedron():
     lat = type4_model(2)
-    assert len(lat.top) == 6 and lat.dim == 3
+    assert lat.top.bit_count() == 6 and lat.dim == 3
     assert fvector(lat) == (6, 12, 8)
     assert simpliciality_check(lat)
     assert neighborliness(lat) == 1
-    for cls in ("class1", "class2", "class3"):
-        assert frozenset(lat.roles[cls]) not in lat.faces
+    for i in range(3):  # class i is the block 2i, 2i + 1
+        assert _mask(range(2 * i, 2 * i + 2)) not in lat.faces
 
 
 def test_type4_every_small_subset_is_a_face():
@@ -143,12 +140,104 @@ def test_type4_every_small_subset_is_a_face():
     lat = type4_model(m)
     assert neighborliness(lat) == m - 1
     for sub in combinations(range(3 * m), m - 1):
-        assert frozenset(sub) in lat.faces
+        assert _mask(sub) in lat.faces
 
 
 def test_type4_bad_parameters():
     with pytest.raises(BadParameters):
         type4_model(1)
+
+
+# frozenset constructions straight from the documented criteria: the
+# reference the bitmask models are checked against
+
+def _simplicial_by_sets(v, facets, dim):
+    faces = {}
+    for facet in facets:
+        for size in range(len(facet) + 1):
+            for sub in combinations(sorted(facet), size):
+                faces[frozenset(sub)] = size - 1
+    faces[frozenset(range(v))] = dim
+    return dim, faces
+
+
+def _cyclic_by_sets(v, d):
+    def even(subset):
+        outside = [i for i in range(v) if i not in subset]
+        return all(
+            sum(1 for x in subset if a < x < b) % 2 == 0
+            for a, b in combinations(outside, 2)
+        )
+
+    facets = [frozenset(c) for c in combinations(range(v), d) if even(frozenset(c))]
+    return _simplicial_by_sets(v, facets, d)
+
+
+def _pyramid_by_sets(base, apex_count):
+    dim, base_faces = base
+    nbase = max(map(len, base_faces))
+    apexes = range(nbase, nbase + apex_count)
+    faces = {}
+    for size in range(apex_count + 1):
+        for aset in combinations(apexes, size):
+            for g, gdim in base_faces.items():
+                faces[g | frozenset(aset)] = gdim + size
+    faces[frozenset(range(nbase + apex_count))] = dim + apex_count
+    return dim + apex_count, faces
+
+
+def _no_class_entirely_by_sets(npts, dim, classes):
+    """Proper faces are the subsets containing no class entirely."""
+    faces = {
+        frozenset(sub): size - 1
+        for size in range(npts)
+        for sub in combinations(range(npts), size)
+        if not any(c <= frozenset(sub) for c in classes)
+    }
+    faces[frozenset(range(npts))] = dim
+    return dim, faces
+
+
+def _tkn_by_sets(n, k):
+    classes = (frozenset(range(k + 1)), frozenset(range(k + 1, n + 2)))
+    return _no_class_entirely_by_sets(n + 2, n, classes)
+
+
+def _type4_by_sets(m):
+    classes = [frozenset(range(i * m, (i + 1) * m)) for i in range(3)]
+    return _no_class_entirely_by_sets(3 * m, 3 * m - 3, classes)
+
+
+def _model_cases():
+    for n, k in ((2, 1), (3, 1), (4, 1), (4, 2), (5, 2), (6, 3), (7, 2)):
+        yield f"tkn_model({n},{k})", tkn_model(n, k), _tkn_by_sets(n, k)
+    for m in (2, 3, 4):
+        yield f"type4_model({m})", type4_model(m), _type4_by_sets(m)
+    for v, d in ((4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 4), (8, 6)):
+        yield f"cyclic_facets({v},{d})", cyclic_facets(v, d), _cyclic_by_sets(v, d)
+    pyramids = (((4, 2), 0), ((4, 2), 1), ((4, 2), 2), ((5, 3), 1), ((6, 4), 2))
+    for (v, d), apexes in pyramids:
+        yield (
+            f"pyramid(cyclic_facets({v},{d}),{apexes})",
+            pyramid(cyclic_facets(v, d), apexes),
+            _pyramid_by_sets(_cyclic_by_sets(v, d), apexes),
+        )
+    yield "pyramid(tkn_model(4,1),1)", pyramid(tkn_model(4, 1), 1), _pyramid_by_sets(
+        _tkn_by_sets(4, 1), 1
+    )
+
+
+MODEL_CASES = list(_model_cases())
+
+
+@pytest.mark.parametrize(
+    "name,lat,by_sets", MODEL_CASES, ids=[name for name, *_ in MODEL_CASES]
+)
+def test_models_equal_frozenset_construction(name, lat, by_sets):
+    dim, faces = by_sets
+    assert lat.dim == dim
+    assert lat.top == _mask(max(faces, key=len))
+    assert lat.faces == {_mask(f): d for f, d in faces.items()}
 
 
 def test_isomorphism_reflexive_and_symmetric():
@@ -171,7 +260,7 @@ def test_isomorphism_witness_is_face_bijection():
     )
     phi = lattice_isomorphic(a, b)
     mapped = {
-        frozenset(phi[v] for v in f): d for f, d in a.faces.items() if f != a.top
+        _mask(phi[v] for v in members(f)): d for f, d in a.faces.items() if f != a.top
     }
     expected = {f: d for f, d in b.faces.items() if f != b.top}
     assert mapped == expected
