@@ -115,8 +115,11 @@ def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
 
 
 def hull_dimension(s: IncidenceSystem) -> int:
-    """Affine dimension of the hull; must follow the class-size pattern."""
-    d = affine_dimension(s.vectors)
+    """Affine dimension of the hull; must follow the class-size pattern.
+
+    It is the rank of the homogenized vectors minus one: that matrix is as
+    sparse as the incidences, unlike the difference matrix."""
+    d = rank([list(v) + [1] for v in s.vectors]) - 1
     m1, m2, m3 = s.coloring.class_sizes
     expected = s.n - 1 if m1 == m2 == m3 else s.n
     if d != expected:

@@ -4,7 +4,9 @@ This is the ground truth the Gale machinery is validated against, so it
 shares nothing with the coface criterion: facets are found by scanning
 all d-subsets for spanning hyperplanes with all points on one closed
 side, and the lattice is the intersection closure of the facet sets.
-Desk scale only (at most 26 points).
+Each facet's exact affine rank anchors the grading; every other face is
+graded by its rank in that poset, found from facet incidences with bit
+operations. Desk scale only (at most 26 points).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from .gale import FaceLattice, GaleDiagram, IncidenceSystem, TypeReport
+from .gale import FaceLattice, GaleDiagram, IncidenceSystem, TypeReport, members
 from .linalg import affine_dimension, dot, rref, spanning_hyperplane
 
 POINT_CAP = 26
@@ -86,33 +88,55 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     """Face lattice of conv(points) by exhaustive hyperplane scanning.
 
     Faces are bitmasks over the input points; the empty face and the
-    full polytope are included, everything graded by exact affine
-    dimension.
+    full polytope are included. Each facet must have exact affine
+    dimension d - 1; every other face is graded by poset rank, one less
+    than the least dimension of a face above it through one more point.
     """
     pts = _check_points(points)
     qpts, d = _project_to_hull_coordinates(pts)
     if d == 0:
         raise DegenerateInput("all points coincide")
 
-    masks = {mask for mask, *_ in _facet_supports(qpts, d)}
+    facets = [mask for mask, *_ in _facet_supports(qpts, d)]
+    for f in facets:
+        r = affine_dimension([qpts[i] for i in members(f)])
+        if r != d - 1:
+            raise StructureMismatch(
+                f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
+            )
     n = len(pts)
-    closure = set(masks)
-    queue = list(masks)
+    closure = set(facets)
+    queue = list(facets)
     while queue:
         m = queue.pop()
-        for fm in masks:
+        for fm in facets:
             x = m & fm
             if x not in closure:
                 closure.add(x)
                 queue.append(x)
     closure.add(0)
+    order = sorted(closure, reverse=True)
+    del closure  # one copy of the closure while the dicts below grow
 
-    faces = {
-        m: affine_dimension([qpts[i] for i in range(n) if m >> i & 1]) for m in closure
-    }
-    for m in masks:
-        if faces[m] != d - 1:
-            raise StructureMismatch("facet with wrong affine dimension")
+    # inc[i] holds the facets through point i. A face's facet set t is the
+    # AND of inc over its points; the least face above it through an outside
+    # point i has facet set t & inc[i], and every cover arises so. rank_of
+    # keys dimensions by facet set, the empty set being the whole polytope.
+    # A proper superface has a larger mask, so descending order grades it
+    # before any face below it.
+    inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
+    everything = (1 << len(facets)) - 1
+    rank_of = {0: d}
+    dims = []
+    for m in order:
+        t = everything
+        for i in members(m):
+            t &= inc[i]
+        dim = min(rank_of[t & inc[i]] for i in range(n) if not m >> i & 1) - 1
+        rank_of[t] = dim
+        dims.append(dim)
+    del rank_of  # the two large dicts never coexist
+    faces = dict(zip(order, dims))
     top = (1 << n) - 1
     faces[top] = d
     return FaceLattice(dim=d, top=top, faces=faces)

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,21 @@ def test_analyze_is_byte_deterministic(capsys):
     _, first = run(capsys, ["analyze", "--catalog", "prism:6"])
     _, second = run(capsys, ["analyze", "--catalog", "prism:6"])
     assert first == second
+
+def test_python_dash_m_matches_main(tmp_path, capsys):
+    import galehull
+
+    argv = ["analyze", "--catalog", "cube"]
+    path = [str(Path(galehull.__file__).resolve().parents[1])]
+    path += filter(None, [os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "galehull", *argv],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120,
+    )
+    _, out = run(capsys, argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == out.encode()
 
 def test_analyze_file_input(tmp_path, capsys):
     path = tmp_path / "tet.json"

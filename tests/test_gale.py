@@ -119,6 +119,31 @@ def test_closed_form_diagram_equals_rref_route_relabelled(data):
     assert gale_transform(s).points == rref_gale_points(s)
 
 
+HULL_INSTANCES = GALE_INSTANCES + [("prism:48", catalog("prism", 48))]
+
+
+@pytest.mark.parametrize("name,p", HULL_INSTANCES, ids=[n for n, _ in HULL_INSTANCES])
+def test_homogenized_rank_is_the_affine_dimension(name, p):
+    s = incidence_system(p, three_color(p))
+    assert hull_dimension(s) == affine_dimension(s.vectors)
+
+
+def test_gale_transform_takes_no_affine_dimension(monkeypatch):
+    import galehull.gale as gale_module
+
+    calls = []
+    exact = gale_module.affine_dimension
+
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
+
+    monkeypatch.setattr(gale_module, "affine_dimension", counting)
+    for name, p in GALE_INSTANCES:
+        gale_transform(incidence_system(p, three_color(p)))
+    assert calls == []
+
+
 def test_only_verify_runs_the_rref_route(monkeypatch):
     import galehull.gale as gale_module
 

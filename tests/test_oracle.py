@@ -5,21 +5,26 @@ from fractions import Fraction
 
 import pytest
 
+import instances
 from galehull import (
     beyond_facets,
+    catalog,
     fvector,
+    incidence_system,
     lattice_isomorphic,
     members,
     oracle_lattice,
+    three_color,
     verify_pyramid_structure,
 )
 from galehull.errors import (
     DegenerateInput,
     DimensionMismatch,
     PointOutsideAffineHull,
+    StructureMismatch,
     TooManyPoints,
 )
-from galehull.linalg import dot, spanning_hyperplane
+from galehull.linalg import affine_dimension, dot, spanning_hyperplane
 from galehull.oracle import _project_to_hull_coordinates
 
 F = Fraction
@@ -107,6 +112,76 @@ def test_facet_hyperplanes_evaluate_exactly():
         assert all(v == 0 for i, v in enumerate(values) if face >> i & 1)
         others = [v for i, v in enumerate(values) if not face >> i & 1]
         assert all(v > 0 for v in others) or all(v < 0 for v in others)
+
+
+def _poset_rank_instances():
+    yield "cube", catalog("cube")
+    for k in (6, 8, 10, 12):
+        yield f"prism:{k}", catalog("prism", k)
+    yield "truncated-octahedron", catalog("truncated-octahedron")
+    for build in instances.INSTANCE_BUILDERS:
+        yield build.__name__, build()
+
+
+def _vectors(p):
+    return incidence_system(p, three_color(p)).vectors
+
+
+POSET_RANK_POINTS = [(name, _vectors(p)) for name, p in _poset_rank_instances()] + [
+    ("square+center", [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)]),
+    ("square+edge-midpoint", [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)]),
+    (
+        "cube+facet-center",
+        [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)] + [(1, 1, 2)],
+    ),
+    ("octahedron+center", OCTAHEDRON + [(0, 0, 0)]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,pts", POSET_RANK_POINTS, ids=[n for n, _ in POSET_RANK_POINTS]
+)
+def test_poset_rank_equals_exact_rank(name, pts):
+    lat = oracle_lattice(pts)
+    for face, dim in lat.faces.items():
+        assert dim == affine_dimension([pts[i] for i in members(face)]), members(face)
+
+
+COUNTED_POINTS = POSET_RANK_POINTS[:3] + POSET_RANK_POINTS[-4:]
+
+
+@pytest.mark.parametrize("name,pts", COUNTED_POINTS, ids=[n for n, _ in COUNTED_POINTS])
+def test_exact_rank_runs_once_per_facet(name, pts, monkeypatch):
+    import galehull.oracle as oracle_module
+
+    calls = []
+    exact = oracle_module.affine_dimension
+
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
+
+    monkeypatch.setattr(oracle_module, "affine_dimension", counting)
+    lat = oracle_lattice(pts)
+    facets = [f for f, d in lat.faces.items() if d == lat.dim - 1]
+    assert sorted(calls) == sorted(f.bit_count() for f in facets)
+
+
+def test_wrong_facet_rank_names_the_facet(monkeypatch):
+    import galehull.oracle as oracle_module
+
+    exact = oracle_module.affine_dimension
+    facet = sorted(OCTAHEDRON[i] for i in (0, 2, 4))
+
+    def wrong(points):
+        return exact(points) - (sorted(points) == facet)
+
+    monkeypatch.setattr(oracle_module, "affine_dimension", wrong)
+    with pytest.raises(
+        StructureMismatch,
+        match=r"facet \[0, 2, 4\] has affine dimension 1, expected 2",
+    ):
+        oracle_lattice(OCTAHEDRON)
 
 
 def test_oracle_caps_and_degenerate():
