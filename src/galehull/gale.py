@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -28,6 +29,7 @@ from .errors import (
 from .linalg import (
     affine_dimension,
     null_space_basis,
+    pivot_columns,
     primitive_vector,
     rank,
     rref,
@@ -50,6 +52,13 @@ class IncidenceSystem:
 
     def class_indices(self, slot: int) -> tuple[int, ...]:
         return self.coloring.class_members(slot)
+
+    @cached_property
+    def homogenized_pivots(self) -> tuple[int, ...]:
+        """Pivot columns of the vectors, each with a trailing 1. One
+        elimination gives both the incidence rank (the pivots before the
+        last column) and the hull dimension (all pivots, minus one)."""
+        return tuple(pivot_columns([list(v) + [1] for v in self.vectors]))
 
 
 @dataclass(frozen=True)
@@ -109,7 +118,7 @@ def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
         if any(x != 1 for x in sums):
             raise TheoremViolation(f"class {slot} indicator sum is not all-ones")
     s = IncidenceSystem(vectors=vectors, coloring=c, n=p.n)
-    if rank(vectors) != p.n:
+    if sum(1 for col in s.homogenized_pivots if col < V) != p.n:
         raise TheoremViolation(f"incidence rank != n = {p.n}")
     return s
 
@@ -119,7 +128,7 @@ def hull_dimension(s: IncidenceSystem) -> int:
 
     It is the rank of the homogenized vectors minus one: that matrix is as
     sparse as the incidences, unlike the difference matrix."""
-    d = rank([list(v) + [1] for v in s.vectors]) - 1
+    d = len(s.homogenized_pivots) - 1
     m1, m2, m3 = s.coloring.class_sizes
     expected = s.n - 1 if m1 == m2 == m3 else s.n
     if d != expected:
@@ -273,7 +282,7 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
                 raise DiagramMismatch("type IV rays must be pairwise non-parallel")
         if any(p1[r] + p2[r] + p3[r] != 0 for r in range(2)):
             raise DiagramMismatch("type IV rays must sum to zero")
-        if not relint_contains_zero(g.points):
+        if not relint_contains_zero(cls_points):
             raise DiagramMismatch("zero not in the relative interior of the diagram")
         predicted_values = None
         structure = f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over C({2 * m2},{2 * m2 - 2}))"
@@ -395,7 +404,9 @@ def simpliciality_check(lattice: FaceLattice, t: Optional[TypeReport] = None) ->
     Types I and IV must be simplicial, II and III must not; passing the
     type report turns that prediction into a hard check.
     """
-    simplicial = all(f.bit_count() == d + 1 for f, d in lattice.proper_faces().items())
+    simplicial = all(
+        f.bit_count() == d + 1 for f, d in lattice.faces.items() if 0 <= d < lattice.dim
+    )
     if t is not None and simplicial != (t.hull_type in ("I", "IV")):
         raise TheoremViolation(
             f"type {t.hull_type} hull has simpliciality {simplicial}"

@@ -1,17 +1,21 @@
 """Exact rational linear algebra on top of fractions.Fraction.
 
 Matrices are plain sequences of rows; entries may be int or Fraction and
-are never floats. Rank runs fraction-free (integer cross-multiplication
-with per-row gcd stripping), the null space comes from a canonical RREF
-(free columns in increasing index order, so Gale transforms are
-reproducible), and a small two-phase simplex provides exact feasibility
-tests for relative-interior queries.
+are never floats. Rank, pivot columns, one-dimensional null spaces and
+spanning hyperplanes run fraction-free: each row is scaled to integers,
+then eliminated by integer cross-multiplication with per-row gcd
+stripping (after Bareiss, Math. Comp. 1968), so integer inputs never
+build a Fraction. The general null space comes from a canonical
+Fraction RREF (free columns in increasing index order, so Gale
+transforms are reproducible), and a small two-phase simplex provides
+exact feasibility tests for relative-interior queries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -42,29 +46,64 @@ def _strip_gcd(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def rank(rows: Sequence[Row]) -> int:
-    """Exact rank over the rationals, fraction-free elimination."""
+def _eliminate(rows: Sequence[Row], reduce: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free echelon form: (integer rows, pivot column indices).
+
+    With reduce, each pivot column is also cleared above its pivot
+    (Gauss-Jordan), so pivot row i reads m[i][c] x_c + (free columns) = 0.
+    """
     if not rows:
-        raise ValueError("rank of an empty matrix")
+        raise ValueError("elimination of an empty matrix")
     m = _to_int_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
+    nrows = len(m)
+    pivots: list[int] = []
+    for c in range(len(m[0])):
+        r = len(pivots)
         piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         pr = m[r]
         pv = pr[c]
-        for i in range(r + 1, nrows):
+        for i in range(0 if reduce else r + 1, nrows):
             f = m[i][c]
-            if f:
-                ri = m[i]
-                m[i] = _strip_gcd([pv * ri[j] - f * pr[j] for j in range(ncols)])
-        r += 1
-        if r == nrows:
+            if f and i != r:
+                m[i] = _strip_gcd([pv * a - f * b for a, b in zip(m[i], pr)])
+        pivots.append(c)
+        if len(pivots) == nrows:
             break
-    return r
+    return m, pivots
+
+
+def pivot_columns(rows: Sequence[Row]) -> list[int]:
+    """Echelon pivot columns, the same as the RREF's, fraction-free."""
+    return _eliminate(rows, reduce=False)[1]
+
+
+def rank(rows: Sequence[Row]) -> int:
+    """Exact rank over the rationals, fraction-free elimination."""
+    return len(pivot_columns(rows))
+
+
+def null_vector(rows: Sequence[Row]) -> Optional[tuple[int, ...]]:
+    """The primitive integer vector spanning {x : Mx = 0}, fraction-free.
+
+    It is the positive multiple of the null_space_basis vector (positive
+    at the free column). Returns None unless the null space is
+    one-dimensional.
+    """
+    m, pivots = _eliminate(rows, reduce=True)
+    ncols = len(m[0])
+    if len(pivots) != ncols - 1:
+        return None
+    free = next(c for c in range(ncols) if c not in pivots)
+    scale = lcm(*(m[i][c] for i, c in enumerate(pivots)))
+    v = [0] * ncols
+    v[free] = scale
+    for i, c in enumerate(pivots):
+        v[c] = -m[i][free] * (scale // m[i][c])
+    g = gcd(*v)
+    return tuple(x // g for x in v)
 
 
 def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
@@ -141,12 +180,14 @@ def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
 
 def spanning_hyperplane(
     points: Sequence[Sequence[Fraction | int]], ambient_dim: int
-) -> Optional[tuple[tuple[int, ...], Fraction]]:
+) -> Optional[tuple[tuple[int, ...], Fraction | int]]:
     """Normal and offset of the hyperplane affinely spanned by the points.
 
     Returns None unless the points span exactly a hyperplane of the ambient
     space. The normal is a primitive integer vector with positive leading
-    nonzero entry; normal . p == offset for every input point.
+    nonzero entry; normal . p == offset for every input point, and the
+    offset is an int when the points are. The hyperplane is the one null
+    vector of the rows [p | -1], found fraction-free.
     """
     if not points:
         return None
@@ -155,28 +196,25 @@ def spanning_hyperplane(
             raise DimensionMismatch(
                 f"point of length {len(p)} in ambient dimension {ambient_dim}"
             )
-    rows = [[Fraction(x) for x in p] + [Fraction(-1)] for p in points]
-    basis = null_space_basis(rows)
-    if len(basis) != 1:
+    vec = null_vector([list(p) + [-1] for p in points])
+    if vec is None:
         return None
-    vec = basis[0]
-    normal, offset = vec[:ambient_dim], vec[ambient_dim]
-    if all(x == 0 for x in normal):
+    g = gcd(*vec[:ambient_dim])
+    if g == 0:
         return None
-    prim = primitive_vector(normal)
-    base = next(i for i, x in enumerate(normal) if x != 0)
-    offset = offset * Fraction(prim[base]) / normal[base]
-    if next(x for x in prim if x != 0) < 0:
-        prim = tuple(-x for x in prim)
-        offset = -offset
-    return prim, offset
+    lead = next(x for x in vec if x != 0)
+    normal = tuple(x // g for x in vec[:ambient_dim])
+    if lead < 0:
+        normal = tuple(-x for x in normal)
+    return normal, dot(normal, points[0])
 
 
-def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction:
-    return sum((Fraction(a) * b for a, b in zip(u, v)), Fraction(0))
+def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:
+    """Exact dot product; an int when both vectors are integer."""
+    return sum(map(mul, u, v))
 
 
-def matvec(rows: Sequence[Row], v: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+def matvec(rows: Sequence[Row], v: Sequence[Fraction | int]) -> tuple[Fraction | int, ...]:
     return tuple(dot(row, v) for row in rows)
 
 

@@ -6,7 +6,11 @@ all d-subsets for spanning hyperplanes with all points on one closed
 side, and the lattice is the intersection closure of the facet sets.
 Each facet's exact affine rank anchors the grading; every other face is
 graded by its rank in that poset, found from facet incidences with bit
-operations. Desk scale only (at most 26 points).
+operations. The arithmetic is fraction-free: hull coordinates are pivot
+columns and each hyperplane is an integer null vector, both found by
+integer elimination, so on integer points (every incidence vector) the
+scan evaluates normal . q - offset in ints. Desk scale only (at most 26
+points).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .errors import (
     TooManyPoints,
 )
 from .gale import FaceLattice, GaleDiagram, IncidenceSystem, TypeReport, members
-from .linalg import affine_dimension, dot, rref, spanning_hyperplane
+from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
 
 POINT_CAP = 26
 
@@ -42,14 +46,14 @@ def _check_points(points) -> list[tuple]:
 def _project_to_hull_coordinates(pts: list[tuple]) -> tuple[list[tuple], int]:
     """Restrict to the pivot coordinates of the affine hull.
 
-    Selecting the RREF pivot columns of the difference matrix is a linear
+    Selecting the pivot columns of the difference matrix is a linear
     isomorphism of the affine hull onto R^d, so faces are preserved.
     """
     p0 = pts[0]
     diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
     if not diffs:
         return [()] * len(pts), 0
-    _, pivots = rref(diffs)
+    pivots = pivot_columns(diffs)
     return [tuple(p[c] for c in pivots) for p in pts], len(pivots)
 
 
@@ -162,10 +166,11 @@ def beyond_facets(
     *qpts, qpoint = projected
 
     n = len(qpts)
-    centroid = tuple(sum(q[r] for q in qpts) / n for r in range(d))
+    # n times the centroid, so the side test stays exact in the scan's type
+    total = tuple(sum(q[r] for q in qpts) for r in range(d))
     count = 0
     for _, normal, offset, _ in _facet_supports(qpts, d):
-        inside = dot(normal, centroid) - offset
+        inside = dot(normal, total) - n * offset
         value = dot(normal, qpoint) - offset
         if inside == 0:
             raise StructureMismatch("centroid on a facet hyperplane")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import CriterionMismatch, DiagramMismatch, StructureMismatch
 from .gale import (
@@ -21,6 +21,7 @@ from .gale import (
     rref_gale_points,
     simpliciality_check,
 )
+from .linalg import null_vector
 from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
 from .polytopes import FaceColoring, PlanarPolytope, three_color
 from .reference import (
@@ -93,10 +94,32 @@ def _face_diff(a: FaceLattice, b: FaceLattice, limit: int = 12) -> str:
     return "; ".join(parts) or "identical"
 
 
+def _simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]]) -> int:
+    """Number of facets of the simplex conv(others) strictly separating
+    the point: its negative barycentric coordinates, read off the one null
+    vector (lam, mu) of [[others | -point], [1 ... 1 | -1]] as lam / mu.
+
+    A one-dimensional null space with mu != 0 certifies that the others
+    are affinely independent and that the point lies in their affine hull;
+    anything else raises StructureMismatch.
+    """
+    rows = [[o[r] for o in others] + [-point[r]] for r in range(len(point))]
+    vec = null_vector(rows + [[1] * len(others) + [-1]])
+    if vec is None or vec[-1] == 0:
+        raise StructureMismatch(
+            "the other points are no simplex whose affine hull holds the point"
+        )
+    *lam, mu = vec
+    return sum(1 for x in lam if x * mu < 0)
+
+
 def type_one_checks(analysis: Analysis, oracle: FaceLattice) -> dict:
     """Property suite that must hold for every hull with three distinct
     class sizes: simplicial, oracle-identical, every middle-class vertex
-    beyond exactly m2-1 facets of the simplex spanned by the others."""
+    beyond exactly m2-1 facets of the simplex spanned by the others.
+
+    The counts come from barycentric coordinates; the oracle's facet scan
+    (beyond_facets) recounts the first middle-class vertex and must agree."""
     report = analysis.report
     if report.hull_type != "I":
         raise ValueError("type I checks apply to type I hulls only")
@@ -109,7 +132,14 @@ def type_one_checks(analysis: Analysis, oracle: FaceLattice) -> dict:
     beyond = {}
     for v0 in analysis.system.class_indices(1):
         rest = [vectors[j] for j in range(len(vectors)) if j != v0]
-        count = beyond_facets(vectors[v0], rest)
+        count = _simplex_beyond_count(vectors[v0], rest)
+        if not beyond:
+            scanned = beyond_facets(vectors[v0], rest)
+            if scanned != count:
+                raise StructureMismatch(
+                    f"middle-class vertex {v0}: barycentric coordinates put it "
+                    f"beyond {count} facets, the facet scan {scanned}"
+                )
         beyond[v0] = count
         if count != m2 - 1:
             raise StructureMismatch(

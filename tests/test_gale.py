@@ -81,6 +81,71 @@ def test_hull_dimension_violation_is_detected(cube):
         hull_dimension(s)
 
 
+def test_incidence_and_hull_ranks_share_one_elimination(prism6, monkeypatch):
+    import galehull.gale as gale_module
+
+    calls = []
+    exact = gale_module.pivot_columns
+
+    def counting(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(gale_module, "pivot_columns", counting)
+    analysis = analyze_polytope(prism6)
+    assert calls == [8]
+    assert analysis.system.homogenized_pivots[-1] == 12   # the trailing 1s
+
+
+def _lose_a_pivot(monkeypatch, index):
+    import galehull.gale as gale_module
+
+    exact = gale_module.pivot_columns
+
+    def losing(rows):
+        pivots = exact(rows)
+        del pivots[index]
+        return pivots
+
+    monkeypatch.setattr(gale_module, "pivot_columns", losing)
+
+
+def test_incidence_rank_check_still_fires(prism6, monkeypatch):
+    _lose_a_pivot(monkeypatch, 0)
+    with pytest.raises(TheoremViolation, match="incidence rank != n = 6"):
+        incidence_system(prism6, three_color(prism6))
+
+
+def test_hull_dimension_check_still_fires(prism6, monkeypatch):
+    _lose_a_pivot(monkeypatch, -1)   # the trailing-1 column: rank n survives
+    s = incidence_system(prism6, three_color(prism6))
+    with pytest.raises(TheoremViolation, match="hull dimension 5 but class sizes"):
+        hull_dimension(s)
+
+
+def test_type_four_relint_runs_on_the_three_class_points(cube_analysis, monkeypatch):
+    import galehull.gale as gale_module
+
+    calls = []
+    exact = gale_module.relint_contains_zero
+
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
+
+    monkeypatch.setattr(gale_module, "relint_contains_zero", counting)
+    report = classify(cube_analysis.system, cube_analysis.diagram)
+    assert report.hull_type == "IV" and calls == [3]
+
+
+def test_simpliciality_check_makes_no_proper_faces_copy(cube_analysis, monkeypatch):
+    def copying(self):
+        raise AssertionError("proper_faces() copies the face dict")
+
+    monkeypatch.setattr(type(cube_analysis.lattice), "proper_faces", copying)
+    assert simpliciality_check(cube_analysis.lattice, cube_analysis.report)
+
+
 def test_gale_transform_residuals_are_zero(prism6_analysis):
     s, g = prism6_analysis.system, prism6_analysis.diagram
     npts = s.n + 2

@@ -2,21 +2,29 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import instances
+from galehull import incidence_system, three_color
 from galehull.errors import DimensionMismatch
 from galehull.linalg import (
     affine_dimension,
     dot,
     matvec,
     null_space_basis,
+    null_vector,
+    pivot_columns,
     primitive_vector,
     rank,
     rref,
     simplex_maximize,
     spanning_hyperplane,
 )
+from galehull.oracle import _project_to_hull_coordinates
 
 F = Fraction
 
@@ -84,6 +92,73 @@ def test_null_space_properties_random():
         for vec, fcol in zip(basis, free):
             assert vec[fcol] == 1
             assert all(vec[other] == 0 for other in free if other != fcol)
+
+
+def test_pivot_columns_and_null_vector_match_the_rref_route():
+    rng = random.Random(11)
+    for _ in range(200):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        m = random_matrix(rng, r, c, span=2)
+        assert pivot_columns(m) == rref(m)[1]
+        basis = null_space_basis(m)
+        vec = null_vector(m)
+        if len(basis) == 1:
+            assert vec == primitive_vector(basis[0])
+            assert all(x == 0 for x in matvec(m, vec))
+        else:
+            assert vec is None
+
+
+def reference_hyperplane(points, ambient_dim):
+    """spanning_hyperplane by the Fraction RREF null space, normalized as
+    the fraction-free route promises."""
+    rows = [[F(x) for x in p] + [F(-1)] for p in points]
+    basis = null_space_basis(rows)
+    if len(basis) != 1:
+        return None
+    normal, offset = basis[0][:ambient_dim], basis[0][ambient_dim]
+    if all(x == 0 for x in normal):
+        return None
+    prim = primitive_vector(normal)
+    base = next(i for i, x in enumerate(normal) if x != 0)
+    offset = offset * prim[base] / normal[base]
+    if next(x for x in prim if x != 0) < 0:
+        prim, offset = tuple(-x for x in prim), -offset
+    return prim, offset
+
+
+def _assert_matches_reference(points, ambient_dim):
+    hp = spanning_hyperplane(points, ambient_dim)
+    assert hp == reference_hyperplane(points, ambient_dim)
+    if hp is not None and all(isinstance(x, int) for p in points for x in p):
+        assert type(hp[1]) is int
+
+
+@pytest.mark.parametrize(
+    "build", instances.INSTANCE_BUILDERS, ids=[b.__name__ for b in instances.INSTANCE_BUILDERS]
+)
+def test_spanning_hyperplane_matches_fraction_reference_on_every_subset(build):
+    p = build()
+    qpts, d = _project_to_hull_coordinates(list(incidence_system(p, three_color(p)).vectors))
+    for subset in combinations(qpts, d):
+        _assert_matches_reference(subset, d)
+
+
+_coordinate = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_spanning_hyperplane_matches_fraction_reference(data):
+    d = data.draw(st.integers(1, 4))
+    coordinate = data.draw(st.sampled_from([st.integers(-3, 3), _coordinate]))
+    points = data.draw(
+        st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=d + 1)
+    )
+    _assert_matches_reference(points, d)
 
 
 def test_affine_dimension_conventions():

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import galehull.linalg
+import galehull.pipeline
 from galehull import (
+    analyze_polytope,
     beyond_facets,
     lattice_isomorphic,
     oracle_lattice,
@@ -15,7 +18,9 @@ from galehull import (
     tkn_model,
     verify_polytope,
 )
-from instances import type_one_polytope
+from galehull.errors import StructureMismatch
+from galehull.pipeline import _simplex_beyond_count, type_one_checks
+from instances import type_one_polytope, type_one_polytope_mirror
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +97,56 @@ def test_dropping_a_middle_vertex_leaves_a_simplex(verification):
     lat = oracle_lattice(rest)
     assert lat.dim == 13 and len(rest) == 14
     assert len([f for f, d in lat.faces.items() if d == 12]) == 14
+
+
+@pytest.mark.parametrize("build", [type_one_polytope, type_one_polytope_mirror])
+def test_barycentric_count_equals_facet_scan(build):
+    s = analyze_polytope(build()).system
+    for v0 in s.class_indices(1):
+        rest = [s.vectors[j] for j in range(len(s.vectors)) if j != v0]
+        assert _simplex_beyond_count(s.vectors[v0], rest) == beyond_facets(
+            s.vectors[v0], rest
+        )
+
+
+def test_barycentric_count_on_a_triangle():
+    triangle = [(0, 0), (3, 0), (0, 3)]
+    for point, count in [((1, 1), 0), ((4, 4), 1), ((-1, -1), 2), ((0, 1), 0)]:
+        assert _simplex_beyond_count(point, triangle) == count
+        assert beyond_facets(point, triangle) == count
+
+
+@pytest.mark.parametrize(
+    "point,others",
+    [
+        ((1, 1), [(0, 0), (2, 0), (2, 2), (0, 2)]),        # four points in the plane
+        ((1, 0), [(0, 0), (0, 0), (2, 0)]),                # a repeated point
+        ((0, 0, 1), [(0, 0, 0), (1, 0, 0), (0, 1, 0)]),    # point off the plane
+        ((0, 1), [(0, 0), (1, 0), (2, 0)]),                # one dependency, mu = 0
+    ],
+)
+def test_degenerate_others_raise(point, others):
+    with pytest.raises(StructureMismatch, match="no simplex"):
+        _simplex_beyond_count(point, others)
+
+
+def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
+    calls = {"beyond_facets": 0, "rref": 0, "null_space_basis": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(galehull.pipeline, "beyond_facets")
+    counted(galehull.linalg, "rref")
+    counted(galehull.linalg, "null_space_basis")
+    report = type_one_checks(verification.analysis, verification.oracle)
+    assert report == verification.type_one_report
+    assert calls == {"beyond_facets": 1, "rref": 0, "null_space_basis": 0}
+    oracle_lattice(verification.analysis.system.vectors)
+    assert calls["rref"] == calls["null_space_basis"] == 0
