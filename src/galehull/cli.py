@@ -28,10 +28,14 @@ from .polytopes import (
 
 def _load_faces(path: str) -> list[list[int]]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError:
         raise BadInput(f"no such file: {path}")
+    except OSError as exc:
+        raise BadInput(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise BadInput(f"{path} is not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise BadInput(f"{path} is not valid JSON: {exc}")
     if not isinstance(doc, dict) or "faces" not in doc:

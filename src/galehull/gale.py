@@ -13,11 +13,14 @@ raises, it is never a tolerated outcome.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
-from typing import Optional, Sequence
+from math import comb
+from operator import getitem
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     CriterionMismatch,
@@ -101,6 +104,30 @@ class FaceLattice:
 def members(mask: int) -> list[int]:
     """The vertex indices of a face bitmask, ascending."""
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+def byte_fold(
+    values: Sequence[int], op: Callable[[int, int], int], unit: int
+) -> Callable[[int], int]:
+    """x -> unit op values[j] op ... over the set bits j of x.
+
+    Per-byte lookup tables make it one lookup per byte of x: entry b of
+    table c folds values[8c .. 8c + 7] over the set bits of b. x must
+    have no bits at or above len(values).
+    """
+    tables = []
+    for c in range(0, len(values), 8):
+        chunk = values[c:c + 8]
+        table = [unit]
+        for b in range(1, 1 << len(chunk)):
+            table.append(op(table[b & (b - 1)], chunk[(b & -b).bit_length() - 1]))
+        tables.append(table)
+    width = len(tables)
+
+    def fold(x: int) -> int:
+        return reduce(op, map(getitem, tables, x.to_bytes(width, "little")), unit)
+
+    return fold
 
 
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
@@ -415,14 +442,22 @@ def simpliciality_check(lattice: FaceLattice, t: Optional[TypeReport] = None) ->
 
 
 def neighborliness(lattice: FaceLattice) -> int:
-    """Largest k such that every k-subset of hull vertices is a face."""
+    """Largest k such that every k-subset of hull vertices is a face.
+
+    The faces inside the vertex set are distinct subsets of it, so all
+    k-subsets are faces exactly when C(|V|, k) faces have k vertices.
+    """
     verts = lattice.vertex_indices
+    vmask = sum(1 << v for v in verts)
+    inside = lattice.faces
+    if vmask != lattice.top:  # some points are not vertices
+        inside = [f for f in inside if f & vmask == f]
+    by_size = Counter(map(int.bit_count, inside))
     best = 0
     for k in range(1, len(verts)):
-        if all(sum(1 << v for v in c) in lattice.faces for c in combinations(verts, k)):
-            best = k
-        else:
+        if by_size[k] != comb(len(verts), k):
             break
+        best = k
     return best
 
 

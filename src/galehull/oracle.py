@@ -3,20 +3,23 @@
 This is the ground truth the Gale machinery is validated against, so it
 shares nothing with the coface criterion: facets are found by scanning
 all d-subsets for spanning hyperplanes with all points on one closed
-side, and the lattice is the intersection closure of the facet sets.
-Each facet's exact affine rank anchors the grading; every other face is
-graded by its rank in that poset, found from facet incidences with bit
-operations. The arithmetic is fraction-free: hull coordinates are pivot
-columns and each hyperplane is an integer null vector, both found by
-integer elimination, so on integer points (every incidence vector) the
-scan evaluates normal . q - offset in ints. Desk scale only (at most 26
-points).
+side. The rest of the lattice comes from the vertex-facet incidences in
+facet-set coordinates (Kaibel and Pfetsch): the join of a face with a
+point is the AND of their facet sets, and each face is graded one above
+the highest face it is a join of. Each facet's exact affine rank anchors
+that grading. Facet sets turn back into vertex masks through per-byte
+AND tables of the facet masks. The arithmetic is fraction-free: hull
+coordinates are pivot columns and each hyperplane is an integer null
+vector, both found by integer elimination, so on integer points (every
+incidence vector) the scan evaluates normal . q - offset in ints. Desk
+scale only (at most 26 points).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import and_
 from typing import Sequence
 
 from .errors import (
@@ -26,7 +29,14 @@ from .errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from .gale import FaceLattice, GaleDiagram, IncidenceSystem, TypeReport, members
+from .gale import (
+    FaceLattice,
+    GaleDiagram,
+    IncidenceSystem,
+    TypeReport,
+    byte_fold,
+    members,
+)
 from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
 
 POINT_CAP = 26
@@ -93,8 +103,10 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
 
     Faces are bitmasks over the input points; the empty face and the
     full polytope are included. Each facet must have exact affine
-    dimension d - 1; every other face is graded by poset rank, one less
-    than the least dimension of a face above it through one more point.
+    dimension d - 1. Every face is graded one above the highest face it
+    is a join of, the join of face t and point i being the least face
+    holding both, and the facets and the polytope must come out at d - 1
+    and d. Points need not be vertices.
     """
     pts = _check_points(points)
     qpts, d = _project_to_hull_coordinates(pts)
@@ -108,41 +120,31 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
             raise StructureMismatch(
                 f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
             )
+    # Faces are keyed by facet set, the empty face by all facets and the
+    # polytope by none. inc[i] holds the facets through point i, so the
+    # least face holding face t and point i is t & inc[i], its join. Every
+    # join other than t is a proper superface with fewer facets, and every
+    # face y is the join of each of its facets x with a point of y off x.
+    # So buckets of decreasing facet count grade every join source first,
+    # and a face is one dimension above the highest face it is a join of.
     n = len(pts)
-    closure = set(facets)
-    queue = list(facets)
-    while queue:
-        m = queue.pop()
-        for fm in facets:
-            x = m & fm
-            if x not in closure:
-                closure.add(x)
-                queue.append(x)
-    closure.add(0)
-    order = sorted(closure, reverse=True)
-    del closure  # one copy of the closure while the dicts below grow
-
-    # inc[i] holds the facets through point i. A face's facet set t is the
-    # AND of inc over its points; the least face above it through an outside
-    # point i has facet set t & inc[i], and every cover arises so. rank_of
-    # keys dimensions by facet set, the empty set being the whole polytope.
-    # A proper superface has a larger mask, so descending order grades it
-    # before any face below it.
-    inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
-    everything = (1 << len(facets)) - 1
-    rank_of = {0: d}
-    dims = []
-    for m in order:
-        t = everything
-        for i in members(m):
-            t &= inc[i]
-        dim = min(rank_of[t & inc[i]] for i in range(n) if not m >> i & 1) - 1
-        rank_of[t] = dim
-        dims.append(dim)
-    del rank_of  # the two large dicts never coexist
-    faces = dict(zip(order, dims))
     top = (1 << n) - 1
-    faces[top] = d
+    inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
+    vertices_of = byte_fold(facets, and_, top)
+    buckets = [{} for _ in facets] + [{(1 << len(facets)) - 1: -1}]
+    faces = {}
+    while buckets:
+        bucket = buckets.pop()
+        for t, dim in bucket.items():
+            joins = {t & x for x in inc}
+            joins.discard(t)
+            for j in joins:
+                above = buckets[j.bit_count()]
+                if above.get(j, -1) <= dim:
+                    above[j] = dim + 1
+        faces.update((vertices_of(t), dim) for t, dim in bucket.items())
+    if faces[top] != d or any(faces[f] != d - 1 for f in facets):
+        raise StructureMismatch("join grading disagrees with the facet ranks")
     return FaceLattice(dim=d, top=top, faces=faces)
 
 

@@ -10,11 +10,13 @@ hull oracle where coordinates exist.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+from operator import or_
 from typing import Optional
 
 from .errors import BadParameters, TooManyPoints
-from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, members
+from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, byte_fold, members
 
 
 def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceLattice:
@@ -113,9 +115,20 @@ def _facets(lattice: FaceLattice) -> list[int]:
     return [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
 
 
-def _vertex_signature(lattice: FaceLattice, v: int, facets) -> tuple:
+def _face_counts(lattice: FaceLattice) -> list[int]:
+    """How many faces hold each index below top's bit length: one Counter
+    pass over the faces per byte, then a sum over the byte values."""
+    width = lattice.top.bit_length()
+    counts = []
+    for shift in range(0, width, 8):
+        tally = Counter(f >> shift & 255 for f in lattice.faces)
+        for j in range(min(8, width - shift)):
+            counts.append(sum(c for b, c in tally.items() if b >> j & 1))
+    return counts
+
+
+def _vertex_signature(v: int, facets, nfaces: int) -> tuple:
     containing = [f for f in facets if f >> v & 1]
-    nfaces = sum(1 for f in lattice.faces if f >> v & 1)
     return (len(containing), tuple(sorted(f.bit_count() for f in containing)), nfaces)
 
 
@@ -143,8 +156,9 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int
     fa, fb = _facets(a), _facets(b)
     if sorted(f.bit_count() for f in fa) != sorted(f.bit_count() for f in fb):
         return None
-    sig_a = {v: _vertex_signature(a, v, fa) for v in va}
-    sig_b = {v: _vertex_signature(b, v, fb) for v in vb}
+    na, nb = _face_counts(a), _face_counts(b)
+    sig_a = {v: _vertex_signature(v, fa, na[v]) for v in va}
+    sig_b = {v: _vertex_signature(v, fb, nb[v]) for v in vb}
     if sorted(sig_a.values()) != sorted(sig_b.values()):
         return None
 
@@ -165,12 +179,14 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int
         return True
 
     def verify_full() -> bool:
-        for face, dim in a.faces.items():
-            if face == a.top:
-                continue  # tops correspond by the dim check above
-            if b.faces.get(image(face), None) != dim:
-                return False
-        return True
+        images = [1 << mapping[v] if v in mapping else 0 for v in range(a.top.bit_length())]
+        image_of = byte_fold(images, or_, 0)
+        # tops correspond by the dim check above
+        return all(
+            b.faces.get(image_of(face)) == dim
+            for face, dim in a.faces.items()
+            if face != a.top
+        )
 
     def search(i: int) -> bool:
         if i == len(order):

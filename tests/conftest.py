@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from galehull import analyze_polytope, catalog, validate
@@ -43,6 +45,18 @@ def prism8_analysis(prism8):
 @pytest.fixture(scope="session")
 def trunc_oct_analysis(trunc_oct):
     return analyze_polytope(trunc_oct)
+
+
+def neighborliness_by_combinations(lattice) -> int:
+    """Every k-subset of vertices tested in turn: the form that
+    gale.neighborliness replaced, kept as its reference."""
+    verts = lattice.vertex_indices
+    best = 0
+    for k in range(1, len(verts)):
+        if not all(sum(1 << v for v in c) in lattice.faces for c in combinations(verts, k)):
+            break
+        best = k
+    return best
 
 
 def relabel_faces(p, mult: int = 7, shift: int = 3) -> list[list[int]]:

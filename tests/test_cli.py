@@ -172,6 +172,30 @@ def test_bad_inputs(tmp_path, capsys):
     code, out = run(capsys, ["analyze", "--catalog", "prism:6", str(noface)])
     assert code == 2
 
+def _unreadable(case, tmp_path):
+    if case == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"faces": [], "note": "caf\u00e9"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_unreadable_inputs_are_bad_input(case, tmp_path, capsys):
+    path = str(_unreadable(case, tmp_path))
+    for argv in (
+        ["analyze", path],
+        ["verify", path],
+        ["hamilton", path],
+        ["compare", path, "catalog:cube"],
+        ["compare", "catalog:cube", path],
+    ):
+        code, out = run(capsys, argv)
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadInput" and path in error["message"], argv
+
+
 def test_unknown_catalog(capsys):
     code, out = run(capsys, ["analyze", "--catalog", "icosahedron"])
     assert code == 2

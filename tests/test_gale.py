@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
+from conftest import neighborliness_by_combinations
 from galehull import (
     analyze_polytope,
     catalog,
@@ -27,7 +30,7 @@ from galehull import (
 )
 from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
-from galehull.gale import IncidenceSystem, rref_gale_points
+from galehull.gale import IncidenceSystem, byte_fold, rref_gale_points
 from galehull.linalg import affine_dimension
 from galehull.polytopes import coloring_from_assignment
 
@@ -523,6 +526,59 @@ def test_neighborliness_known_values(cube_analysis):
     assert neighborliness(cyclic_facets(6, 4)) == 2
     simplex = oracle_lattice([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     assert neighborliness(simplex) == 3
+
+
+@st.composite
+def values_and_bit_sets(draw):
+    """1-26 values of 30 bits, and some ints with bits only below that count."""
+    bits = draw(st.integers(1, 26))
+    values = draw(st.lists(st.integers(0, (1 << 30) - 1), min_size=bits, max_size=bits))
+    xs = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=8))
+    return values, xs
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values_and_bit_sets())
+def test_byte_fold_equals_a_loop_over_the_set_bits(case):
+    values, xs = case
+    full = (1 << 30) - 1
+    meet, join = byte_fold(values, and_, full), byte_fold(values, or_, 0)
+    for x in xs:
+        on = [values[j] for j in members(x)]
+        assert meet(x) == reduce(and_, on, full)
+        assert join(x) == reduce(or_, on, 0)
+
+
+def _neighborliness_cases():
+    from galehull import cyclic_facets, oracle_lattice, pyramid, tkn_model, type4_model
+
+    for name, p in GRADING_INSTANCES:
+        yield name, lambda p=p: analyze_polytope(p).lattice
+    for n, k in ((2, 1), (4, 1), (5, 2), (6, 3)):
+        yield f"tkn_model({n},{k})", lambda n=n, k=k: tkn_model(n, k)
+    for m in (2, 3):
+        yield f"type4_model({m})", lambda m=m: type4_model(m)
+    yield "pyramid(cyclic_facets(6,4),2)", lambda: pyramid(cyclic_facets(6, 4), 2)
+    yield "pyramid(tkn_model(4,1),1)", lambda: pyramid(tkn_model(4, 1), 1)
+    # the added points lie inside, on an edge or on a 2-face: not vertices
+    octahedron = [(2, 0, 0), (-2, 0, 0), (0, 2, 0), (0, -2, 0), (0, 0, 2), (0, 0, -2)]
+    yield "octahedron+centre+midpoint", lambda: oracle_lattice(
+        octahedron + [(0, 0, 0), (1, 1, 0)]
+    )
+    simplex = [(0, 0, 0, 0), (6, 0, 0, 0), (0, 6, 0, 0), (0, 0, 6, 0), (0, 0, 0, 6)]
+    yield "4-simplex+edge-midpoint", lambda: oracle_lattice(simplex + [(3, 0, 0, 0)])
+    yield "4-simplex+triangle-centre", lambda: oracle_lattice(simplex + [(2, 2, 0, 0)])
+
+
+NEIGHBORLINESS_CASES = list(_neighborliness_cases())
+
+
+@pytest.mark.parametrize(
+    "name,build", NEIGHBORLINESS_CASES, ids=[n for n, _ in NEIGHBORLINESS_CASES]
+)
+def test_neighborliness_equals_the_combinations_form(name, build):
+    lattice = build()
+    assert neighborliness(lattice) == neighborliness_by_combinations(lattice)
 
 
 def test_lattice_intersection_closed(cube_analysis):

@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import and_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import instances
+from conftest import neighborliness_by_combinations
 from galehull import (
     beyond_facets,
     catalog,
@@ -13,6 +18,7 @@ from galehull import (
     incidence_system,
     lattice_isomorphic,
     members,
+    neighborliness,
     oracle_lattice,
     three_color,
     verify_pyramid_structure,
@@ -25,7 +31,7 @@ from galehull.errors import (
     TooManyPoints,
 )
 from galehull.linalg import affine_dimension, dot, spanning_hyperplane
-from galehull.oracle import _project_to_hull_coordinates
+from galehull.oracle import _facet_supports, _project_to_hull_coordinates
 
 F = Fraction
 
@@ -182,6 +188,70 @@ def test_wrong_facet_rank_names_the_facet(monkeypatch):
         match=r"facet \[0, 2, 4\] has affine dimension 1, expected 2",
     ):
         oracle_lattice(OCTAHEDRON)
+
+
+def _closure_lattice(points):
+    """The lattice as the intersection closure of the facet sets, graded by
+    poset rank in descending mask order: the construction the join grading
+    replaced, kept as an independent reference."""
+    pts = [tuple(p) for p in points]
+    qpts, d = _project_to_hull_coordinates(pts)
+    facets = [mask for mask, *_ in _facet_supports(qpts, d)]
+    closure, queue = set(facets), list(facets)
+    while queue:
+        m = queue.pop()
+        for f in facets:
+            if m & f not in closure:
+                closure.add(m & f)
+                queue.append(m & f)
+    closure.add(0)
+    n = len(pts)
+    inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
+    rank_of = {0: d}
+    faces = {}
+    for m in sorted(closure, reverse=True):
+        t = reduce(and_, (inc[i] for i in members(m)), (1 << len(facets)) - 1)
+        rank_of[t] = min(rank_of[t & inc[i]] for i in range(n) if not m >> i & 1) - 1
+        faces[m] = rank_of[t]
+    faces[(1 << n) - 1] = d
+    return d, faces
+
+
+@st.composite
+def point_sets_with_non_vertices(draw):
+    """Integer points in dimension 2-4, plus the means of some of them and
+    of all: points on edges, on other faces or inside, not vertices."""
+    dim = draw(st.integers(2, 4))
+    base = draw(
+        st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=dim + 1, max_size=7)
+    )
+    sizes = draw(st.lists(st.sampled_from([2, 3]), max_size=3))
+    groups = [draw(st.lists(st.sampled_from(base), min_size=k, max_size=k)) for k in sizes]
+    scale = 6 * len(base)  # every mean below is then an integer point
+    pts = [tuple(scale * x for x in p) for p in base]
+    return pts + [
+        tuple(scale * sum(c) // len(g) for c in zip(*g)) for g in groups + [base]
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_with_non_vertices())
+def test_join_grading_equals_the_closure_construction(pts):
+    if len(set(pts)) == 1:
+        with pytest.raises(DegenerateInput):
+            oracle_lattice(pts)
+        return
+    lat = oracle_lattice(pts)
+    assert (lat.dim, lat.faces) == _closure_lattice(pts)
+    assert lat.top == (1 << len(pts)) - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_with_non_vertices())
+def test_neighborliness_counts_faces_through_non_vertices_safely(pts):
+    if len(set(pts)) > 1:
+        lat = oracle_lattice(pts)
+        assert neighborliness(lat) == neighborliness_by_combinations(lat)
 
 
 def test_oracle_caps_and_degenerate():

@@ -3,6 +3,8 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from galehull import (
     cyclic_facets,
@@ -17,6 +19,8 @@ from galehull import (
     type4_model,
 )
 from galehull.errors import BadParameters
+from galehull.gale import FaceLattice
+from galehull.reference import _face_counts
 
 
 def _mask(indices):
@@ -266,9 +270,48 @@ def test_isomorphism_witness_is_face_bijection():
     assert mapped == expected
 
 
+def test_isomorphism_rejects_a_map_that_moves_one_face_dim():
+    a = type4_model(2)
+    b = oracle_lattice(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    )
+    edge = next(f for f, d in b.faces.items() if d == 1)
+    # the facets and every vertex signature stay, so only the full check fails
+    bad = FaceLattice(dim=b.dim, top=b.top, faces={**b.faces, edge: 0})
+    assert lattice_isomorphic(a, b) is not None
+    assert lattice_isomorphic(a, bad) is None
+
+
 def test_non_isomorphic_simpliciality_differs():
     assert lattice_isomorphic(cyclic_facets(6, 4), pyramid(cyclic_facets(4, 2), 2)) is None
 
 
 def test_non_isomorphic_different_dims():
     assert lattice_isomorphic(cyclic_facets(6, 4), cyclic_facets(6, 2)) is None
+
+
+def _face_counts_by_loop(lattice):
+    return [
+        sum(1 for f in lattice.faces if f >> v & 1)
+        for v in range(lattice.top.bit_length())
+    ]
+
+
+@st.composite
+def lattices_of_width(draw):
+    """Random face sets under a top of 1-26 bits; dimensions play no part."""
+    bits = draw(st.integers(1, 26))
+    top = (1 << bits) - 1
+    masks = draw(st.lists(st.integers(0, top), max_size=40))
+    return FaceLattice(dim=bits, top=top, faces={m: 0 for m in masks + [top]})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(lattices_of_width())
+def test_face_counts_equal_a_loop_per_vertex(lattice):
+    assert _face_counts(lattice) == _face_counts_by_loop(lattice)
+
+
+def test_face_counts_on_models():
+    for _, lat, _ in MODEL_CASES:
+        assert _face_counts(lat) == _face_counts_by_loop(lat)
