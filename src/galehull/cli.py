@@ -185,16 +185,25 @@ def _error_origin(exc: BaseException) -> str:
     return origin
 
 
+def _error_report(exc: GalehullError) -> dict:
+    return {
+        "error": {"code": exc.code, "message": str(exc), "source": _error_origin(exc)}
+    }
+
+
 def _emit(doc: dict, args) -> None:
     if getattr(args, "pretty", False):
         text = json.dumps(doc, indent=2)
     else:
         text = json.dumps(doc, separators=(",", ":"))
-    if getattr(args, "output", None):
+    if not getattr(args, "output", None):
+        sys.stdout.write(text + "\n")
+        return
+    try:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    except OSError as exc:
+        raise BadInput(f"cannot write {args.output}: {exc.strerror or exc}")
 
 
 def _add_io_flags(sub) -> None:
@@ -251,21 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        doc = args.func(args)
+        doc, code = args.func(args), 0
     except GalehullError as exc:
-        _emit(
-            {
-                "error": {
-                    "code": exc.code,
-                    "message": str(exc),
-                    "source": _error_origin(exc),
-                }
-            },
-            args,
-        )
+        doc, code = _error_report(exc), exc.exit_code
+    try:
+        _emit(doc, args)
+    except BadInput as exc:
+        args.output = None  # report the unwritable path on stdout instead
+        _emit(_error_report(exc), args)
         return exc.exit_code
-    _emit(doc, args)
-    return 0
+    return code
 
 
 if __name__ == "__main__":

@@ -31,12 +31,12 @@ from .errors import (
 )
 from .linalg import (
     affine_dimension,
+    dot,
     null_space_basis,
     pivot_columns,
     primitive_vector,
     rank,
     rref,
-    simplex_maximize,
 )
 from .polytopes import FaceColoring, PlanarPolytope
 
@@ -215,9 +215,14 @@ def rref_gale_points(s: IncidenceSystem) -> tuple[Point, ...]:
 def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:
     """Exact test for 0 in the relative interior of conv(points).
 
-    One-dimensional inputs reduce to a sign check; otherwise solve
-    max t s.t. sum(lam_i p_i) = 0, sum(lam_i) = 1, lam_i >= t by exact
-    rational pivoting and test t > 0.
+    Gale diagrams here are one- or two-dimensional, so this is a sign
+    question. With u the first nonzero point: if every point lies on the
+    line through 0 and u, the answer is whether u . q is positive for some
+    point q and negative for another. Otherwise it is whether, for every
+    nonzero p, the orientation cross(p, q) takes both signs, that is,
+    no closed half-plane bounded by a line through 0 and a point holds
+    all the points. No nonzero point means True; no point means False.
+    Points of dimension above 2 raise DimensionMismatch.
     """
     pts = [tuple(Fraction(x) for x in p) for p in points]
     if not pts:
@@ -225,24 +230,23 @@ def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:
     D = len(pts[0])
     if any(len(p) != D for p in pts):
         raise DimensionMismatch("gale points of unequal dimension")
-    if D == 1:
-        vals = [p[0] for p in pts]
-        if all(v == 0 for v in vals):
-            return True
-        return any(v > 0 for v in vals) and any(v < 0 for v in vals)
-    # lam_i = mu_i + t with mu_i >= 0 and free t = u - w
-    N = len(pts)
-    sigma = [sum(p[r] for p in pts) for r in range(D)]
-    A = [[p[r] for p in pts] + [sigma[r], -sigma[r]] for r in range(D)]
-    A.append([Fraction(1)] * N + [Fraction(N), Fraction(-N)])
-    b = [Fraction(0)] * D + [Fraction(1)]
-    c = [Fraction(0)] * N + [Fraction(1), Fraction(-1)]
-    status, value, _ = simplex_maximize(A, b, c)
-    if status == "infeasible":
-        return False
-    if status != "optimal":
-        raise TheoremViolation("relint LP cannot be unbounded (t <= 1/N)")
-    return value > 0
+    if D > 2:
+        raise DimensionMismatch(f"gale points of dimension {D}, above 2")
+    nonzero = [p for p in pts if any(p)]
+    if not nonzero:
+        return True
+    u = nonzero[0]
+    if D == 1 or all(_cross(u, q) == 0 for q in nonzero):
+        return _both_signs([dot(u, q) for q in nonzero])
+    return all(_both_signs([_cross(p, q) for q in nonzero]) for p in nonzero)
+
+
+def _cross(p: Point, q: Point) -> Fraction:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _both_signs(values: list[Fraction]) -> bool:
+    return any(v > 0 for v in values) and any(v < 0 for v in values)
 
 
 def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:

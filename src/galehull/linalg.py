@@ -7,8 +7,7 @@ then eliminated by integer cross-multiplication with per-row gcd
 stripping (after Bareiss, Math. Comp. 1968), so integer inputs never
 build a Fraction. The general null space comes from a canonical
 Fraction RREF (free columns in increasing index order, so Gale
-transforms are reproducible), and a small two-phase simplex provides
-exact feasibility tests for relative-interior queries.
+transforms are reproducible).
 """
 
 from __future__ import annotations
@@ -216,98 +215,3 @@ def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | 
 
 def matvec(rows: Sequence[Row], v: Sequence[Fraction | int]) -> tuple[Fraction | int, ...]:
     return tuple(dot(row, v) for row in rows)
-
-
-# --- exact simplex ---------------------------------------------------------
-
-def simplex_maximize(
-    A: Sequence[Row], b: Sequence[Fraction | int], c: Sequence[Fraction | int]
-) -> tuple[str, Optional[Fraction], Optional[list[Fraction]]]:
-    """Maximize c.x subject to Ax = b, x >= 0, in exact arithmetic.
-
-    Two-phase full-tableau simplex with Bland's rule (no cycling).
-    Returns (status, value, x) where status is "optimal", "infeasible"
-    or "unbounded".
-    """
-    m, n = len(A), len(A[0])
-    rows = [[Fraction(x) for x in A[i]] + [Fraction(b[i])] for i in range(m)]
-    for i in range(m):
-        if rows[i][-1] < 0:
-            rows[i] = [-x for x in rows[i]]
-
-    # phase 1: artificial columns n..n+m-1
-    T = [
-        rows[i][:n]
-        + [Fraction(1) if j == i else Fraction(0) for j in range(m)]
-        + [rows[i][-1]]
-        for i in range(m)
-    ]
-    basis = list(range(n, n + m))
-    cost1 = [Fraction(0)] * n + [Fraction(-1)] * m
-    _run_simplex(T, basis, cost1)
-    if sum(T[i][-1] * cost1[basis[i]] for i in range(m)) != 0:
-        return "infeasible", None, None
-
-    # pivot artificials out of the basis, drop redundant rows
-    keep = []
-    for i in range(m):
-        if basis[i] < n:
-            keep.append(i)
-            continue
-        col = next((j for j in range(n) if T[i][j] != 0), None)
-        if col is None:
-            continue  # redundant constraint
-        _pivot(T, basis, i, col)
-        keep.append(i)
-    T = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-
-    cost2 = [Fraction(x) for x in c]
-    status = _run_simplex(T, basis, cost2)
-    if status == "unbounded":
-        return "unbounded", None, None
-    x = [Fraction(0)] * n
-    for i, bv in enumerate(basis):
-        x[bv] = T[i][-1]
-    return "optimal", dot(cost2, x), x
-
-
-def _reduced_costs(T, basis, cost):
-    m = len(T)
-    ncols = len(T[0]) - 1
-    red = []
-    for j in range(ncols):
-        zj = sum(cost[basis[i]] * T[i][j] for i in range(m))
-        red.append(cost[j] - zj)
-    return red
-
-
-def _pivot(T, basis, row, col):
-    pv = T[row][col]
-    T[row] = [x / pv for x in T[row]]
-    pr = T[row]
-    for i in range(len(T)):
-        f = T[i][col]
-        if i != row and f:
-            T[i] = [a - f * p for a, p in zip(T[i], pr)]
-    basis[row] = col
-
-
-def _run_simplex(T, basis, cost) -> str:
-    m = len(T)
-    while True:
-        red = _reduced_costs(T, basis, cost)
-        enter = next((j for j, r in enumerate(red) if r > 0), None)
-        if enter is None:
-            return "optimal"
-        best = None
-        for i in range(m):
-            if T[i][enter] > 0:
-                ratio = T[i][-1] / T[i][enter]
-                if best is None or ratio < best[0] or (
-                    ratio == best[0] and basis[i] < basis[best[1]]
-                ):
-                    best = (ratio, i)
-        if best is None:
-            return "unbounded"
-        _pivot(T, basis, best[1], enter)

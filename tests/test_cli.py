@@ -156,6 +156,15 @@ def test_output_flag_and_pretty(tmp_path, capsys):
     assert json.loads(pretty) == json.loads(compact)
     assert pretty.count("\n") > compact.count("\n")
 
+@pytest.mark.parametrize("case", ["directory", "missing-parent"])
+def test_unwritable_output_is_bad_input(case, tmp_path, capsys):
+    target = tmp_path if case == "directory" else tmp_path / "missing" / "report.json"
+    code, out = run(capsys, ["analyze", "--catalog", "cube", "--output", str(target)])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == "BadInput" and str(target) in error["message"]
+    assert list(tmp_path.iterdir()) == []
+
 def test_bad_inputs(tmp_path, capsys):
     code, out = run(capsys, ["analyze", "missing.json"])
     assert code == 2 and json.loads(out)["error"]["code"] == "BadInput"

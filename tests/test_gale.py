@@ -22,6 +22,7 @@ from galehull import (
     incidence_system,
     members,
     neighborliness,
+    oracle_lattice,
     relint_contains_zero,
     simpliciality_check,
     three_color,
@@ -337,6 +338,7 @@ def test_relint_contains_zero_one_dim():
     assert not relint_contains_zero([])
     assert not relint_contains_zero([(2,), (1,), (0,)])
     assert relint_contains_zero([(2,), (-1,), (0,)])
+    assert relint_contains_zero([(), ()])
 
 
 def test_relint_contains_zero_two_dim():
@@ -348,11 +350,48 @@ def test_relint_contains_zero_two_dim():
     assert relint_contains_zero([(0, 0)])
     assert not relint_contains_zero([(1, 1), (2, 2), (-1, -1), (1, 0)])
     assert relint_contains_zero([(F(1, 3), F(1, 2)), (F(-1, 3), F(-1, 2))])
+    assert relint_contains_zero([(0, 0), (1, 0), (-1, 0)])
+    assert relint_contains_zero([(1, 1), (-1, 0), (0, -1), (0, 0)])
+    # 0 is on the edge between (1,0) and (-1,0), not inside the triangle
+    assert not relint_contains_zero([(1, 0), (-1, 0), (0, 1)])
+    # an affine line that misses 0
+    assert not relint_contains_zero([(1, 0), (1, 1)])
+    # exact on floats: the float cross product of these rounds to 0
+    assert not relint_contains_zero([(0.9, 0.8), (-0.63, -0.5599999999999999)])
 
 
 def test_relint_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         relint_contains_zero([(1, 0), (1,)])
+    with pytest.raises(DimensionMismatch, match="dimension 3"):
+        relint_contains_zero([(1, 0, 0), (-1, 0, 0)])
+
+
+def _relint_by_oracle(points):
+    """0 is in relint conv(P) iff it lies in no proper face of conv(P + 0)."""
+    if not any(any(p) for p in points):
+        return True
+    origin = len(points)
+    lattice = oracle_lattice(list(points) + [(0,) * len(points[0])])
+    return not any(f >> origin & 1 for f in lattice.faces if f != lattice.top)
+
+
+@st.composite
+def small_point_sets(draw):
+    coord = st.one_of(
+        st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    )
+    dim = draw(st.integers(1, 2))
+    points = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=7))
+    if draw(st.booleans()):  # every point on the line through 0 and the first
+        points = [tuple(draw(coord) * x for x in points[0]) for _ in points]
+    return points
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_point_sets())
+def test_relint_equals_the_oracle_reference(points):
+    assert relint_contains_zero(points) == _relint_by_oracle(points)
 
 
 def test_enumerate_faces_cube(cube_analysis):

@@ -21,7 +21,6 @@ from galehull.linalg import (
     primitive_vector,
     rank,
     rref,
-    simplex_maximize,
     spanning_hyperplane,
 )
 from galehull.oracle import _project_to_hull_coordinates
@@ -232,21 +231,3 @@ def test_primitive_vector():
     assert primitive_vector((F(2, 3), F(-4, 3))) == (1, -2)
     assert primitive_vector((0, 0)) == (0, 0)
     assert primitive_vector((F(-1, 2),)) == (-1,)
-
-
-def test_simplex_known_optimum():
-    # maximize x subject to x + y = 1, x,y >= 0
-    status, value, x = simplex_maximize([[1, 1]], [1], [1, 0])
-    assert status == "optimal" and value == 1 and x[0] == 1
-
-
-def test_simplex_infeasible():
-    # x + y = -1 with x,y >= 0
-    status, value, _ = simplex_maximize([[1, 1]], [-1], [1, 0])
-    assert status == "infeasible"
-
-
-def test_simplex_degenerate_equalities():
-    # two copies of the same constraint (redundant row handling)
-    status, value, x = simplex_maximize([[1, 1], [2, 2]], [1, 2], [0, 1])
-    assert status == "optimal" and value == 1
