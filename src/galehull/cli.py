@@ -38,6 +38,10 @@ def _load_faces(path: str) -> list[list[int]]:
         raise BadInput(f"{path} is not UTF-8 text: {exc.reason}")
     except json.JSONDecodeError as exc:
         raise BadInput(f"{path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise BadInput(f"{path} nests too deeply to parse")
+    except ValueError as exc:  # e.g. an integer literal past the digit limit
+        raise BadInput(f"{path} cannot be parsed: {exc}")
     if not isinstance(doc, dict) or "faces" not in doc:
         raise BadInput(f'{path} must be a JSON object with a "faces" key')
     return doc["faces"]

@@ -6,9 +6,10 @@ The n+2 face-vertex indicator vectors of a 3-face-colorable simple
 Its Gale transform therefore lives in one or two dimensions, is constant
 on color classes, and pins the full face lattice: a vertex subset J is a
 proper face exactly when zero lies in the relative interior of the convex
-hull of the complementary Gale points. Every lattice built here is
-cross-checked against the closed-form per-type criterion; a disagreement
-raises, it is never a tolerated outcome.
+hull of the complementary Gale points, which depend only on the classes J
+holds in full. Each of these 7 class patterns is cross-checked against the
+closed-form per-type criterion; a disagreement raises, it is never a
+tolerated outcome.
 """
 
 from __future__ import annotations
@@ -333,87 +334,77 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
     )
 
 
-def _closed_form_mask(hull_type: str, mask: int, smasks: list[int], full: int) -> bool:
-    """Per-type face criterion on a vertex subset, as pure mask algebra."""
-    s1, s2, s3 = smasks
-    if mask == full:
-        return False
+def _closed_form(hull_type: str, held: int) -> bool:
+    """Per-type face criterion on a proper subset's class pattern."""
+    c1, c2, c3 = (bool(held >> i & 1) for i in range(3))
     if hull_type == "I":
-        return (mask & s2) != s2 and (mask & (s1 | s3)) != (s1 | s3)
+        return not c2 and not (c1 and c3)
     if hull_type == "II":
-        both = s2 | s3
-        return ((mask & s2) != s2 and (mask & s3) != s3) or (mask & both) == both
+        return c2 == c3
     if hull_type == "III":
-        both = s1 | s2
-        return ((mask & s1) != s1 and (mask & s2) != s2) or (mask & both) == both
-    return all((mask & sm) != sm for sm in smasks)
+        return c1 == c2
+    return not (c1 or c2 or c3)
 
 
 def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
     """All faces of the hull over all 2^(n+2) vertex subsets.
 
-    The relative-interior coface route (on the computed Gale points) and
-    the closed-form per-type criterion are evaluated independently for
-    every subset and must agree. Faces are graded by Gale duality,
-    dim aff(J) = |J| - 1 - ambient + rank(Gale points off J), and the
-    first face met with each Gale support is also graded by exact affine
-    rank of its incidence vectors; the two must agree.
+    On a class-constant diagram, a proper subset's face status and
+    dimension depend only on its pattern: the classes it holds in full.
+    Per pattern, the relint coface route on the Gale points off it and the
+    closed-form per-type criterion must agree, and a face pattern is
+    graded by dim aff(J) = |J| - 1 - ambient + rank(Gale points off J).
+    The least face with each distinct Gale support (classes may share a
+    point) is also graded by exact affine rank; the two must agree.
     """
     npts = s.n + 2
     if npts > ANALYSIS_VERTEX_CAP:
         raise TooManyPoints(f"{npts} hull vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
     full = (1 << npts) - 1
-    smasks = []
+    smasks = [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
+    cls_points: list[Point] = []
     for slot in range(3):
-        m = 0
-        for j in s.class_indices(slot):
-            m |= 1 << j
-        smasks.append(m)
+        pts = {g.points[j] for j in s.class_indices(slot)}
+        if len(pts) != 1:
+            raise CriterionMismatch(f"class {slot} is not constant in the Gale diagram")
+        cls_points.append(pts.pop())
+    # bit i of a pattern: the subset holds sorted class i in full
+    least = [sum(smasks[i] for i in range(3) if held >> i & 1) for held in range(7)]
 
-    # group vertices by identical Gale point; face status and dimension
-    # only depend on which distinct points appear in the complement
-    groups: dict[Point, int] = {}
-    for pt in g.points:
-        groups.setdefault(pt, len(groups))
-    group_points = sorted(groups, key=groups.get)
-    group_masks = [0] * len(groups)
-    for j, pt in enumerate(g.points):
-        group_masks[groups[pt]] |= 1 << j
-    # support -> (zero in the relint of its points, rank of its points)
-    support_cache: dict[int, tuple[bool, int]] = {}
-    anchored: set[int] = set()
-
-    faces: dict[int, int] = {}
-    for mask in range(full + 1):
-        comp = full & ~mask
-        support = 0
-        for i, gm in enumerate(group_masks):
-            if comp & gm:
-                support |= 1 << i
-        cached = support_cache.get(support)
-        if cached is None:
-            pts = [group_points[i] for i in range(len(group_points)) if support >> i & 1]
-            cached = (relint_contains_zero(pts), rank(pts) if pts else 0)
-            support_cache[support] = cached
-        by_relint, gale_rank = cached
-        by_formula = _closed_form_mask(t.hull_type, mask, smasks, full)
+    # pattern -> dim(J) - |J| on a face pattern, None off the faces; in
+    # order of least subset, so errors name the first subset at fault
+    offset: list[Optional[int]] = [None] * 7
+    anchored: set[frozenset[Point]] = set()
+    for held in sorted(range(7), key=least.__getitem__):
+        mask = least[held]
+        off = [cls_points[i] for i in range(3) if not held >> i & 1]
+        by_relint = relint_contains_zero(off)
+        by_formula = _closed_form(t.hull_type, held)
         if by_relint != by_formula:
             raise CriterionMismatch(
                 f"subset {mask:b}: relint says {by_relint}, "
                 f"type {t.hull_type} criterion says {by_formula}"
             )
-        if by_formula:
-            dim = mask.bit_count() - 1 - g.ambient + gale_rank
-            if support not in anchored:
-                anchored.add(support)
-                on_face = [s.vectors[j] for j in range(npts) if mask >> j & 1]
-                exact = affine_dimension(on_face)
-                if exact != dim:
-                    raise CriterionMismatch(
-                        f"subset {mask:b} of sizes {t.sorted_sizes}: Gale rank "
-                        f"grades it dim {dim}, exact affine rank says {exact}"
-                    )
-            faces[mask] = dim
+        if not by_formula:
+            continue
+        offset[held] = -1 - g.ambient + rank(off)
+        if frozenset(off) in anchored:
+            continue
+        anchored.add(frozenset(off))
+        dim = mask.bit_count() + offset[held]
+        exact = affine_dimension([s.vectors[j] for j in members(mask)])
+        if exact != dim:
+            raise CriterionMismatch(
+                f"subset {mask:b} of sizes {t.sorted_sizes}: Gale rank "
+                f"grades it dim {dim}, exact affine rank says {exact}"
+            )
+
+    s1, s2, s3 = smasks
+    faces: dict[int, int] = {}
+    for mask in range(full):
+        o = offset[(mask & s1 == s1) | (mask & s2 == s2) << 1 | (mask & s3 == s3) << 2]
+        if o is not None:
+            faces[mask] = mask.bit_count() + o
 
     # gale_transform's hull_dimension already pinned the exact rank to t.dim
     faces[full] = t.dim

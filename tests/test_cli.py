@@ -205,6 +205,27 @@ def test_unreadable_inputs_are_bad_input(case, tmp_path, capsys):
         assert error["code"] == "BadInput" and path in error["message"], argv
 
 
+def _unparsable(case, tmp_path):
+    path = tmp_path / f"{case}.json"
+    if case == "too-deep":
+        depth = 200_000
+        path.write_text('{"faces": ' + "[" * depth + "]" * depth + "}")
+    else:
+        faces = json.dumps(_cube_with("ID")["faces"]).replace('"ID"', "9" * 5000)
+        path.write_text('{"faces": ' + faces + "}")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["too-deep", "too-many-digits"])
+def test_unparsable_inputs_are_bad_input(case, tmp_path, capsys):
+    path = _unparsable(case, tmp_path)
+    for argv in (["analyze", path], ["compare", "catalog:cube", path]):
+        code, out = run(capsys, argv)
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["code"] == "BadInput" and path in error["message"], argv
+
+
 def test_unknown_catalog(capsys):
     code, out = run(capsys, ["analyze", "--catalog", "icosahedron"])
     assert code == 2

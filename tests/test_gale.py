@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import neighborliness_by_combinations
+from conftest import enumerate_faces_by_subset, neighborliness_by_combinations
 from galehull import (
     analyze_polytope,
     catalog,
@@ -541,6 +541,98 @@ def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis):
     bad = replace(a.diagram, ambient=a.diagram.ambient + 1)
     with pytest.raises(CriterionMismatch, match=r"sizes \(2, 3, 3\).*dim -2.*says -1"):
         enumerate_faces(a.system, bad, a.report)
+
+
+ENUMERATION_INSTANCES = dict(
+    GRADING_INSTANCES + [(f"prism:{k}", catalog("prism", k)) for k in (10, 12, 14)]
+)
+ENUMERATION_CASES = list(ENUMERATION_INSTANCES) + [
+    f"relabeled {name}" for name in ("cube", "prism:6", "prism:8", "truncated-octahedron")
+]
+
+
+def _enumeration_case(name, relabeled):
+    if name.startswith("relabeled "):
+        return _analyzed(relabeled[name.removeprefix("relabeled ")])
+    return _analyzed(ENUMERATION_INSTANCES[name])
+
+
+@pytest.mark.parametrize("name", ENUMERATION_CASES)
+def test_pattern_table_equals_per_subset_enumeration(name, relabeled):
+    s, g, t = _enumeration_case(name, relabeled)
+    lattice = enumerate_faces(s, g, t)
+    reference = enumerate_faces_by_subset(s, g, t)
+    assert (lattice.dim, lattice.top) == (reference.dim, reference.top)
+    # same faces, dimensions and insertion order
+    assert list(lattice.faces.items()) == list(reference.faces.items())
+
+
+@pytest.mark.parametrize("name", ENUMERATION_CASES)
+def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
+    import galehull.gale as gale_module
+
+    s, g, t = _enumeration_case(name, relabeled)
+    calls = []
+    exact = gale_module.relint_contains_zero
+
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
+
+    monkeypatch.setattr(gale_module, "relint_contains_zero", counting)
+    enumerate_faces(s, g, t)
+    assert len(calls) == 7
+
+
+def test_enumerate_names_the_class_off_constancy(prism6_analysis):
+    from dataclasses import replace
+
+    from galehull.errors import CriterionMismatch
+
+    a = prism6_analysis
+    belts = a.system.class_indices(1)
+    pts = list(a.diagram.points)
+    pts[belts[-1]] = (-pts[belts[-1]][0],)  # the last belt vertex flips sign
+    bad = replace(a.diagram, points=tuple(pts))
+    with pytest.raises(CriterionMismatch, match="class 1 is not constant"):
+        enumerate_faces(a.system, bad, a.report)
+
+
+def test_class_constant_diagram_off_the_criterion_raises(prism6_analysis):
+    from dataclasses import replace
+
+    from galehull.errors import CriterionMismatch
+
+    a = prism6_analysis
+    pts = list(a.diagram.points)
+    for j in a.system.class_indices(0):  # the apex class, Gale value 0
+        pts[j] = (Fraction(5),)
+    bad = replace(a.diagram, points=tuple(pts))
+    with pytest.raises(
+        CriterionMismatch,
+        match=r"subset 10101000: relint says True, type II criterion says False",
+    ):
+        enumerate_faces(a.system, bad, a.report)
+
+
+def test_type_one_k_two_shares_one_gale_support(monkeypatch):
+    import galehull.gale as gale_module
+
+    s, g, t = _analyzed(instances.type_one_polytope())
+    assert t.sorted_sizes == (4, 5, 6) and t.k == 2
+    first, _, last = ({g.points[j] for j in s.class_indices(i)} for i in range(3))
+    assert first == last and len(first) == 1
+    calls = []
+    exact = gale_module.affine_dimension
+
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
+
+    monkeypatch.setattr(gale_module, "affine_dimension", counting)
+    enumerate_faces(s, g, t)
+    # the three face patterns (none, class 1, class 3 held) share one support
+    assert len(calls) == 1
 
 
 def test_fvector_prism6_matches_reference(prism6_analysis):
