@@ -17,6 +17,7 @@ from .gale import (
     lattice_to_json,
     members,
     neighborliness,
+    pattern_counts,
     relint_contains_zero,
     simpliciality_check,
 )
@@ -69,6 +70,7 @@ __all__ = [
     "members",
     "neighborliness",
     "oracle_lattice",
+    "pattern_counts",
     "pyramid",
     "relint_contains_zero",
     "simpliciality_check",

@@ -1,5 +1,5 @@
 """Incidence vectors, hull dimension, Gale transform, type classification,
-and face enumeration via the coface criterion.
+face enumeration via the coface criterion, and face counts by class pattern.
 
 The n+2 face-vertex indicator vectors of a 3-face-colorable simple
 3-polytope span a hull of dimension n-1 (all color classes equal) or n.
@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 from operator import getitem
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CriterionMismatch,
@@ -42,6 +42,11 @@ from .linalg import (
 from .polytopes import FaceColoring, PlanarPolytope
 
 ANALYSIS_VERTEX_CAP = 24  # hull vertices (= faces of the input polytope)
+# Faces of the input, for the dense (n+2) x 2n incidence vectors: at 1000
+# faces, building and certifying them with the Gale transform takes about
+# 0.45 s and 56 MB above the interpreter (prism:1000; 2-vCPU Xeon, Python
+# 3.11.7), and both grow with the square of the face count.
+INCIDENCE_FACE_CAP = 1000
 
 Point = tuple[Fraction, ...]
 
@@ -133,6 +138,8 @@ def byte_fold(
 
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
     """Build and sanity-check the indicator vectors of all faces."""
+    if p.n + 2 > INCIDENCE_FACE_CAP:
+        raise TooManyPoints(f"{p.n + 2} faces exceeds cap {INCIDENCE_FACE_CAP}")
     V = p.num_vertices
     vectors = tuple(
         tuple(1 if v in face else 0 for v in range(V)) for face in map(set, p.faces)
@@ -346,51 +353,70 @@ def _closed_form(hull_type: str, held: int) -> bool:
     return not (c1 or c2 or c3)
 
 
-def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
-    """All faces of the hull over all 2^(n+2) vertex subsets.
+class PatternTable(NamedTuple):
+    """The 7 class patterns of a proper vertex subset. Bit i of a pattern
+    is set when the subset holds sorted class i in full, so the classes of
+    sorted sizes m1, m2, m3 are the patterns 1, 2 and 4."""
 
-    On a class-constant diagram, a proper subset's face status and
-    dimension depend only on its pattern: the classes it holds in full.
-    Per pattern, the relint coface route on the Gale points off it and the
-    closed-form per-type criterion must agree, and a face pattern is
-    graded by dim aff(J) = |J| - 1 - ambient + rank(Gale points off J).
-    The least face with each distinct Gale support (classes may share a
-    point) is also graded by exact affine rank; the two must agree.
+    least: tuple[int, ...]                  # pattern -> union of its held classes
+    support: tuple[frozenset[Point], ...]   # pattern -> Gale points off it
+    offset: tuple[Optional[int], ...]       # pattern -> dim(J) - |J|, None off the faces
+
+
+def class_patterns(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> PatternTable:
+    """The pattern table of a class-constant diagram.
+
+    Requires one Gale point per sorted class. Per pattern, in order of its
+    least subset so that errors name the first subset at fault, the relint
+    coface route on the Gale points off it and the closed-form per-type
+    criterion must agree. A face pattern has offset
+    -1 - ambient + rank(Gale points off J), from
+    dim aff(J) = |J| - 1 - ambient + rank(Gale points off J).
     """
-    npts = s.n + 2
-    if npts > ANALYSIS_VERTEX_CAP:
-        raise TooManyPoints(f"{npts} hull vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
-    full = (1 << npts) - 1
-    smasks = [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
     cls_points: list[Point] = []
     for slot in range(3):
         pts = {g.points[j] for j in s.class_indices(slot)}
         if len(pts) != 1:
             raise CriterionMismatch(f"class {slot} is not constant in the Gale diagram")
         cls_points.append(pts.pop())
-    # bit i of a pattern: the subset holds sorted class i in full
+    smasks = [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
     least = [sum(smasks[i] for i in range(3) if held >> i & 1) for held in range(7)]
+    off = [[cls_points[i] for i in range(3) if not held >> i & 1] for held in range(7)]
 
-    # pattern -> dim(J) - |J| on a face pattern, None off the faces; in
-    # order of least subset, so errors name the first subset at fault
     offset: list[Optional[int]] = [None] * 7
-    anchored: set[frozenset[Point]] = set()
     for held in sorted(range(7), key=least.__getitem__):
-        mask = least[held]
-        off = [cls_points[i] for i in range(3) if not held >> i & 1]
-        by_relint = relint_contains_zero(off)
+        by_relint = relint_contains_zero(off[held])
         by_formula = _closed_form(t.hull_type, held)
         if by_relint != by_formula:
             raise CriterionMismatch(
-                f"subset {mask:b}: relint says {by_relint}, "
+                f"subset {least[held]:b}: relint says {by_relint}, "
                 f"type {t.hull_type} criterion says {by_formula}"
             )
-        if not by_formula:
+        if by_formula:
+            offset[held] = -1 - g.ambient + rank(off[held])
+    return PatternTable(tuple(least), tuple(map(frozenset, off)), tuple(offset))
+
+
+def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
+    """All faces of the hull over all 2^(n+2) vertex subsets.
+
+    On a class-constant diagram, a proper subset's face status and
+    dimension depend only on its pattern (see class_patterns), so each
+    subset is one lookup in the pattern table. The least face with each
+    distinct Gale support (classes may share a point) is also graded by
+    exact affine rank; the two must agree.
+    """
+    npts = s.n + 2
+    if npts > ANALYSIS_VERTEX_CAP:
+        raise TooManyPoints(f"{npts} hull vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
+    table = class_patterns(s, g, t)
+    offset = table.offset
+    anchored: set[frozenset[Point]] = set()
+    for held in sorted(range(7), key=table.least.__getitem__):
+        if offset[held] is None or table.support[held] in anchored:
             continue
-        offset[held] = -1 - g.ambient + rank(off)
-        if frozenset(off) in anchored:
-            continue
-        anchored.add(frozenset(off))
+        anchored.add(table.support[held])
+        mask = table.least[held]
         dim = mask.bit_count() + offset[held]
         exact = affine_dimension([s.vectors[j] for j in members(mask)])
         if exact != dim:
@@ -399,7 +425,8 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
                 f"grades it dim {dim}, exact affine rank says {exact}"
             )
 
-    s1, s2, s3 = smasks
+    full = (1 << npts) - 1
+    s1, s2, s3 = table.least[1], table.least[2], table.least[4]
     faces: dict[int, int] = {}
     for mask in range(full):
         o = offset[(mask & s1 == s1) | (mask & s2 == s2) << 1 | (mask & s3 == s3) << 2]
@@ -409,6 +436,53 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
     # gale_transform's hull_dimension already pinned the exact rank to t.dim
     faces[full] = t.dim
     return FaceLattice(dim=t.dim, top=full, faces=faces)
+
+
+def _subsets_by_size(m: int, held: bool) -> list[int]:
+    """Coefficients of x^m (the whole class) or sum_{a<m} C(m, a) x^a
+    (any part of it short of the whole)."""
+    return [0] * m + [1] if held else [comb(m, a) for a in range(m)]
+
+
+def _times(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def pattern_counts(
+    s: IncidenceSystem, g: GaleDiagram, t: TypeReport
+) -> tuple[tuple[int, ...], bool, int]:
+    """The hull's f-vector, simpliciality and neighborliness, counted from
+    the pattern table with no pass over the faces.
+
+    The subsets of a pattern are counted by size by the product of one
+    _subsets_by_size polynomial per sorted class. Each subset of size |J|
+    of a face pattern with offset o is a face of dimension |J| + o, so the
+    hull is simplicial iff every face pattern that reaches dimensions
+    0 .. d-1 has o = -1. Every k-subset is a face for k below the smallest
+    non-face, the least subset of a non-face pattern; neighborliness is
+    one less than that, and at most f0 - 1. Types I and IV must be
+    simplicial, II and III must not (TheoremViolation otherwise).
+    """
+    table = class_patterns(s, g, t)
+    sizes = [table.least[1 << i].bit_count() for i in range(3)]
+    counts = [0] * t.dim
+    simplicial = True
+    nonfaces = []
+    for held, o in enumerate(table.offset):
+        if o is None:
+            nonfaces.append(table.least[held].bit_count())
+            continue
+        by_size = reduce(_times, (_subsets_by_size(m, held >> i & 1) for i, m in enumerate(sizes)))
+        for size, count in enumerate(by_size):
+            if count and 0 <= size + o < t.dim:
+                counts[size + o] += count
+                simplicial = simplicial and o == -1
+    _require_type_simpliciality(simplicial, t)
+    return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
 
 
 def fvector(lattice: FaceLattice) -> tuple[int, ...]:
@@ -429,11 +503,14 @@ def simpliciality_check(lattice: FaceLattice, t: Optional[TypeReport] = None) ->
     simplicial = all(
         f.bit_count() == d + 1 for f, d in lattice.faces.items() if 0 <= d < lattice.dim
     )
-    if t is not None and simplicial != (t.hull_type in ("I", "IV")):
-        raise TheoremViolation(
-            f"type {t.hull_type} hull has simpliciality {simplicial}"
-        )
+    if t is not None:
+        _require_type_simpliciality(simplicial, t)
     return simplicial
+
+
+def _require_type_simpliciality(simplicial: bool, t: TypeReport) -> None:
+    if simplicial != (t.hull_type in ("I", "IV")):
+        raise TheoremViolation(f"type {t.hull_type} hull has simpliciality {simplicial}")
 
 
 def neighborliness(lattice: FaceLattice) -> int:

@@ -18,6 +18,7 @@ from .gale import (
     incidence_system,
     members,
     neighborliness,
+    pattern_counts,
     rref_gale_points,
     simpliciality_check,
 )
@@ -47,12 +48,15 @@ class Analysis:
 
 
 def analyze_polytope(p: PlanarPolytope) -> Analysis:
-    """Color, build incidence vectors, classify, and enumerate the hull."""
+    """Color, build incidence vectors, classify, and enumerate the hull.
+    The f-vector, simpliciality and neighborliness come from the class
+    patterns, not from a pass over the enumerated faces."""
     c = three_color(p)
     s = incidence_system(p, c)
     g = gale_transform(s)
     report = classify(s, g)
     lattice = enumerate_faces(s, g, report)
+    hull_fvector, simplicial, neighborly = pattern_counts(s, g, report)
     return Analysis(
         polytope=p,
         coloring=c,
@@ -60,9 +64,9 @@ def analyze_polytope(p: PlanarPolytope) -> Analysis:
         diagram=g,
         report=report,
         lattice=lattice,
-        hull_fvector=fvector(lattice),
-        simplicial=simpliciality_check(lattice, report),
-        neighborly=neighborliness(lattice),
+        hull_fvector=hull_fvector,
+        simplicial=simplicial,
+        neighborly=neighborly,
     )
 
 
@@ -111,6 +115,27 @@ def _simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]])
         )
     *lam, mu = vec
     return sum(1 for x in lam if x * mu < 0)
+
+
+def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
+    """The pattern counts of the analysis must equal the walks over the
+    oracle lattice: CriterionMismatch names the quantity otherwise, and for
+    the f-vector the first dimension where they differ."""
+    # equal lattice dims give f-vectors of equal length
+    for d, (counted, by_walk) in enumerate(zip(analysis.hull_fvector, fvector(oracle))):
+        if counted != by_walk:
+            raise CriterionMismatch(
+                f"f-vector at dimension {d}: class patterns count {counted} "
+                f"faces, the oracle lattice {by_walk}"
+            )
+    for name, counted, by_walk in (
+        ("simpliciality", analysis.simplicial, simpliciality_check(oracle)),
+        ("neighborliness", analysis.neighborly, neighborliness(oracle)),
+    ):
+        if counted != by_walk:
+            raise CriterionMismatch(
+                f"{name}: class patterns give {counted}, the oracle lattice {by_walk}"
+            )
 
 
 def type_one_checks(analysis: Analysis, oracle: FaceLattice) -> dict:
@@ -182,12 +207,12 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
                 f"the RREF null space gives {list(map(str, b))}"
             )
 
-    # simpliciality reads only faces and dim, so equal lattices agree on it
     if analysis.lattice.faces != oracle.faces or analysis.lattice.dim != oracle.dim:
         raise CriterionMismatch(
             "criterion and oracle lattices differ: "
             + _face_diff(analysis.lattice, oracle)
         )
+    _require_walked_counts(analysis, oracle)
 
     pyramid_report = None
     if report.hull_type in ("II", "III"):
