@@ -33,7 +33,6 @@ from .polytopes import (
 )
 from .reference import (
     cyclic_facets,
-    lattice_isomorphic,
     pyramid,
     tkn_model,
     type4_model,
@@ -65,7 +64,6 @@ __all__ = [
     "hamiltonian_cycle",
     "hull_dimension",
     "incidence_system",
-    "lattice_isomorphic",
     "lattice_to_json",
     "members",
     "neighborliness",

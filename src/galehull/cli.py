@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("inputA", help="JSON file or catalog:name[:param]")
     sub.add_argument("inputB", help="JSON file or catalog:name[:param]")
     sub.add_argument("--no-oracle", action="store_true",
-                     help="skip the brute-force lattice isomorphism")
+                     help="skip the oracle lattices and the witness check")
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_compare)
 

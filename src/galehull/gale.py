@@ -112,15 +112,11 @@ def members(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-def byte_fold(
+def byte_tables(
     values: Sequence[int], op: Callable[[int, int], int], unit: int
-) -> Callable[[int], int]:
-    """x -> unit op values[j] op ... over the set bits j of x.
-
-    Per-byte lookup tables make it one lookup per byte of x: entry b of
-    table c folds values[8c .. 8c + 7] over the set bits of b. x must
-    have no bits at or above len(values).
-    """
+) -> list[list[int]]:
+    """Per-byte lookup tables: entry b of table c folds
+    values[8c .. 8c + 7] over the set bits of b, starting from unit."""
     tables = []
     for c in range(0, len(values), 8):
         chunk = values[c:c + 8]
@@ -128,6 +124,17 @@ def byte_fold(
         for b in range(1, 1 << len(chunk)):
             table.append(op(table[b & (b - 1)], chunk[(b & -b).bit_length() - 1]))
         tables.append(table)
+    return tables
+
+
+def byte_fold(
+    values: Sequence[int], op: Callable[[int, int], int], unit: int
+) -> Callable[[int], int]:
+    """x -> unit op values[j] op ... over the set bits j of x, one
+    byte_tables lookup per byte of x. x must have no bits at or above
+    len(values).
+    """
+    tables = byte_tables(values, op, unit)
     width = len(tables)
 
     def fold(x: int) -> int:
@@ -257,6 +264,18 @@ def _both_signs(values: list[Fraction]) -> bool:
     return any(v > 0 for v in values) and any(v < 0 for v in values)
 
 
+def size_type(sizes: Sequence[int]) -> str:
+    """Hull type I-IV from the equality pattern of sorted class sizes."""
+    m1, m2, m3 = sizes
+    if m1 < m2 < m3:
+        return "I"
+    if m1 < m2:
+        return "II"
+    if m2 < m3:
+        return "III"
+    return "IV"
+
+
 def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
     """Type I-IV from the equality pattern of sorted class sizes, verifying
     that the computed diagram matches the predicted shape exactly."""
@@ -272,14 +291,8 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
             raise DiagramMismatch(f"class {slot} is not constant in the Gale transform")
         cls_points.append(next(iter(pts)))
 
-    if m1 < m2 < m3:
-        hull_type, k = "I", Fraction(m3 - m1, m2 - m1)
-    elif m1 < m2 == m3:
-        hull_type, k = "II", None
-    elif m1 == m2 < m3:
-        hull_type, k = "III", None
-    else:
-        hull_type, k = "IV", None
+    hull_type = size_type(s.coloring.class_sizes)
+    k = Fraction(m3 - m1, m2 - m1) if hull_type == "I" else None
 
     if hull_type != "IV":
         if g.ambient != 1:

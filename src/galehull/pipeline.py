@@ -26,8 +26,9 @@ from .linalg import null_vector
 from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
 from .polytopes import FaceColoring, PlanarPolytope, three_color
 from .reference import (
+    block_order,
+    check_witness,
     cyclic_facets,
-    lattice_isomorphic,
     pyramid,
     tkn_model,
     type4_model,
@@ -234,11 +235,9 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
         type_one_report = type_one_checks(analysis, oracle)
 
     reference = reference_model(report, analysis.polytope.n)
-    witness = lattice_isomorphic(analysis.lattice, reference)
-    if witness is None:
-        raise StructureMismatch(
-            f"hull lattice is not isomorphic to the predicted {report.structure}"
-        )
+    order = block_order(analysis.system, report.hull_type)
+    witness = {v: i for i, v in enumerate(order)}
+    check_witness(analysis.lattice, reference, witness, f"witness onto {report.structure}")
 
     return Verification(
         analysis=analysis,

@@ -1,4 +1,4 @@
-"""Reference face lattices and combinatorial lattice isomorphism.
+"""Reference face lattices and class-block witnesses onto them.
 
 Cyclic polytopes are built from the evenness condition on the linear
 vertex order, pyramids by adjoining apex subsets to base faces, and the
@@ -6,17 +6,20 @@ two closed-form models (one-dimensional two-class diagrams and the
 three-equal-class hull) directly from their face criteria. Everything is
 coordinate-free; geometric claims about these models are validated in the
 hull oracle where coordinates exist.
+
+The Gale diagram is constant on color classes, so a hull maps onto its
+model class by class: block_order reads the map off the sorted classes
+and check_witness checks it in one pass over the faces. Nothing is
+searched for.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from itertools import combinations, islice
 from operator import or_
-from typing import Optional
 
-from .errors import BadParameters, TooManyPoints
-from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, byte_fold, members
+from .errors import BadParameters, StructureMismatch, TooManyPoints
+from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, IncidenceSystem, byte_tables, members
 
 
 def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceLattice:
@@ -109,98 +112,56 @@ def type4_model(m: int) -> FaceLattice:
     return FaceLattice(dim=3 * m - 3, top=top, faces=faces)
 
 
-# --- isomorphism -------------------------------------------------------------
+# --- class-block witnesses -------------------------------------------------
 
-def _facets(lattice: FaceLattice) -> list[int]:
-    return [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
-
-
-def _face_counts(lattice: FaceLattice) -> list[int]:
-    """How many faces hold each index below top's bit length: one Counter
-    pass over the faces per byte, then a sum over the byte values."""
-    width = lattice.top.bit_length()
-    counts = []
-    for shift in range(0, width, 8):
-        tally = Counter(f >> shift & 255 for f in lattice.faces)
-        for j in range(min(8, width - shift)):
-            counts.append(sum(c for b, c in tally.items() if b >> j & 1))
-    return counts
-
-
-def _vertex_signature(v: int, facets, nfaces: int) -> tuple:
-    containing = [f for f in facets if f >> v & 1]
-    return (len(containing), tuple(sorted(f.bit_count() for f in containing)), nfaces)
+def block_order(system: IncidenceSystem, hull_type: str) -> list[int]:
+    """The hull vertices in the vertex order of the type's model, read off
+    the sorted classes c1, c2, c3 (ascending inside a class): type I
+    c2 then c1 and c3 merged; type II c2 and c3 interleaved then c1 as the
+    apexes; type III c1 and c2 interleaved then c3; type IV c1, c2, c3.
+    Interleaving puts the two classes on the two parity classes of the
+    cyclic base, whose Gale values alternate."""
+    c1, c2, c3 = (system.class_indices(slot) for slot in range(3))
+    if hull_type == "I":
+        return [*c2, *sorted(c1 + c3)]
+    if hull_type == "II":
+        return [v for pair in zip(c2, c3) for v in pair] + [*c1]
+    if hull_type == "III":
+        return [v for pair in zip(c1, c2) for v in pair] + [*c3]
+    return [*c1, *c2, *c3]
 
 
-def _vertices(lattice: FaceLattice) -> list[int]:
-    """Every index occurring in a proper face (for honest vertex lattices
-    this is exactly the vertex set)."""
-    union = 0
-    for f in lattice.faces:
-        if f != lattice.top:
-            union |= f
-    return members(union)
-
-
-def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int]]:
-    """Vertex bijection inducing a face-set bijection, or None.
-
-    Backtracking over vertex-facet incidence with signature pruning; the
-    complete candidate map is verified against the full face dictionaries.
-    """
-    if a.dim != b.dim or len(a.faces) != len(b.faces):
-        return None
-    va, vb = _vertices(a), _vertices(b)
-    if len(va) != len(vb):
-        return None
-    fa, fb = _facets(a), _facets(b)
-    if sorted(f.bit_count() for f in fa) != sorted(f.bit_count() for f in fb):
-        return None
-    na, nb = _face_counts(a), _face_counts(b)
-    sig_a = {v: _vertex_signature(v, fa, na[v]) for v in va}
-    sig_b = {v: _vertex_signature(v, fb, nb[v]) for v in vb}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return None
-
-    candidates = {v: [w for w in vb if sig_b[w] == sig_a[v]] for v in va}
-    order = sorted(va, key=lambda v: len(candidates[v]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def image(face: int) -> int:
-        """The mask of the images of the face's vertices mapped so far."""
-        return sum(1 << w for v, w in mapping.items() if face >> v & 1)
-
-    def facet_compatible() -> bool:
-        for f in fa:
-            img, size = image(f), f.bit_count()
-            if not any(img & g == img and g.bit_count() == size for g in fb):
-                return False
-        return True
-
-    def verify_full() -> bool:
-        images = [1 << mapping[v] if v in mapping else 0 for v in range(a.top.bit_length())]
-        image_of = byte_fold(images, or_, 0)
-        # tops correspond by the dim check above
-        return all(
-            b.faces.get(image_of(face)) == dim
-            for face, dim in a.faces.items()
-            if face != a.top
+def check_witness(
+    a: FaceLattice, b: FaceLattice, witness: dict[int, int], stage: str
+) -> None:
+    """Require the vertex bijection `witness` to map the faces of a onto
+    the faces of b, dimensions kept: equal face counts, and the image of
+    every face, read through per-byte OR tables, a face of b of the same
+    dimension. Then it is a lattice isomorphism. StructureMismatch names
+    the stage and the first face that fails, with its image."""
+    if sorted(witness) != members(a.top) or sorted(witness.values()) != members(b.top):
+        raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
+    if len(a.faces) != len(b.faces):
+        raise StructureMismatch(
+            f"{stage}: {len(a.faces)} faces against {len(b.faces)} in the image lattice"
         )
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return verify_full()
-        v = order[i]
-        for w in candidates[v]:
-            if w in used:
-                continue
-            mapping[v] = w
-            used.add(w)
-            if facet_compatible() and search(i + 1):
-                return True
-            del mapping[v]
-            used.discard(w)
-        return False
-
-    return dict(mapping) if search(0) else None
+    images = [0] * a.top.bit_length()
+    for v, w in witness.items():
+        images[v] = 1 << w
+    tables = byte_tables(images, or_, 0)
+    get = b.faces.get
+    items = iter(a.faces.items())
+    # 64 faces at a time, one byte of each per pass: lists this small
+    # stay in the small-object allocator, so the check leaves no heap
+    # growth behind, and ran faster than whole-lattice lists
+    while chunk := list(islice(items, 64)):
+        mapped = [0] * len(chunk)
+        for c, table in enumerate(tables):
+            shift = 8 * c
+            mapped = [m | table[f >> shift & 255] for m, (f, _) in zip(mapped, chunk)]
+        for (face, dim), image in zip(chunk, mapped):
+            if get(image) != dim:
+                raise StructureMismatch(
+                    f"{stage}: face {members(face)} of dimension {dim} maps to "
+                    f"{members(image)}, no face of that dimension"
+                )

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
+from operator import or_
+from typing import Optional
 
 import pytest
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
 from galehull.errors import CriterionMismatch
-from galehull.gale import FaceLattice
+from galehull.gale import FaceLattice, byte_fold, members
 from galehull.linalg import affine_dimension, rank
 
 
@@ -139,6 +142,104 @@ def enumerate_faces_by_subset(s, g, t) -> FaceLattice:
 
     faces[full] = t.dim
     return FaceLattice(dim=t.dim, top=full, faces=faces)
+
+
+# The backtracking isomorphism search that the class-block witnesses of
+# galehull.reference replaced, kept as their reference.
+
+def _facets(lattice: FaceLattice) -> list[int]:
+    return [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
+
+
+def _face_counts(lattice: FaceLattice) -> list[int]:
+    """How many faces hold each index below top's bit length: one Counter
+    pass over the faces per byte, then a sum over the byte values."""
+    width = lattice.top.bit_length()
+    counts = []
+    for shift in range(0, width, 8):
+        tally = Counter(f >> shift & 255 for f in lattice.faces)
+        for j in range(min(8, width - shift)):
+            counts.append(sum(c for b, c in tally.items() if b >> j & 1))
+    return counts
+
+
+def _vertex_signature(v: int, facets, nfaces: int) -> tuple:
+    containing = [f for f in facets if f >> v & 1]
+    return (len(containing), tuple(sorted(f.bit_count() for f in containing)), nfaces)
+
+
+def _vertices(lattice: FaceLattice) -> list[int]:
+    """Every index occurring in a proper face (for honest vertex lattices
+    this is exactly the vertex set)."""
+    union = 0
+    for f in lattice.faces:
+        if f != lattice.top:
+            union |= f
+    return members(union)
+
+
+def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int]]:
+    """Vertex bijection inducing a face-set bijection, or None.
+
+    Backtracking over vertex-facet incidence with signature pruning; the
+    complete candidate map is verified against the full face dictionaries.
+    """
+    if a.dim != b.dim or len(a.faces) != len(b.faces):
+        return None
+    va, vb = _vertices(a), _vertices(b)
+    if len(va) != len(vb):
+        return None
+    fa, fb = _facets(a), _facets(b)
+    if sorted(f.bit_count() for f in fa) != sorted(f.bit_count() for f in fb):
+        return None
+    na, nb = _face_counts(a), _face_counts(b)
+    sig_a = {v: _vertex_signature(v, fa, na[v]) for v in va}
+    sig_b = {v: _vertex_signature(v, fb, nb[v]) for v in vb}
+    if sorted(sig_a.values()) != sorted(sig_b.values()):
+        return None
+
+    candidates = {v: [w for w in vb if sig_b[w] == sig_a[v]] for v in va}
+    order = sorted(va, key=lambda v: len(candidates[v]))
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def image(face: int) -> int:
+        """The mask of the images of the face's vertices mapped so far."""
+        return sum(1 << w for v, w in mapping.items() if face >> v & 1)
+
+    def facet_compatible() -> bool:
+        for f in fa:
+            img, size = image(f), f.bit_count()
+            if not any(img & g == img and g.bit_count() == size for g in fb):
+                return False
+        return True
+
+    def verify_full() -> bool:
+        images = [1 << mapping[v] if v in mapping else 0 for v in range(a.top.bit_length())]
+        image_of = byte_fold(images, or_, 0)
+        # tops correspond by the dim check above
+        return all(
+            b.faces.get(image_of(face)) == dim
+            for face, dim in a.faces.items()
+            if face != a.top
+        )
+
+    def search(i: int) -> bool:
+        if i == len(order):
+            return verify_full()
+        v = order[i]
+        for w in candidates[v]:
+            if w in used:
+                continue
+            mapping[v] = w
+            used.add(w)
+            if facet_compatible() and search(i + 1):
+                return True
+            del mapping[v]
+            used.discard(w)
+        return False
+
+    return dict(mapping) if search(0) else None
 
 
 def relabel_faces(p, mult: int = 7, shift: int = 3) -> list[list[int]]:

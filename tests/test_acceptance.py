@@ -18,7 +18,6 @@ from galehull import (
     equivalent_oracle,
     fvector,
     hamiltonian_cycle,
-    lattice_isomorphic,
     oracle_lattice,
     pyramid,
     relint_contains_zero,
@@ -29,7 +28,7 @@ from galehull import (
     verify_polytope,
 )
 from galehull.linalg import rank
-from conftest import relabel_faces
+from conftest import lattice_isomorphic, relabel_faces
 from instances import type_one_polytope
 
 OCTAHEDRON = [

@@ -12,10 +12,10 @@ from galehull import (
     catalog,
     equivalence_witness,
     equivalent,
-    lattice_isomorphic,
     type4_model,
     verify_polytope,
 )
+from conftest import lattice_isomorphic
 from instances import (
     all_equal_polytope,
     largest_distinct_polytope,

@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import neighborliness_by_combinations
+from conftest import lattice_isomorphic, neighborliness_by_combinations
 from galehull import (
     beyond_facets,
     catalog,
     fvector,
     incidence_system,
-    lattice_isomorphic,
     members,
     neighborliness,
     oracle_lattice,

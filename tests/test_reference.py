@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from galehull import (
     cyclic_facets,
     fvector,
-    lattice_isomorphic,
     members,
     neighborliness,
     oracle_lattice,
@@ -18,9 +17,9 @@ from galehull import (
     tkn_model,
     type4_model,
 )
+from conftest import _face_counts, lattice_isomorphic
 from galehull.errors import BadParameters
 from galehull.gale import FaceLattice
-from galehull.reference import _face_counts
 
 
 def _mask(indices):

@@ -12,12 +12,12 @@ import galehull.pipeline
 from galehull import (
     analyze_polytope,
     beyond_facets,
-    lattice_isomorphic,
     oracle_lattice,
     three_color,
     tkn_model,
     verify_polytope,
 )
+from conftest import lattice_isomorphic
 from galehull.errors import StructureMismatch
 from galehull.pipeline import _simplex_beyond_count, type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror

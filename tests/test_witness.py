@@ -1,0 +1,141 @@
+"""Class-block witnesses: the vertex map of a hull onto its model, and of
+one oracle lattice onto another, read off the sorted color classes and
+checked face by face, whatever the face order of the input."""
+
+from __future__ import annotations
+
+import random
+from functools import lru_cache
+
+import pytest
+
+import galehull.equivalence as equivalence_module
+import galehull.pipeline as pipeline_module
+import instances
+from conftest import relabel_faces
+from galehull import (
+    FaceLattice,
+    analyze_polytope,
+    catalog,
+    equivalence_witness,
+    members,
+    oracle_lattice,
+    validate,
+    verify_polytope,
+)
+from galehull.errors import StructureMismatch
+from galehull.reference import check_witness
+
+BASE = [
+    ("cube", lambda: catalog("cube")),
+    ("prism:6", lambda: catalog("prism", 6)),
+    ("prism:8", lambda: catalog("prism", 8)),
+    ("prism:12", lambda: catalog("prism", 12)),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+] + [(build.__name__, build) for build in instances.INSTANCE_BUILDERS]
+
+# 5 is prime to every vertex count above: 8, 12, 16, 24, 14, 22, 24, 26, 26
+CASES = BASE + [
+    (f"{name}/relabeled", lambda build=build: validate(relabel_faces(build(), mult=5)))
+    for name, build in BASE
+]
+
+
+def _shuffled(p, seed: int):
+    faces = [list(f) for f in p.faces]
+    random.Random(seed).shuffle(faces)
+    return validate(faces)
+
+
+def _maps_faces_onto(a, b, phi) -> bool:
+    """The images of a's faces under phi are exactly b's faces, with
+    their dimensions: a face-set bijection, checked without byte tables."""
+    return {
+        sum(1 << phi[v] for v in members(f)): d for f, d in a.faces.items()
+    } == b.faces
+
+
+@pytest.mark.parametrize("name,build", CASES, ids=[n for n, _ in CASES])
+def test_verify_witness_is_a_face_bijection(name, build):
+    v = verify_polytope(build())
+    assert _maps_faces_onto(v.analysis.lattice, v.reference, v.reference_witness)
+
+
+@pytest.fixture
+def shared_oracle(monkeypatch):
+    """oracle_lattice cached per vector tuple, for equivalence_witness and
+    the test alike: each lattice is built once."""
+    cached = lru_cache(maxsize=None)(oracle_lattice)
+    monkeypatch.setattr(equivalence_module, "oracle_lattice", cached)
+    return cached
+
+
+@pytest.mark.parametrize("name,build", BASE, ids=[n for n, _ in BASE])
+def test_equivalence_witness_is_a_face_bijection(name, build, shared_oracle):
+    p = build()
+    a = analyze_polytope(p).system
+    for other in (validate(relabel_faces(p, mult=5)), _shuffled(p, 1)):
+        b = analyze_polytope(other).system
+        phi = equivalence_witness(a, b)
+        assert _maps_faces_onto(shared_oracle(a.vectors), shared_oracle(b.vectors), phi)
+
+
+def test_equivalence_witness_between_distinct_gluings_of_one_size(shared_oracle):
+    a = analyze_polytope(instances.type_one_polytope()).system
+    b = analyze_polytope(instances.type_one_polytope_mirror()).system
+    phi = equivalence_witness(a, b)
+    assert _maps_faces_onto(shared_oracle(a.vectors), shared_oracle(b.vectors), phi)
+
+
+def _swap_across_classes(order, system):
+    """The block order with the first vertices of sorted classes 1 and 2
+    exchanged: they sit in different blocks of every model."""
+    i = order.index(system.class_indices(0)[0])
+    j = order.index(system.class_indices(1)[0])
+    order[i], order[j] = order[j], order[i]
+    return order
+
+
+ONE_PER_TYPE = [
+    ("I", instances.type_one_polytope),
+    ("II", lambda: catalog("prism", 6)),
+    ("III", instances.largest_distinct_polytope),
+    ("IV", lambda: catalog("cube")),
+]
+
+
+@pytest.mark.parametrize("hull_type,build", ONE_PER_TYPE, ids=[t for t, _ in ONE_PER_TYPE])
+def test_a_witness_swapped_across_classes_names_a_face(hull_type, build, monkeypatch):
+    exact = pipeline_module.block_order
+    monkeypatch.setattr(
+        pipeline_module,
+        "block_order",
+        lambda system, t: _swap_across_classes(exact(system, t), system),
+    )
+    with pytest.raises(
+        StructureMismatch, match=r"^witness onto .*: face \[[\d, ]*\] of dimension -?\d+ maps to \["
+    ):
+        verify_polytope(build())
+
+
+def test_a_swapped_equivalence_witness_names_a_face(prism6):
+    a = analyze_polytope(prism6).system
+    b = analyze_polytope(_shuffled(prism6, 2)).system
+    phi = equivalence_witness(a, b)
+    u, w = a.class_indices(0)[0], a.class_indices(1)[0]
+    phi[u], phi[w] = phi[w], phi[u]
+    with pytest.raises(StructureMismatch, match=r"^equivalence witness: face \["):
+        check_witness(oracle_lattice(a.vectors), oracle_lattice(b.vectors), phi,
+                      "equivalence witness")
+
+
+def test_check_witness_wants_a_vertex_bijection_and_equal_face_counts(prism6_analysis):
+    lattice = prism6_analysis.lattice
+    ident = {v: v for v in range(8)}
+    check_witness(lattice, lattice, ident, "identity")
+    with pytest.raises(StructureMismatch, match="^collapsed: the witness is no bijection"):
+        check_witness(lattice, lattice, {**ident, 1: 0}, "collapsed")
+    fewer = FaceLattice(dim=lattice.dim, top=lattice.top, faces=dict(lattice.faces))
+    del fewer.faces[1]
+    with pytest.raises(StructureMismatch, match="^short: 200 faces against 199"):
+        check_witness(lattice, fewer, ident, "short")
