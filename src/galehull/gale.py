@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
-from operator import getitem
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import (
     CriterionMismatch,
@@ -112,9 +111,10 @@ def members(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-def byte_tables(
-    values: Sequence[int], op: Callable[[int, int], int], unit: int
-) -> list[list[int]]:
+T = TypeVar("T")
+
+
+def byte_tables(values: Sequence[T], op: Callable[[T, T], T], unit: T) -> list[list[T]]:
     """Per-byte lookup tables: entry b of table c folds
     values[8c .. 8c + 7] over the set bits of b, starting from unit."""
     tables = []
@@ -125,22 +125,6 @@ def byte_tables(
             table.append(op(table[b & (b - 1)], chunk[(b & -b).bit_length() - 1]))
         tables.append(table)
     return tables
-
-
-def byte_fold(
-    values: Sequence[int], op: Callable[[int, int], int], unit: int
-) -> Callable[[int], int]:
-    """x -> unit op values[j] op ... over the set bits j of x, one
-    byte_tables lookup per byte of x. x must have no bits at or above
-    len(values).
-    """
-    tables = byte_tables(values, op, unit)
-    width = len(tables)
-
-    def fold(x: int) -> int:
-        return reduce(op, map(getitem, tables, x.to_bytes(width, "little")), unit)
-
-    return fold
 
 
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:

@@ -5,9 +5,10 @@ are never floats. Rank, pivot columns, one-dimensional null spaces and
 spanning hyperplanes run fraction-free: each row is scaled to integers,
 then eliminated by integer cross-multiplication with per-row gcd
 stripping (after Bareiss, Math. Comp. 1968), so integer inputs never
-build a Fraction. The general null space comes from a canonical
-Fraction RREF (free columns in increasing index order, so Gale
-transforms are reproducible).
+build a Fraction. The RREF is eliminated the same way and divides each
+pivot row by its pivot only at the end; the general null space reads
+its canonical basis off it (free columns in increasing index order, so
+Gale transforms are reproducible).
 """
 
 from __future__ import annotations
@@ -106,26 +107,13 @@ def null_vector(rows: Sequence[Row]) -> Optional[tuple[int, ...]]:
 
 
 def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    R = [[Fraction(x) for x in row] for row in rows]
-    nrows, ncols = len(R), len(R[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if R[i][c]), None)
-        if piv is None:
-            continue
-        R[r], R[piv] = R[piv], R[r]
-        pv = R[r][c]
-        R[r] = pr = [x / pv for x in R[r]]
-        for i in range(nrows):
-            f = R[i][c]
-            if i != r and f:
-                R[i] = [a - f * b for a, b in zip(R[i], pr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+    """Reduced row echelon form; returns (matrix, pivot column indices).
+
+    Eliminated fraction-free, then each pivot row divided by its pivot.
+    """
+    m, pivots = _eliminate(rows, reduce=True)
+    R = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
+    R += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(pivots))]
     return R, pivots
 
 

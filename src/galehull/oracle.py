@@ -2,24 +2,25 @@
 
 This is the ground truth the Gale machinery is validated against, so it
 shares nothing with the coface criterion: facets are found by scanning
-all d-subsets for spanning hyperplanes with all points on one closed
-side. The rest of the lattice comes from the vertex-facet incidences in
-facet-set coordinates (Kaibel and Pfetsch): the join of a face with a
-point is the AND of their facet sets, and each face is graded one above
-the highest face it is a join of. Each facet's exact affine rank anchors
+the d-subsets for spanning hyperplanes with all points on one closed
+side, skipping the subsets that lie on a hyperplane already found. The
+rest of the lattice comes from the vertex-facet incidences in facet-set
+coordinates (Kaibel and Pfetsch): the join of a face with a point off it
+is the AND of their facet sets, and each face is graded one above the
+highest face it is a join of. Each facet's exact affine rank anchors
 that grading. Facet sets turn back into vertex masks through per-byte
-AND tables of the facet masks. The arithmetic is fraction-free: hull
-coordinates are pivot columns and each hyperplane is an integer null
-vector, both found by integer elimination, so on integer points (every
-incidence vector) the scan evaluates normal . q - offset in ints. Desk
-scale only (at most 26 points).
+AND tables of the facet masks, many faces per pass. The arithmetic is
+fraction-free: hull coordinates are pivot columns and each hyperplane is
+an integer null vector, both found by integer elimination, so on
+integer points (every incidence vector) the scan evaluates
+normal . q - offset in ints. Desk scale only (at most 26 points).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from operator import and_
+from itertools import combinations, islice
+from operator import add, and_
 from typing import Sequence
 
 from .errors import (
@@ -34,7 +35,7 @@ from .gale import (
     GaleDiagram,
     IncidenceSystem,
     TypeReport,
-    byte_fold,
+    byte_tables,
     members,
 )
 from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
@@ -75,25 +76,26 @@ def _facet_supports(qpts: list[tuple], d: int):
     is set when qpts[i] lies on the facet.
     """
     n = len(qpts)
-    seen: set[tuple] = set()
+    # d points on a known hyperplane span it again or span nothing
+    planes: list[int] = []
     out = []
     for subset in combinations(range(n), d):
+        bits = sum(1 << i for i in subset)
+        if any(bits & p == bits for p in planes):
+            continue
         hp = spanning_hyperplane([qpts[i] for i in subset], d)
         if hp is None:
             continue
         normal, offset = hp
-        key = (normal, offset)
-        if key in seen:
-            continue
-        seen.add(key)
         values = [dot(normal, q) - offset for q in qpts]
+        mask = sum(1 << i for i, v in enumerate(values) if v == 0)
+        planes.append(mask)
         if all(v <= 0 for v in values):
             side = -1
         elif all(v >= 0 for v in values):
             side = 1
         else:
             continue
-        mask = sum(1 << i for i, v in enumerate(values) if v == 0)
         out.append((mask, normal, offset, side))
     return out
 
@@ -127,22 +129,33 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     # face y is the join of each of its facets x with a point of y off x.
     # So buckets of decreasing facet count grade every join source first,
     # and a face is one dimension above the highest face it is a join of.
+    # A point on face t joins to t itself, so only the points off t count.
     n = len(pts)
     top = (1 << n) - 1
     inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
-    vertices_of = byte_fold(facets, and_, top)
+    # per byte: facet set -> AND of its facets; point mask -> its points' inc
+    mask_tables = byte_tables(facets, and_, top)
+    inc_tables = byte_tables([(x,) for x in inc], add, ())
     buckets = [{} for _ in facets] + [{(1 << len(facets)) - 1: -1}]
     faces = {}
     while buckets:
-        bucket = buckets.pop()
-        for t, dim in bucket.items():
-            joins = {t & x for x in inc}
-            joins.discard(t)
-            for j in joins:
-                above = buckets[j.bit_count()]
-                if above.get(j, -1) <= dim:
-                    above[j] = dim + 1
-        faces.update((vertices_of(t), dim) for t, dim in bucket.items())
+        items = iter(buckets.pop().items())
+        # 64 faces at a time, as in reference.check_witness: lists this
+        # small stay in the small-object allocator and add no peak memory
+        while chunk := list(islice(items, 64)):
+            masks = [top] * len(chunk)
+            for c, table in enumerate(mask_tables):
+                masks = [m & table[t >> 8 * c & 255] for m, (t, _) in zip(masks, chunk)]
+            offs = [()] * len(chunk)
+            for c, table in enumerate(inc_tables):
+                offs = [o + table[(top ^ m) >> 8 * c & 255] for o, m in zip(offs, masks)]
+            for (t, dim), off in zip(chunk, offs):
+                for x in off:
+                    j = t & x
+                    above = buckets[j.bit_count()]
+                    if above.get(j, -1) <= dim:
+                        above[j] = dim + 1
+            faces.update((m, dim) for m, (_, dim) in zip(masks, chunk))
     if faces[top] != d or any(faces[f] != d - 1 for f in facets):
         raise StructureMismatch("join grading disagrees with the facet ranks")
     return FaceLattice(dim=d, top=top, faces=faces)

@@ -1,16 +1,18 @@
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import or_
-from typing import Optional
+from operator import and_, getitem, or_
+from typing import Callable, Optional, Sequence
 
 import pytest
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
 from galehull.errors import CriterionMismatch
-from galehull.gale import FaceLattice, byte_fold, members
-from galehull.linalg import affine_dimension, rank
+from galehull.gale import FaceLattice, byte_tables, members
+from galehull.linalg import affine_dimension, dot, rank, spanning_hyperplane
 
 
 @pytest.fixture(scope="session")
@@ -142,6 +144,100 @@ def enumerate_faces_by_subset(s, g, t) -> FaceLattice:
 
     faces[full] = t.dim
     return FaceLattice(dim=t.dim, top=full, faces=faces)
+
+
+def byte_fold(
+    values: Sequence[int], op: Callable[[int, int], int], unit: int
+) -> Callable[[int], int]:
+    """x -> unit op values[j] op ... over the set bits j of x, one
+    byte_tables lookup per byte of x. x must have no bits at or above
+    len(values). No longer used in galehull: the references below map
+    one face at a time with it.
+    """
+    tables = byte_tables(values, op, unit)
+    width = len(tables)
+
+    def fold(x: int) -> int:
+        return reduce(op, map(getitem, tables, x.to_bytes(width, "little")), unit)
+
+    return fold
+
+
+def rref_by_fractions(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Gauss-Jordan over Fractions, dividing each pivot row at once: the
+    form that the fraction-free linalg.rref replaced, kept as its
+    reference."""
+    R = [[Fraction(x) for x in row] for row in rows]
+    nrows, ncols = len(R), len(R[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        pv = R[r][c]
+        R[r] = pr = [x / pv for x in R[r]]
+        for i in range(nrows):
+            f = R[i][c]
+            if i != r and f:
+                R[i] = [a - f * b for a, b in zip(R[i], pr)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return R, pivots
+
+
+def facet_supports_by_keys(qpts: list[tuple], d: int):
+    """Every d-subset spanned and its hyperplane deduplicated by key: the
+    scan that oracle._facet_supports replaced by skipping subsets on known
+    hyperplanes, kept as its reference."""
+    n = len(qpts)
+    seen: set[tuple] = set()
+    out = []
+    for subset in combinations(range(n), d):
+        hp = spanning_hyperplane([qpts[i] for i in subset], d)
+        if hp is None:
+            continue
+        normal, offset = hp
+        key = (normal, offset)
+        if key in seen:
+            continue
+        seen.add(key)
+        values = [dot(normal, q) - offset for q in qpts]
+        if all(v <= 0 for v in values):
+            side = -1
+        elif all(v >= 0 for v in values):
+            side = 1
+        else:
+            continue
+        mask = sum(1 << i for i, v in enumerate(values) if v == 0)
+        out.append((mask, normal, offset, side))
+    return out
+
+
+def join_grading_by_fold(facets: list[int], n: int) -> dict[int, int]:
+    """The join grading of oracle.oracle_lattice with every face joined to
+    every point and its vertex mask read by one byte_fold call: the form
+    that the per-bucket tables over the points off each face replaced,
+    kept as their reference. Takes the facet masks, returns the faces."""
+    top = (1 << n) - 1
+    inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
+    vertices_of = byte_fold(facets, and_, top)
+    buckets = [{} for _ in facets] + [{(1 << len(facets)) - 1: -1}]
+    faces = {}
+    while buckets:
+        bucket = buckets.pop()
+        for t, dim in bucket.items():
+            joins = {t & x for x in inc}
+            joins.discard(t)
+            for j in joins:
+                above = buckets[j.bit_count()]
+                if above.get(j, -1) <= dim:
+                    above[j] = dim + 1
+        faces.update((vertices_of(t), dim) for t, dim in bucket.items())
+    return faces
 
 
 # The backtracking isomorphism search that the class-block witnesses of

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import enumerate_faces_by_subset, neighborliness_by_combinations
+from conftest import byte_fold, enumerate_faces_by_subset, neighborliness_by_combinations
 from galehull import (
     analyze_polytope,
     catalog,
@@ -31,7 +31,7 @@ from galehull import (
 )
 from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
-from galehull.gale import IncidenceSystem, byte_fold, rref_gale_points
+from galehull.gale import IncidenceSystem, rref_gale_points
 from galehull.linalg import affine_dimension
 from galehull.polytopes import coloring_from_assignment
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
+from conftest import rref_by_fractions
 from galehull import incidence_system, three_color
 from galehull.errors import DimensionMismatch
 from galehull.linalg import (
@@ -93,13 +94,27 @@ def test_null_space_properties_random():
             assert all(vec[other] == 0 for other in free if other != fcol)
 
 
+def null_space_by_fractions(rows):
+    """The canonical null space basis read off rref_by_fractions."""
+    R, pivots = rref_by_fractions(rows)
+    basis = []
+    for f in range(len(rows[0])):
+        if f not in pivots:
+            v = [F(0)] * len(rows[0])
+            v[f] = F(1)
+            for r_idx, c in enumerate(pivots):
+                v[c] = -R[r_idx][f]
+            basis.append(tuple(v))
+    return basis
+
+
 def test_pivot_columns_and_null_vector_match_the_rref_route():
     rng = random.Random(11)
     for _ in range(200):
         r, c = rng.randint(1, 5), rng.randint(1, 6)
         m = random_matrix(rng, r, c, span=2)
-        assert pivot_columns(m) == rref(m)[1]
-        basis = null_space_basis(m)
+        assert pivot_columns(m) == rref_by_fractions(m)[1]
+        basis = null_space_by_fractions(m)
         vec = null_vector(m)
         if len(basis) == 1:
             assert vec == primitive_vector(basis[0])
@@ -108,11 +123,48 @@ def test_pivot_columns_and_null_vector_match_the_rref_route():
             assert vec is None
 
 
+_coordinate = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """1-7 x 1-7 matrices of ints or Fractions, some rows zero or repeated."""
+    cols = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from([st.integers(-3, 3), _coordinate]))
+    rows = draw(
+        st.lists(
+            st.one_of(
+                st.lists(entry, min_size=cols, max_size=cols),
+                st.just([0] * cols),
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    return rows[:7]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(matrices_with_zero_rows())
+@example([[0, 0], [0, 0]])
+@example([[F(1, 2), 1, 0], [0, 0, 0], [1, 2, 0]])
+def test_rref_and_null_space_equal_the_fraction_route(m):
+    R, pivots = rref(m)
+    assert (R, pivots) == rref_by_fractions(m)
+    assert all(type(x) is F for row in R for x in row)
+    assert null_space_basis(m) == null_space_by_fractions(m)
+
+
 def reference_hyperplane(points, ambient_dim):
     """spanning_hyperplane by the Fraction RREF null space, normalized as
     the fraction-free route promises."""
     rows = [[F(x) for x in p] + [F(-1)] for p in points]
-    basis = null_space_basis(rows)
+    basis = null_space_by_fractions(rows)
     if len(basis) != 1:
         return None
     normal, offset = basis[0][:ambient_dim], basis[0][ambient_dim]
@@ -141,12 +193,6 @@ def test_spanning_hyperplane_matches_fraction_reference_on_every_subset(build):
     qpts, d = _project_to_hull_coordinates(list(incidence_system(p, three_color(p)).vectors))
     for subset in combinations(qpts, d):
         _assert_matches_reference(subset, d)
-
-
-_coordinate = st.one_of(
-    st.integers(-3, 3),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

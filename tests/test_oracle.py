@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
+from math import comb
 from operator import and_
 
 import pytest
@@ -10,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import lattice_isomorphic, neighborliness_by_combinations
+from conftest import (
+    facet_supports_by_keys,
+    join_grading_by_fold,
+    lattice_isomorphic,
+    neighborliness_by_combinations,
+    relabel_faces,
+)
 from galehull import (
     beyond_facets,
     catalog,
@@ -20,6 +27,7 @@ from galehull import (
     neighborliness,
     oracle_lattice,
     three_color,
+    validate,
     verify_pyramid_structure,
 )
 from galehull.errors import (
@@ -152,6 +160,67 @@ def test_poset_rank_equals_exact_rank(name, pts):
         assert dim == affine_dimension([pts[i] for i in members(face)]), members(face)
 
 
+def _assert_oracle_equals_the_references(pts):
+    """The scan equals the reference scan element by element, and the
+    lattice equals the reference join grading on the reference facets."""
+    qpts, d = _project_to_hull_coordinates([tuple(p) for p in pts])
+    supports = facet_supports_by_keys(qpts, d)
+    assert _facet_supports(qpts, d) == supports
+    facets = [mask for mask, *_ in supports]
+    lat = oracle_lattice(pts)
+    assert (lat.dim, lat.faces) == (d, join_grading_by_fold(facets, len(pts)))
+
+
+@pytest.mark.parametrize(
+    "name,pts", POSET_RANK_POINTS, ids=[n for n, _ in POSET_RANK_POINTS]
+)
+def test_oracle_equals_the_reference_scan_and_grading(name, pts):
+    _assert_oracle_equals_the_references(pts)
+
+
+# 17 is prime to their vertex counts, all even and at most 26
+RELABELED = [(name, lambda p=p: validate(relabel_faces(p, mult=17)))
+             for name, p in _poset_rank_instances()]
+
+
+@pytest.mark.parametrize("name,build", RELABELED, ids=[n for n, _ in RELABELED])
+def test_oracle_equals_the_references_on_relabeled_copies(name, build):
+    _assert_oracle_equals_the_references(_vectors(build()))
+
+
+# spanning_hyperplane calls of the facet scan against the C(N, d) d-subsets
+# the reference spans: type I hyperplanes hold exactly d points each, so
+# that hull is the one where no subset can be skipped. On the cube (the
+# octahedron) the skips come from hyperplanes that support no facet.
+SCAN_CALLS = [
+    ("cube", lambda: catalog("cube"), 11, comb(6, 3)),
+    ("prism:6", lambda: catalog("prism", 6), 17, comb(8, 6)),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron"), 34, comb(14, 12)),
+    ("type_one_polytope", instances.type_one_polytope, 105, comb(15, 13)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,build,calls,subsets", SCAN_CALLS, ids=[c[0] for c in SCAN_CALLS]
+)
+def test_facet_scan_skips_subsets_on_known_hyperplanes(
+    name, build, calls, subsets, monkeypatch
+):
+    import galehull.oracle as oracle_module
+
+    spans = []
+    exact = oracle_module.spanning_hyperplane
+
+    def counting(points, ambient_dim):
+        spans.append(len(points))
+        return exact(points, ambient_dim)
+
+    monkeypatch.setattr(oracle_module, "spanning_hyperplane", counting)
+    lat = oracle_lattice(_vectors(build()))
+    assert comb(lat.top.bit_length(), lat.dim) == subsets
+    assert len(spans) == calls
+
+
 COUNTED_POINTS = POSET_RANK_POINTS[:3] + POSET_RANK_POINTS[-4:]
 
 
@@ -243,6 +312,13 @@ def test_join_grading_equals_the_closure_construction(pts):
     lat = oracle_lattice(pts)
     assert (lat.dim, lat.faces) == _closure_lattice(pts)
     assert lat.top == (1 << len(pts)) - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_with_non_vertices())
+def test_oracle_equals_the_references_with_non_vertices(pts):
+    if len(set(pts)) > 1:
+        _assert_oracle_equals_the_references(pts)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
