@@ -7,9 +7,10 @@ Its Gale transform therefore lives in one or two dimensions, is constant
 on color classes, and pins the full face lattice: a vertex subset J is a
 proper face exactly when zero lies in the relative interior of the convex
 hull of the complementary Gale points, which depend only on the classes J
-holds in full. Each of these 7 class patterns is cross-checked against the
+holds in full. classify checks the class constancy and builds the table
+of these 7 class patterns once per hull, cross-checking each against the
 closed-form per-type criterion; a disagreement raises, it is never a
-tolerated outcome.
+tolerated outcome. Face enumeration and the face counts read that table.
 """
 
 from __future__ import annotations
@@ -77,14 +78,24 @@ class GaleDiagram:
     ambient: int
 
 
+class PatternTable(NamedTuple):
+    """The 7 class patterns of a proper vertex subset. Bit i of a pattern
+    is set when the subset holds sorted class i in full, so the classes of
+    sorted sizes m1, m2, m3 are the patterns 1, 2 and 4."""
+
+    least: tuple[int, ...]                  # pattern -> union of its held classes
+    support: tuple[frozenset[Point], ...]   # pattern -> Gale points off it
+    offset: tuple[Optional[int], ...]       # pattern -> dim(J) - |J|, None off the faces
+
+
 @dataclass(frozen=True)
 class TypeReport:
     hull_type: str                       # "I" | "II" | "III" | "IV"
     sorted_sizes: tuple[int, int, int]
     dim: int
     k: Optional[Fraction]                # type I only
-    predicted_diagram: dict
     structure: str
+    patterns: PatternTable
 
 
 @dataclass(frozen=True)
@@ -261,19 +272,24 @@ def size_type(sizes: Sequence[int]) -> str:
 
 
 def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
-    """Type I-IV from the equality pattern of sorted class sizes, verifying
-    that the computed diagram matches the predicted shape exactly."""
+    """Type I-IV from the equality pattern of sorted class sizes, and the
+    hull's one pattern table.
+
+    This is the one place that checks the class-level facts: the diagram
+    must be constant on each class (DiagramMismatch otherwise), its class
+    points must match the predicted shape exactly, and each class
+    pattern's relint answer must match the closed-form criterion (see
+    _class_patterns). Enumeration, the face counts and verification read
+    the report and check none of this again.
+    """
     m1, m2, m3 = s.coloring.class_sizes
     n = s.n
-    d = s.n - 1 if m1 == m2 == m3 else s.n
-    slots = [s.class_indices(i) for i in range(3)]
-
     cls_points: list[Point] = []
     for slot in range(3):
-        pts = {g.points[j] for j in slots[slot]}
+        pts = {g.points[j] for j in s.class_indices(slot)}
         if len(pts) != 1:
             raise DiagramMismatch(f"class {slot} is not constant in the Gale transform")
-        cls_points.append(next(iter(pts)))
+        cls_points.append(pts.pop())
 
     hull_type = size_type(s.coloring.class_sizes)
     k = Fraction(m3 - m1, m2 - m1) if hull_type == "I" else None
@@ -291,21 +307,18 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
             raise DiagramMismatch(
                 f"type I value ratios ({v1}:{v2}:{v3}) off the (1-k, k, -1) pattern"
             )
-        predicted_values = [str(1 - k), str(k), "-1"]
         structure = f"T^{n}_{m2 - 1}"
     elif hull_type == "II":
         if v1 != 0 or v2 == 0 or v2 != -v3:
             raise DiagramMismatch(
                 f"type II values ({v1}:{v2}:{v3}) off the (0, 1, -1) pattern"
             )
-        predicted_values = ["0", "1", "-1"]
         structure = f"{m1}-fold {n}-pyramid over C({2 * m2},{2 * m2 - 2})"
     elif hull_type == "III":
         if v3 != 0 or v1 == 0 or v1 != -v2:
             raise DiagramMismatch(
                 f"type III values ({v1}:{v2}:{v3}) off the (1, -1, 0) pattern"
             )
-        predicted_values = ["1", "-1", "0"]
         structure = f"{m3}-fold {n}-pyramid over C({2 * m2},{2 * m2 - 2})"
     else:
         if g.ambient != 2:
@@ -314,27 +327,19 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
         if any(all(x == 0 for x in p) for p in cls_points):
             raise DiagramMismatch("type IV admits no zero Gale point")
         for a, b in combinations(cls_points, 2):
-            if a[0] * b[1] - a[1] * b[0] == 0:
+            if _cross(a, b) == 0:
                 raise DiagramMismatch("type IV rays must be pairwise non-parallel")
         if any(p1[r] + p2[r] + p3[r] != 0 for r in range(2)):
             raise DiagramMismatch("type IV rays must sum to zero")
-        if not relint_contains_zero(cls_points):
-            raise DiagramMismatch("zero not in the relative interior of the diagram")
-        predicted_values = None
         structure = f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over C({2 * m2},{2 * m2 - 2}))"
 
-    predicted = {
-        "ambient": 2 if hull_type == "IV" else 1,
-        "sizes": [m1, m2, m3],
-        "values": predicted_values,
-    }
     return TypeReport(
         hull_type=hull_type,
         sorted_sizes=(m1, m2, m3),
-        dim=d,
+        dim=hull_dimension(s),
         k=k,
-        predicted_diagram=predicted,
         structure=structure,
+        patterns=_class_patterns(s, g.ambient, hull_type, cls_points),
     )
 
 
@@ -350,32 +355,17 @@ def _closed_form(hull_type: str, held: int) -> bool:
     return not (c1 or c2 or c3)
 
 
-class PatternTable(NamedTuple):
-    """The 7 class patterns of a proper vertex subset. Bit i of a pattern
-    is set when the subset holds sorted class i in full, so the classes of
-    sorted sizes m1, m2, m3 are the patterns 1, 2 and 4."""
+def _class_patterns(
+    s: IncidenceSystem, ambient: int, hull_type: str, cls_points: Sequence[Point]
+) -> PatternTable:
+    """The pattern table of a diagram with one Gale point per sorted class.
 
-    least: tuple[int, ...]                  # pattern -> union of its held classes
-    support: tuple[frozenset[Point], ...]   # pattern -> Gale points off it
-    offset: tuple[Optional[int], ...]       # pattern -> dim(J) - |J|, None off the faces
-
-
-def class_patterns(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> PatternTable:
-    """The pattern table of a class-constant diagram.
-
-    Requires one Gale point per sorted class. Per pattern, in order of its
-    least subset so that errors name the first subset at fault, the relint
-    coface route on the Gale points off it and the closed-form per-type
-    criterion must agree. A face pattern has offset
-    -1 - ambient + rank(Gale points off J), from
+    Per pattern, in order of its least subset so that errors name the
+    first subset at fault, the relint coface route on the Gale points off
+    it and the closed-form per-type criterion must agree. A face pattern
+    has offset -1 - ambient + rank(Gale points off J), from
     dim aff(J) = |J| - 1 - ambient + rank(Gale points off J).
     """
-    cls_points: list[Point] = []
-    for slot in range(3):
-        pts = {g.points[j] for j in s.class_indices(slot)}
-        if len(pts) != 1:
-            raise CriterionMismatch(f"class {slot} is not constant in the Gale diagram")
-        cls_points.append(pts.pop())
     smasks = [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
     least = [sum(smasks[i] for i in range(3) if held >> i & 1) for held in range(7)]
     off = [[cls_points[i] for i in range(3) if not held >> i & 1] for held in range(7)]
@@ -383,30 +373,32 @@ def class_patterns(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> Pattern
     offset: list[Optional[int]] = [None] * 7
     for held in sorted(range(7), key=least.__getitem__):
         by_relint = relint_contains_zero(off[held])
-        by_formula = _closed_form(t.hull_type, held)
+        by_formula = _closed_form(hull_type, held)
         if by_relint != by_formula:
             raise CriterionMismatch(
                 f"subset {least[held]:b}: relint says {by_relint}, "
-                f"type {t.hull_type} criterion says {by_formula}"
+                f"type {hull_type} criterion says {by_formula}"
             )
         if by_formula:
-            offset[held] = -1 - g.ambient + rank(off[held])
+            offset[held] = -1 - ambient + rank(off[held])
     return PatternTable(tuple(least), tuple(map(frozenset, off)), tuple(offset))
 
 
 def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
     """All faces of the hull over all 2^(n+2) vertex subsets.
 
-    On a class-constant diagram, a proper subset's face status and
-    dimension depend only on its pattern (see class_patterns), so each
-    subset is one lookup in the pattern table. The least face with each
-    distinct Gale support (classes may share a point) is also graded by
-    exact affine rank; the two must agree.
+    classify checked that the diagram g is constant on classes, so a
+    proper subset's face status and dimension depend only on its pattern,
+    and each subset is one lookup in the pattern table t.patterns. The
+    least face with each distinct Gale support (classes may share a
+    point) is also graded by exact affine rank; the two must agree. The
+    table holds every Gale point this needs; g stays a parameter because
+    perfbench/spans.py reads the diagram off this call to count supports.
     """
     npts = s.n + 2
     if npts > ANALYSIS_VERTEX_CAP:
         raise TooManyPoints(f"{npts} hull vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
-    table = class_patterns(s, g, t)
+    table = t.patterns
     offset = table.offset
     anchored: set[frozenset[Point]] = set()
     for held in sorted(range(7), key=table.least.__getitem__):
@@ -449,11 +441,9 @@ def _times(p: list[int], q: list[int]) -> list[int]:
     return out
 
 
-def pattern_counts(
-    s: IncidenceSystem, g: GaleDiagram, t: TypeReport
-) -> tuple[tuple[int, ...], bool, int]:
+def pattern_counts(t: TypeReport) -> tuple[tuple[int, ...], bool, int]:
     """The hull's f-vector, simpliciality and neighborliness, counted from
-    the pattern table with no pass over the faces.
+    the pattern table t.patterns with no pass over the faces.
 
     The subsets of a pattern are counted by size by the product of one
     _subsets_by_size polynomial per sorted class. Each subset of size |J|
@@ -464,7 +454,7 @@ def pattern_counts(
     one less than that, and at most f0 - 1. Types I and IV must be
     simplicial, II and III must not (TheoremViolation otherwise).
     """
-    table = class_patterns(s, g, t)
+    table = t.patterns
     sizes = [table.least[1 << i].bit_count() for i in range(3)]
     counts = [0] * t.dim
     simplicial = True

@@ -102,8 +102,7 @@ def null_vector(rows: Sequence[Row]) -> Optional[tuple[int, ...]]:
     v[free] = scale
     for i, c in enumerate(pivots):
         v[c] = -m[i][free] * (scale // m[i][c])
-    g = gcd(*v)
-    return tuple(x // g for x in v)
+    return tuple(_strip_gcd(v))
 
 
 def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
@@ -154,15 +153,7 @@ def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
 
     Direction (sign) is preserved; the zero vector maps to itself.
     """
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
-        return tuple(0 for _ in fr)
-    mult = lcm(*(x.denominator for x in fr))
-    ints = [int(x * mult) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
-    return tuple(x // g for x in ints)
+    return tuple(_strip_gcd(_to_int_rows([vec])[0]))
 
 
 def spanning_hyperplane(

@@ -57,7 +57,7 @@ def analyze_polytope(p: PlanarPolytope) -> Analysis:
     g = gale_transform(s)
     report = classify(s, g)
     lattice = enumerate_faces(s, g, report)
-    hull_fvector, simplicial, neighborly = pattern_counts(s, g, report)
+    hull_fvector, simplicial, neighborly = pattern_counts(report)
     return Analysis(
         polytope=p,
         coloring=c,
@@ -139,21 +139,20 @@ def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
             )
 
 
-def type_one_checks(analysis: Analysis, oracle: FaceLattice) -> dict:
+def type_one_checks(analysis: Analysis) -> dict:
     """Property suite that must hold for every hull with three distinct
-    class sizes: simplicial, oracle-identical, every middle-class vertex
-    beyond exactly m2-1 facets of the simplex spanned by the others.
+    class sizes: every middle-class vertex beyond exactly m2-1 facets of
+    the simplex spanned by the others.
 
     The counts come from barycentric coordinates; the oracle's facet scan
-    (beyond_facets) recounts the first middle-class vertex and must agree."""
+    (beyond_facets) recounts the first middle-class vertex and must agree.
+    Simpliciality (pattern_counts) and equality with the oracle lattice
+    (verify_polytope) are checked before this runs, so the report states
+    them without a second check."""
     report = analysis.report
     if report.hull_type != "I":
         raise ValueError("type I checks apply to type I hulls only")
     m2 = report.sorted_sizes[1]
-    if not analysis.simplicial:
-        raise StructureMismatch("distinct class sizes demand a simplicial hull")
-    if analysis.lattice.faces != oracle.faces:
-        raise CriterionMismatch(_face_diff(analysis.lattice, oracle))
     vectors = analysis.system.vectors
     beyond = {}
     for v0 in analysis.system.class_indices(1):
@@ -185,8 +184,6 @@ def type_one_checks(analysis: Analysis, oracle: FaceLattice) -> dict:
 class Verification:
     analysis: Analysis
     oracle: FaceLattice
-    faces_match: bool
-    simplicial_agrees: bool
     pyramid_report: Optional[dict]
     neighborliness_matches: Optional[bool]
     type_one_report: Optional[dict]
@@ -217,9 +214,7 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
 
     pyramid_report = None
     if report.hull_type in ("II", "III"):
-        pyramid_report = verify_pyramid_structure(
-            analysis.system, report, analysis.diagram, oracle
-        )
+        pyramid_report = verify_pyramid_structure(analysis.system, report, oracle)
 
     neighborliness_matches = None
     if report.hull_type == "IV":
@@ -232,7 +227,7 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
 
     type_one_report = None
     if report.hull_type == "I":
-        type_one_report = type_one_checks(analysis, oracle)
+        type_one_report = type_one_checks(analysis)
 
     reference = reference_model(report, analysis.polytope.n)
     order = block_order(analysis.system, report.hull_type)
@@ -242,8 +237,6 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     return Verification(
         analysis=analysis,
         oracle=oracle,
-        faces_match=True,
-        simplicial_agrees=True,
         pyramid_report=pyramid_report,
         neighborliness_matches=neighborliness_matches,
         type_one_report=type_one_report,

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from math import gcd, lcm
 from operator import and_, getitem, or_
 from typing import Callable, Optional, Sequence
 
@@ -187,6 +188,21 @@ def rref_by_fractions(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == nrows:
             break
     return R, pivots
+
+
+def primitive_vector_by_fractions(vec) -> tuple[int, ...]:
+    """Lcm of the denominators, then the gcd of the integers divided out,
+    on its own: the form that linalg.primitive_vector replaced by the
+    elimination's row scaling and gcd strip, kept as its reference."""
+    fr = [Fraction(x) for x in vec]
+    if all(x == 0 for x in fr):
+        return tuple(0 for _ in fr)
+    mult = lcm(*(x.denominator for x in fr))
+    ints = [int(x * mult) for x in fr]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    return tuple(x // g for x in ints)
 
 
 def facet_supports_by_keys(qpts: list[tuple], d: int):

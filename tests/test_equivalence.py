@@ -22,8 +22,8 @@ def _report(hull_type, sizes, dim):
         sorted_sizes=sizes,
         dim=dim,
         k=None,
-        predicted_diagram={},
         structure="",
+        patterns=None,  # equivalent reads the type, sizes and dimension only
     )
 
 

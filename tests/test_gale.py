@@ -134,12 +134,27 @@ def test_type_four_relint_runs_on_the_three_class_points(cube_analysis, monkeypa
     exact = gale_module.relint_contains_zero
 
     def counting(points):
-        calls.append(len(points))
+        calls.append(list(points))
         return exact(points)
 
     monkeypatch.setattr(gale_module, "relint_contains_zero", counting)
-    report = classify(cube_analysis.system, cube_analysis.diagram)
-    assert report.hull_type == "IV" and calls == [3]
+    s, g = cube_analysis.system, cube_analysis.diagram
+    report = classify(s, g)
+    assert report.hull_type == "IV" and len(calls) == 7
+    # pattern 0, the empty subset: every class point lies off it
+    assert calls[0] == [g.points[s.class_indices(slot)[0]] for slot in range(3)]
+
+
+def test_type_four_relint_off_the_criterion_raises(cube_analysis, monkeypatch):
+    import galehull.gale as gale_module
+
+    from galehull.errors import CriterionMismatch
+
+    monkeypatch.setattr(gale_module, "relint_contains_zero", lambda points: len(points) < 3)
+    with pytest.raises(
+        CriterionMismatch, match="subset 0: relint says False, type IV criterion says True"
+    ):
+        classify(cube_analysis.system, cube_analysis.diagram)
 
 
 def test_simpliciality_check_makes_no_proper_faces_copy(cube_analysis, monkeypatch):
@@ -464,7 +479,7 @@ def test_classify_rejects_corrupted_diagram(prism6_analysis):
 
 
 def test_enumerate_rejects_inconsistent_diagram(prism6_analysis):
-    from galehull.errors import CriterionMismatch
+    from galehull.errors import DiagramMismatch
     from galehull.gale import GaleDiagram
 
     g = prism6_analysis.diagram
@@ -477,8 +492,30 @@ def test_enumerate_rejects_inconsistent_diagram(prism6_analysis):
         colors=g.colors,
         ambient=g.ambient,
     )
-    with pytest.raises(CriterionMismatch):
-        enumerate_faces(prism6_analysis.system, bad, prism6_analysis.report)
+    # classify is the one constancy check; enumerate_faces reads its table
+    with pytest.raises(DiagramMismatch):
+        classify(prism6_analysis.system, bad)
+
+
+# a whole class moves, so every class stays constant
+@pytest.mark.parametrize("fixture,slot,value", [
+    ("prism6_analysis", 0, Fraction(5)),      # type II apex off zero
+    ("prism6_analysis", 1, Fraction(0)),      # type II belt class onto zero
+    ("trunc_oct_analysis", 2, Fraction(5)),   # type III apex off zero
+    ("trunc_oct_analysis", 0, Fraction(0)),   # type III base class onto zero
+])
+def test_classify_pins_the_apex_gale_points(fixture, slot, value, request):
+    from dataclasses import replace
+
+    from galehull.errors import DiagramMismatch
+
+    a = request.getfixturevalue(fixture)
+    pts = list(a.diagram.points)
+    for j in a.system.class_indices(slot):
+        pts[j] = (value,)
+    bad = replace(a.diagram, points=tuple(pts))
+    with pytest.raises(DiagramMismatch, match=f"type {a.report.hull_type} values"):
+        classify(a.system, bad)
 
 
 def _grading_instances():
@@ -532,15 +569,24 @@ def test_exact_rank_runs_once_per_gale_support(name, p, monkeypatch):
     assert len(calls) == len(supports)
 
 
-def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis):
+def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis, monkeypatch):
     from dataclasses import replace
 
-    from galehull.errors import CriterionMismatch
+    import galehull.gale as gale_module
+
+    from galehull.errors import CriterionMismatch, DiagramMismatch
 
     a = prism6_analysis
     bad = replace(a.diagram, ambient=a.diagram.ambient + 1)
+    with pytest.raises(DiagramMismatch, match="type II diagram must be 1-dimensional"):
+        classify(a.system, bad)
+    # the table grades as a wrong ambient would: one less Gale rank is one
+    # more ambient dimension in -1 - ambient + rank, and the anchor trips
+    exact = gale_module.rank
+    monkeypatch.setattr(gale_module, "rank", lambda points: exact(points) - 1)
+    t = classify(a.system, a.diagram)
     with pytest.raises(CriterionMismatch, match=r"sizes \(2, 3, 3\).*dim -2.*says -1"):
-        enumerate_faces(a.system, bad, a.report)
+        enumerate_faces(a.system, a.diagram, t)
 
 
 ENUMERATION_INSTANCES = dict(
@@ -567,11 +613,9 @@ def test_pattern_table_equals_per_subset_enumeration(name, relabeled):
     assert list(lattice.faces.items()) == list(reference.faces.items())
 
 
-@pytest.mark.parametrize("name", ENUMERATION_CASES)
-def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
+def _counting_relint(monkeypatch) -> list:
     import galehull.gale as gale_module
 
-    s, g, t = _enumeration_case(name, relabeled)
     calls = []
     exact = gale_module.relint_contains_zero
 
@@ -580,39 +624,76 @@ def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
         return exact(points)
 
     monkeypatch.setattr(gale_module, "relint_contains_zero", counting)
-    enumerate_faces(s, g, t)
+    return calls
+
+
+@pytest.mark.parametrize("name", ENUMERATION_CASES)
+def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
+    if name.startswith("relabeled "):
+        p = relabeled[name.removeprefix("relabeled ")]
+    else:
+        p = ENUMERATION_INSTANCES[name]
+    calls = _counting_relint(monkeypatch)
+    analyze_polytope(p)
+    # one table per analysis, built in classify
     assert len(calls) == 7
+
+
+@pytest.mark.parametrize("name", ["cube", "prism:6", "truncated-octahedron", "type_one_polytope"])
+def test_pattern_counts_reads_the_table(name, monkeypatch):
+    import galehull.gale as gale_module
+
+    from galehull import pattern_counts
+
+    t = _analyzed(ENUMERATION_INSTANCES[name])[2]
+    calls = _counting_relint(monkeypatch)
+    monkeypatch.setattr(gale_module, "rank", lambda points: calls.append("rank"))
+    pattern_counts(t)
+    assert calls == []
 
 
 def test_enumerate_names_the_class_off_constancy(prism6_analysis):
     from dataclasses import replace
 
-    from galehull.errors import CriterionMismatch
+    from galehull.errors import DiagramMismatch
 
     a = prism6_analysis
     belts = a.system.class_indices(1)
     pts = list(a.diagram.points)
     pts[belts[-1]] = (-pts[belts[-1]][0],)  # the last belt vertex flips sign
     bad = replace(a.diagram, points=tuple(pts))
-    with pytest.raises(CriterionMismatch, match="class 1 is not constant"):
-        enumerate_faces(a.system, bad, a.report)
+    # enumerate_faces reads classify's table, so classify names the class
+    with pytest.raises(DiagramMismatch, match="class 1 is not constant"):
+        classify(a.system, bad)
 
 
-def test_class_constant_diagram_off_the_criterion_raises(prism6_analysis):
+def test_class_constant_diagram_off_the_criterion_raises(prism6_analysis, monkeypatch):
     from dataclasses import replace
 
-    from galehull.errors import CriterionMismatch
+    import galehull.gale as gale_module
+
+    from galehull.errors import CriterionMismatch, DiagramMismatch
 
     a = prism6_analysis
     pts = list(a.diagram.points)
     for j in a.system.class_indices(0):  # the apex class, Gale value 0
         pts[j] = (Fraction(5),)
     bad = replace(a.diagram, points=tuple(pts))
+    with pytest.raises(DiagramMismatch, match="type II values"):
+        classify(a.system, bad)
+    # past the value check, relint answers as on that diagram and the
+    # table's relint-versus-criterion check names the first subset at fault
+    exact = gale_module.relint_contains_zero
+    monkeypatch.setattr(
+        gale_module,
+        "relint_contains_zero",
+        lambda points: exact([(Fraction(5),) if p == (0,) else p for p in points]),
+    )
     with pytest.raises(
         CriterionMismatch,
         match=r"subset 10101000: relint says True, type II criterion says False",
     ):
-        enumerate_faces(a.system, bad, a.report)
+        classify(a.system, a.diagram)
 
 
 def test_type_one_k_two_shares_one_gale_support(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import rref_by_fractions
+from conftest import primitive_vector_by_fractions, rref_by_fractions
 from galehull import incidence_system, three_color
 from galehull.errors import DimensionMismatch
 from galehull.linalg import (
@@ -277,3 +277,14 @@ def test_primitive_vector():
     assert primitive_vector((F(2, 3), F(-4, 3))) == (1, -2)
     assert primitive_vector((0, 0)) == (0, 0)
     assert primitive_vector((F(-1, 2),)) == (-1,)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(
+    st.one_of(st.integers(-60, 60), st.fractions(min_value=-60, max_value=60, max_denominator=12)),
+    max_size=6,
+))
+@example([0, 0, 0])
+@example([F(0), 0])
+def test_primitive_vector_equals_the_fraction_reference(vec):
+    assert primitive_vector(vec) == primitive_vector_by_fractions(vec)

@@ -362,9 +362,7 @@ def test_beyond_facets_point_dimension_mismatch():
 def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
     for analysis in (prism6_analysis, prism8_analysis):
         oracle = oracle_lattice(analysis.system.vectors)
-        report = verify_pyramid_structure(
-            analysis.system, analysis.report, analysis.diagram, oracle
-        )
+        report = verify_pyramid_structure(analysis.system, analysis.report, oracle)
         apexes = set(analysis.system.class_indices(0))
         assert set(report["apexVertices"]) == apexes
         assert report["apexCount"] == 2
@@ -374,6 +372,5 @@ def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
 def test_verify_pyramid_structure_rejects_type_four(cube_analysis):
     with pytest.raises(ValueError):
         verify_pyramid_structure(
-            cube_analysis.system, cube_analysis.report, cube_analysis.diagram,
-            cube_analysis.lattice,
+            cube_analysis.system, cube_analysis.report, cube_analysis.lattice
         )

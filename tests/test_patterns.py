@@ -169,13 +169,16 @@ def test_verify_names_the_differing_quantity(quantity, change, prism6, monkeypat
 def test_pattern_simpliciality_is_checked_against_the_type(cube, monkeypatch):
     import galehull.gale as gale_module
 
-    s = incidence_system(cube, three_color(cube))
-    g = gale_transform(s)
-    t = classify(s, g)
     exact = gale_module.rank
+    # classify builds the table, so the rank it grades by is patched first.
+    # For type I this is the one simpliciality check: verify's type I
+    # suite reports it without checking it again.
     monkeypatch.setattr(gale_module, "rank", lambda points: exact(points) + 1)
-    with pytest.raises(TheoremViolation, match="type IV hull has simpliciality False"):
-        pattern_counts(s, g, t)
+    for p, hull_type in ((cube, "IV"), (instances.type_one_polytope(), "I")):
+        s = incidence_system(p, three_color(p))
+        t = classify(s, gale_transform(s))
+        with pytest.raises(TheoremViolation, match=f"type {hull_type} hull has simpliciality False"):
+            pattern_counts(t)
 
 
 def test_input_cap_refuses_before_the_incidence_vectors(monkeypatch):

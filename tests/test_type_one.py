@@ -3,6 +3,7 @@ run against the constructed n = 13 instance with sizes (4, 5, 6)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from galehull import (
     verify_polytope,
 )
 from conftest import lattice_isomorphic
-from galehull.errors import StructureMismatch
+from galehull.errors import CriterionMismatch, StructureMismatch
 from galehull.pipeline import _simplex_beyond_count, type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror
 
@@ -57,6 +58,25 @@ def test_simplicial(verification):
 
 def test_faces_match_oracle(verification):
     assert verification.analysis.lattice.faces == verification.oracle.faces
+
+
+def test_a_lattice_off_the_oracle_fails_before_the_suite(type_one, monkeypatch):
+    # verify_polytope's comparison is the one check of facesMatchOracle;
+    # the type I suite reports it without comparing again
+    exact = galehull.pipeline.oracle_lattice
+
+    def dropping_vertex_zero(points):
+        lattice = exact(points)
+        return replace(lattice, faces={f: d for f, d in lattice.faces.items() if f != 1})
+
+    suites = []
+    monkeypatch.setattr(galehull.pipeline, "oracle_lattice", dropping_vertex_zero)
+    monkeypatch.setattr(galehull.pipeline, "type_one_checks", suites.append)
+    with pytest.raises(
+        CriterionMismatch, match=r"oracle lattices differ: criterion-only: \[\[0\]\]$"
+    ):
+        verify_polytope(type_one)
+    assert suites == []
 
 
 def test_distinct_size_suite_runs_and_passes(verification):
@@ -145,7 +165,7 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
     counted(galehull.pipeline, "beyond_facets")
     counted(galehull.linalg, "rref")
     counted(galehull.linalg, "null_space_basis")
-    report = type_one_checks(verification.analysis, verification.oracle)
+    report = type_one_checks(verification.analysis)
     assert report == verification.type_one_report
     assert calls == {"beyond_facets": 1, "rref": 0, "null_space_basis": 0}
     oracle_lattice(verification.analysis.system.vectors)
