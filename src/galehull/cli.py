@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from .equivalence import equivalence_witness, equivalent
 from .errors import BadInput, GalehullError
+from .gale import require_face_cap
 from .pipeline import Analysis, analyze_polytope, verify_polytope
 from .polytopes import (
     CATALOG_NAMES,
@@ -47,7 +48,7 @@ def _load_faces(path: str) -> list[list[int]]:
     return doc["faces"]
 
 
-def _parse_catalog_spec(spec: str) -> PlanarPolytope:
+def _parse_catalog_spec(spec: str, capped: bool = False) -> PlanarPolytope:
     name, _, param = spec.partition(":")
     if param:
         try:
@@ -56,24 +57,35 @@ def _parse_catalog_spec(spec: str) -> PlanarPolytope:
             raise BadInput(f"catalog parameter {param!r} is not an integer")
     else:
         parameter = None
+    if capped and name == "prism" and parameter is not None:
+        require_face_cap(parameter + 2)  # two k-gons and k squares
     return catalog(name, parameter)
 
 
-def _resolve_input(args) -> PlanarPolytope:
+def _validate_faces(faces, capped: bool) -> PlanarPolytope:
+    if capped and isinstance(faces, list):
+        require_face_cap(len(faces))
+    return validate(faces)
+
+
+def _resolve_input(args, capped: bool = False) -> PlanarPolytope:
+    """The input polytope of args. With capped set (the commands that build
+    incidence vectors), more than INCIDENCE_FACE_CAP faces are refused
+    before anything is built or validated."""
     if getattr(args, "catalog", None):
         if args.input:
             raise BadInput("give either a file or --catalog, not both")
-        return _parse_catalog_spec(args.catalog)
+        return _parse_catalog_spec(args.catalog, capped)
     if not args.input:
         raise BadInput("missing input: give a JSON file or --catalog name[:param]")
-    return validate(_load_faces(args.input))
+    return _validate_faces(_load_faces(args.input), capped)
 
 
 def _resolve_spec(spec: str) -> PlanarPolytope:
     """A compare operand: either catalog:name[:param] or a JSON file path."""
     if spec.startswith("catalog:"):
-        return _parse_catalog_spec(spec[len("catalog:"):])
-    return validate(_load_faces(spec))
+        return _parse_catalog_spec(spec[len("catalog:"):], capped=True)
+    return _validate_faces(_load_faces(spec), capped=True)
 
 
 def _polytope_report(a: Analysis) -> dict:
@@ -115,11 +127,11 @@ def _analysis_report(a: Analysis) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    return _analysis_report(analyze_polytope(_resolve_input(args)))
+    return _analysis_report(analyze_polytope(_resolve_input(args, capped=True)))
 
 
 def cmd_verify(args) -> dict:
-    v = verify_polytope(_resolve_input(args))
+    v = verify_polytope(_resolve_input(args, capped=True))
     report = _analysis_report(v.analysis)
     report["verify"] = {
         "facesMatchOracle": True,

@@ -11,6 +11,9 @@ holds in full. classify checks the class constancy and builds the table
 of these 7 class patterns once per hull, cross-checking each against the
 closed-form per-type criterion; a disagreement raises, it is never a
 tolerated outcome. Face enumeration and the face counts read that table.
+A subset holds a class when both halves of its vertex mask hold their
+parts of it, so enumeration tests no mask on its own: it joins one table
+row of low halves to each high half.
 """
 
 from __future__ import annotations
@@ -138,10 +141,16 @@ def byte_tables(values: Sequence[T], op: Callable[[T, T], T], unit: T) -> list[l
     return tables
 
 
+def require_face_cap(faces: int) -> None:
+    """Refuse an input of more than INCIDENCE_FACE_CAP faces. The CLI asks
+    this of a face count before it builds or validates anything."""
+    if faces > INCIDENCE_FACE_CAP:
+        raise TooManyPoints(f"{faces} faces exceeds cap {INCIDENCE_FACE_CAP}")
+
+
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
     """Build and sanity-check the indicator vectors of all faces."""
-    if p.n + 2 > INCIDENCE_FACE_CAP:
-        raise TooManyPoints(f"{p.n + 2} faces exceeds cap {INCIDENCE_FACE_CAP}")
+    require_face_cap(p.n + 2)
     V = p.num_vertices
     vectors = tuple(
         tuple(1 if v in face else 0 for v in range(V)) for face in map(set, p.faces)
@@ -384,16 +393,30 @@ def _class_patterns(
     return PatternTable(tuple(least), tuple(map(frozenset, off)), tuple(offset))
 
 
+def _half_patterns(smasks: Sequence[int], shift: int, width: int) -> list[int]:
+    """Entry h has bit i set when the half mask h, standing for bits
+    shift .. shift + width - 1, holds the part of class i in those bits;
+    a class with no vertex there counts as held."""
+    parts = [m >> shift & ((1 << width) - 1) for m in smasks]
+    c1, c2, c3 = ([h & p == p for h in range(1 << width)] for p in parts)
+    return [a | b << 1 | c << 2 for a, b, c in zip(c1, c2, c3)]
+
+
 def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
-    """All faces of the hull over all 2^(n+2) vertex subsets.
+    """All faces of the hull, built one high half mask at a time.
 
     classify checked that the diagram g is constant on classes, so a
-    proper subset's face status and dimension depend only on its pattern,
-    and each subset is one lookup in the pattern table t.patterns. The
-    least face with each distinct Gale support (classes may share a
-    point) is also graded by exact affine rank; the two must agree. The
-    table holds every Gale point this needs; g stays a parameter because
-    perfbench/spans.py reads the diagram off this call to count supports.
+    proper subset's face status and dimension depend only on its pattern
+    in the table t.patterns. A subset holds a class when both halves of
+    its mask, split at bit low = (n+2) // 2, hold their parts of it, so
+    its pattern is the AND of the patterns of its two halves. Per high
+    half pattern one row lists the low halves that complete a face, with
+    their dimensions; a high half adds its popcount to them and its bits
+    to the keys, in ascending mask order. The least face with each
+    distinct Gale support (classes may share a point) is also graded by
+    exact affine rank; the two must agree. The table holds every Gale
+    point this needs; g stays a parameter because perfbench/spans.py
+    reads the diagram off this call to count supports.
     """
     npts = s.n + 2
     if npts > ANALYSIS_VERTEX_CAP:
@@ -415,12 +438,29 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
             )
 
     full = (1 << npts) - 1
-    s1, s2, s3 = table.least[1], table.least[2], table.least[4]
+    low = npts // 2
+    smasks = table.least[1], table.least[2], table.least[4]
+    lows = _half_patterns(smasks, 0, low)
+    highs = _half_patterns(smasks, low, npts - low)
+    # pattern 7 holds every class, which only the full mask does: it comes last
+    by_pattern = (*offset, None)
+    rows = {}  # high half pattern -> (low halves completing a face, their dims)
+    for high in set(highs):
+        keys = [lo for lo, pattern in enumerate(lows) if by_pattern[high & pattern] is not None]
+        rows[high] = keys, [lo.bit_count() + by_pattern[high & lows[lo]] for lo in keys]
+    shifted: dict[tuple[int, int], list[int]] = {}  # (high pattern, popcount) -> dims
     faces: dict[int, int] = {}
-    for mask in range(full):
-        o = offset[(mask & s1 == s1) | (mask & s2 == s2) << 1 | (mask & s3 == s3) << 2]
-        if o is not None:
-            faces[mask] = mask.bit_count() + o
+    for h, high in enumerate(highs):
+        keys, dims = rows[high]
+        count = h.bit_count()
+        if (high, count) not in shifted:
+            shifted[high, count] = [d + count for d in dims]
+        base = h << low
+        if len(keys) == len(lows):  # every low half completes a face
+            keys = range(base, base + len(lows))
+        else:
+            keys = map(base.__or__, keys)
+        faces.update(zip(keys, shifted[high, count]))
 
     # gale_transform's hull_dimension already pinned the exact rank to t.dim
     faces[full] = t.dim

@@ -147,6 +147,22 @@ def enumerate_faces_by_subset(s, g, t) -> FaceLattice:
     return FaceLattice(dim=t.dim, top=full, faces=faces)
 
 
+def enumerate_faces_by_mask_scan(s, g, t) -> FaceLattice:
+    """The class pattern of every mask tested in turn, one table lookup
+    each: the scan that the half-mask rows of gale.enumerate_faces
+    replaced, kept as its reference. It runs no exact-rank anchor."""
+    full = (1 << (s.n + 2)) - 1
+    offset = t.patterns.offset
+    s1, s2, s3 = t.patterns.least[1], t.patterns.least[2], t.patterns.least[4]
+    faces = {}
+    for mask in range(full):
+        o = offset[(mask & s1 == s1) | (mask & s2 == s2) << 1 | (mask & s3 == s3) << 2]
+        if o is not None:
+            faces[mask] = mask.bit_count() + o
+    faces[full] = t.dim
+    return FaceLattice(dim=t.dim, top=full, faces=faces)
+
+
 def byte_fold(
     values: Sequence[int], op: Callable[[int, int], int], unit: int
 ) -> Callable[[int], int]:

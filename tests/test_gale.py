@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import byte_fold, enumerate_faces_by_subset, neighborliness_by_combinations
+from conftest import (
+    byte_fold,
+    enumerate_faces_by_mask_scan,
+    enumerate_faces_by_subset,
+    neighborliness_by_combinations,
+)
 from galehull import (
     analyze_polytope,
     catalog,
@@ -594,13 +599,30 @@ ENUMERATION_INSTANCES = dict(
 )
 ENUMERATION_CASES = list(ENUMERATION_INSTANCES) + [
     f"relabeled {name}" for name in ("cube", "prism:6", "prism:8", "truncated-octahedron")
+] + [
+    f"{name} by class"
+    for name in ("cube", "prism:6", "truncated-octahedron", "all_equal_polytope", "type_one_polytope")
 ]
 
 
-def _enumeration_case(name, relabeled):
+def _classes_in_order(p):
+    """p with its faces listed class by class, smallest sorted class first,
+    so that class lies in the low half of the vertex masks and the largest
+    in the high half."""
+    c = three_color(p)
+    return validate([list(p.faces[i]) for slot in range(3) for i in c.class_members(slot)])
+
+
+def _enumeration_polytope(name, relabeled):
     if name.startswith("relabeled "):
-        return _analyzed(relabeled[name.removeprefix("relabeled ")])
-    return _analyzed(ENUMERATION_INSTANCES[name])
+        return relabeled[name.removeprefix("relabeled ")]
+    if name.endswith(" by class"):
+        return _classes_in_order(ENUMERATION_INSTANCES[name.removesuffix(" by class")])
+    return ENUMERATION_INSTANCES[name]
+
+
+def _enumeration_case(name, relabeled):
+    return _analyzed(_enumeration_polytope(name, relabeled))
 
 
 @pytest.mark.parametrize("name", ENUMERATION_CASES)
@@ -611,6 +633,36 @@ def test_pattern_table_equals_per_subset_enumeration(name, relabeled):
     assert (lattice.dim, lattice.top) == (reference.dim, reference.top)
     # same faces, dimensions and insertion order
     assert list(lattice.faces.items()) == list(reference.faces.items())
+
+
+@pytest.mark.parametrize("name", ENUMERATION_CASES)
+def test_half_mask_rows_equal_the_per_mask_scan(name, relabeled):
+    s, g, t = _enumeration_case(name, relabeled)
+    if name.endswith(" by class"):
+        low_bits = (1 << (s.n + 2) // 2) - 1
+        smallest, _, largest = (t.patterns.least[1 << i] for i in range(3))
+        assert smallest & low_bits == smallest and largest & low_bits == 0
+    lattice = enumerate_faces(s, g, t)
+    reference = enumerate_faces_by_mask_scan(s, g, t)
+    assert (lattice.dim, lattice.top) == (reference.dim, reference.top)
+    # same faces, dimensions and insertion order
+    assert list(lattice.faces.items()) == list(reference.faces.items())
+
+
+def test_half_mask_cases_cover_both_parities_and_row_kinds(relabeled):
+    parities, full_rows, gapped_rows = set(), set(), set()
+    for name in ENUMERATION_CASES:
+        s, g, t = _enumeration_case(name, relabeled)
+        npts = s.n + 2
+        low = npts // 2
+        parities.add(npts % 2)
+        faces = enumerate_faces_by_mask_scan(s, g, t).faces
+        for h in range((1 << (npts - low)) - 1):  # the top high half holds the full mask
+            full = all(h << low | lo in faces for lo in range(1 << low))
+            (full_rows if full else gapped_rows).add(t.hull_type)
+    assert parities == {0, 1}
+    # rows in which every low half completes a face take the range path
+    assert full_rows == gapped_rows == {"I", "II", "III", "IV"}
 
 
 def _counting_relint(monkeypatch) -> list:
@@ -629,10 +681,7 @@ def _counting_relint(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ENUMERATION_CASES)
 def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
-    if name.startswith("relabeled "):
-        p = relabeled[name.removeprefix("relabeled ")]
-    else:
-        p = ENUMERATION_INSTANCES[name]
+    p = _enumeration_polytope(name, relabeled)
     calls = _counting_relint(monkeypatch)
     analyze_polytope(p)
     # one table per analysis, built in classify

@@ -14,12 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
+from conftest import enumerate_faces_by_mask_scan
 from galehull import (
     FaceLattice,
     PlanarPolytope,
     analyze_polytope,
     catalog,
     classify,
+    enumerate_faces,
     fvector,
     gale_transform,
     incidence_system,
@@ -95,6 +97,21 @@ def test_generated_pattern_counts_equal_the_walks(inst):
     a = analyze_polytope(validate([list(f) for f in inst.faces]))
     assert a.report.sorted_sizes == inst.sizes
     assert _counted(a) == _walked(a.lattice)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(gluings(UP_TO_14), st.integers(0, 2**16))
+def test_generated_half_mask_scan_equals_the_per_mask_scan(inst, shuffle_seed):
+    """Faces, dimensions and insertion order, with the faces list (the hull
+    vertex labels) shuffled by a drawn seed."""
+    faces = [list(f) for f in inst.faces]
+    random.Random(shuffle_seed).shuffle(faces)
+    p = validate(faces)
+    s = incidence_system(p, three_color(p))
+    g = gale_transform(s)
+    t = classify(s, g)
+    lattice = enumerate_faces(s, g, t)
+    assert list(lattice.faces.items()) == list(enumerate_faces_by_mask_scan(s, g, t).faces.items())
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
@@ -199,6 +216,45 @@ def test_input_cap_refuses_before_the_incidence_vectors(monkeypatch):
     monkeypatch.setattr(pipeline_module, "three_color", color_then_forbid_the_build)
     with pytest.raises(TooManyPoints, match="10 faces exceeds cap 8"):
         analyze_polytope(catalog("prism", 8))
+
+
+@pytest.fixture
+def nothing_built(monkeypatch):
+    """Building or validating any input raises."""
+    import galehull.cli as cli_module
+    import galehull.polytopes as polytopes_module
+
+    def building(*args):
+        raise AssertionError("an input is being built or validated")
+
+    monkeypatch.setattr(polytopes_module, "_prism_faces", building)
+    for module in (cli_module, polytopes_module):
+        monkeypatch.setattr(module, "validate", building)
+
+
+@pytest.mark.parametrize("argv,faces", [
+    (["analyze", "--catalog", "prism:200000"], 200002),
+    (["verify", "--catalog", "prism:100000000"], 100000002),
+    (["compare", "catalog:prism:1000", "catalog:cube"], 1002),
+    (["analyze", "FILE"], 1001),
+    (["verify", "FILE"], 1001),
+    (["compare", "FILE", "catalog:cube"], 1001),
+])
+def test_input_cap_refuses_before_building_or_validating(argv, faces, nothing_built, capsys, tmp_path):
+    # malformed as well as over the cap: the cap answers first
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"faces": [[0, 1]] * 1001}))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "TooManyPoints",
+        "message": f"{faces} faces exceeds cap 1000",
+        "source": "galehull.gale",
+    }
+
+
+def test_catalog_dump_takes_no_face_cap(capsys):
+    assert main(["catalog", "prism:1000"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["faces"]) == 1002
 
 
 def test_input_cap_sits_above_every_analysis(capsys):
