@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .equivalence import equivalence_witness, equivalent
 from .errors import BadInput, GalehullError
@@ -23,6 +23,7 @@ from .polytopes import (
     PlanarPolytope,
     catalog,
     hamiltonian_cycle,
+    require_hamilton_cap,
     validate,
 )
 
@@ -48,7 +49,7 @@ def _load_faces(path: str) -> list[list[int]]:
     return doc["faces"]
 
 
-def _parse_catalog_spec(spec: str, capped: bool = False) -> PlanarPolytope:
+def _parse_catalog_spec(spec: str, cap: Optional[Callable[[int], None]] = None) -> PlanarPolytope:
     name, _, param = spec.partition(":")
     if param:
         try:
@@ -57,35 +58,34 @@ def _parse_catalog_spec(spec: str, capped: bool = False) -> PlanarPolytope:
             raise BadInput(f"catalog parameter {param!r} is not an integer")
     else:
         parameter = None
-    if capped and name == "prism" and parameter is not None:
-        require_face_cap(parameter + 2)  # two k-gons and k squares
+    if cap is not None and name == "prism" and parameter is not None:
+        cap(parameter + 2)  # two k-gons and k squares
     return catalog(name, parameter)
 
 
-def _validate_faces(faces, capped: bool) -> PlanarPolytope:
-    if capped and isinstance(faces, list):
-        require_face_cap(len(faces))
+def _validate_faces(faces, cap: Callable[[int], None]) -> PlanarPolytope:
+    if isinstance(faces, list):
+        cap(len(faces))
     return validate(faces)
 
 
-def _resolve_input(args, capped: bool = False) -> PlanarPolytope:
-    """The input polytope of args. With capped set (the commands that build
-    incidence vectors), more than INCIDENCE_FACE_CAP faces are refused
-    before anything is built or validated."""
+def _resolve_input(args, cap: Callable[[int], None]) -> PlanarPolytope:
+    """The input polytope of args, refused by cap from its face count before
+    anything is built or validated, even when it is malformed."""
     if getattr(args, "catalog", None):
         if args.input:
             raise BadInput("give either a file or --catalog, not both")
-        return _parse_catalog_spec(args.catalog, capped)
+        return _parse_catalog_spec(args.catalog, cap)
     if not args.input:
         raise BadInput("missing input: give a JSON file or --catalog name[:param]")
-    return _validate_faces(_load_faces(args.input), capped)
+    return _validate_faces(_load_faces(args.input), cap)
 
 
 def _resolve_spec(spec: str) -> PlanarPolytope:
     """A compare operand: either catalog:name[:param] or a JSON file path."""
     if spec.startswith("catalog:"):
-        return _parse_catalog_spec(spec[len("catalog:"):], capped=True)
-    return _validate_faces(_load_faces(spec), capped=True)
+        return _parse_catalog_spec(spec[len("catalog:"):], require_face_cap)
+    return _validate_faces(_load_faces(spec), require_face_cap)
 
 
 def _polytope_report(a: Analysis) -> dict:
@@ -127,11 +127,11 @@ def _analysis_report(a: Analysis) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    return _analysis_report(analyze_polytope(_resolve_input(args, capped=True)))
+    return _analysis_report(analyze_polytope(_resolve_input(args, require_face_cap)))
 
 
 def cmd_verify(args) -> dict:
-    v = verify_polytope(_resolve_input(args, capped=True))
+    v = verify_polytope(_resolve_input(args, require_face_cap))
     report = _analysis_report(v.analysis)
     report["verify"] = {
         "facesMatchOracle": True,
@@ -170,7 +170,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_hamilton(args) -> dict:
-    p = _resolve_input(args)
+    # a cubic map of F faces has 2(F - 2) vertices
+    p = _resolve_input(args, lambda faces: require_hamilton_cap(2 * (faces - 2)))
     cycle = hamiltonian_cycle(p)
     return {
         "n": p.n,

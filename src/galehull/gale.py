@@ -2,18 +2,20 @@
 face enumeration via the coface criterion, and face counts by class pattern.
 
 The n+2 face-vertex indicator vectors of a 3-face-colorable simple
-3-polytope span a hull of dimension n-1 (all color classes equal) or n.
-Its Gale transform therefore lives in one or two dimensions, is constant
-on color classes, and pins the full face lattice: a vertex subset J is a
-proper face exactly when zero lies in the relative interior of the convex
-hull of the complementary Gale points, which depend only on the classes J
-holds in full. classify checks the class constancy and builds the table
-of these 7 class patterns once per hull, cross-checking each against the
-closed-form per-type criterion; a disagreement raises, it is never a
-tolerated outcome. Face enumeration and the face counts read that table.
-A subset holds a class when both halves of its vertex mask hold their
-parts of it, so enumeration tests no mask on its own: it joins one table
-row of low halves to each high half.
+3-polytope have rank n and span a hull of dimension n-1 (all color
+classes equal) or n, certified from the color classes in linear time
+(IncidenceSystem.dependency_roots). The Gale transform is therefore
+built per class in one or two dimensions, and it pins the full face
+lattice: a vertex subset J is a proper face exactly when zero lies in
+the relative interior of the convex hull of the complementary Gale
+points, which depend only on the classes J holds in full. classify
+checks the class constancy and builds the table of these 7 class
+patterns once per hull, cross-checking each against the closed-form
+per-type criterion; a disagreement raises, it is never a tolerated
+outcome. Face enumeration and the face counts read that table. A subset
+holds a class when both halves of its vertex mask hold their parts of
+it, so enumeration tests no mask on its own: it joins one table row of
+low halves to each high half.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -33,22 +35,15 @@ from .errors import (
     TheoremViolation,
     TooManyPoints,
 )
-from .linalg import (
-    affine_dimension,
-    dot,
-    null_space_basis,
-    pivot_columns,
-    primitive_vector,
-    rank,
-    rref,
-)
+from .linalg import affine_dimension, dot, null_space_basis, primitive_vector
 from .polytopes import FaceColoring, PlanarPolytope
 
 ANALYSIS_VERTEX_CAP = 24  # hull vertices (= faces of the input polytope)
 # Faces of the input, for the dense (n+2) x 2n incidence vectors: at 1000
-# faces, building and certifying them with the Gale transform takes about
-# 0.45 s and 56 MB above the interpreter (prism:1000; 2-vCPU Xeon, Python
-# 3.11.7), and both grow with the square of the face count.
+# faces (prism:998), analyze refuses at the enumeration cap after 0.22-0.27 s
+# and 34 MB, 0.10-0.15 s and 18 MB above the interpreter (5 fresh processes;
+# 2-vCPU Xeon, Python 3.11.7). The vectors grow with the square of the face
+# count; the rank and Gale certificates are linear in the vertices.
 INCIDENCE_FACE_CAP = 1000
 
 Point = tuple[Fraction, ...]
@@ -66,11 +61,54 @@ class IncidenceSystem:
         return self.coloring.class_members(slot)
 
     @cached_property
-    def homogenized_pivots(self) -> tuple[int, ...]:
-        """Pivot columns of the vectors, each with a trailing 1. One
-        elimination gives both the incidence rank (the pivots before the
-        last column) and the hull dimension (all pivots, minus one)."""
-        return tuple(pivot_columns([list(v) + [1] for v in self.vectors]))
+    def slots(self) -> tuple[int, ...]:
+        """Face -> its sorted class slot."""
+        return tuple(map(self.coloring.slot_colors.index, self.coloring.colors))
+
+    @cached_property
+    def faces_at(self) -> list[list[int]]:
+        """Vertex -> the faces whose vectors hold it, ascending."""
+        at: list[list[int]] = [[] for _ in self.vectors[0]]
+        for j, vec in enumerate(self.vectors):
+            for v in compress(range(len(vec)), vec):
+                at[v].append(j)
+        return at
+
+    @cached_property
+    def dependency_roots(self) -> tuple[int, ...]:
+        """Face -> root of its component: the certificate of the rank.
+
+        A dependency x has x_a + x_b + x_c = 0 at each vertex, over its
+        faces, which must be one per class (TheoremViolation otherwise).
+        Vertices that share their faces of two classes so force equal x on
+        their faces of the third, and a union-find per class pair joins
+        those. On a validated map the ends of each edge share two faces and
+        the 1-skeleton is connected, so the dependencies are exactly the x
+        constant on the components with a zero sum at one vertex, whose
+        faces lie in three components. With c components the incidence rank
+        is n + 3 - c: it is n iff the components are the three classes.
+        """
+        slots = self.slots
+        by_slot = [sorted(faces, key=slots.__getitem__) for faces in self.faces_at]
+        for v, faces in enumerate(by_slot):
+            if [slots[j] for j in faces] != [0, 1, 2]:
+                raise TheoremViolation(f"vertex {v} is not on one face of each class")
+        parent = list(range(len(self.vectors)))
+
+        def root(j: int) -> int:
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            return j
+
+        for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+            third: dict[tuple[int, int], int] = {}
+            for faces in by_slot:
+                parent[root(third.setdefault((faces[i], faces[j]), faces[k]))] = root(faces[k])
+        return tuple(map(root, range(len(parent))))
+
+    @property
+    def incidence_rank(self) -> int:
+        return len(self.vectors) + 1 - len(set(self.dependency_roots))
 
 
 @dataclass(frozen=True)
@@ -149,22 +187,17 @@ def require_face_cap(faces: int) -> None:
 
 
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
-    """Build and sanity-check the indicator vectors of all faces."""
+    """Build the indicator vectors of all faces and certify their rank n in
+    linear time (IncidenceSystem.dependency_roots)."""
     require_face_cap(p.n + 2)
-    V = p.num_vertices
-    vectors = tuple(
-        tuple(1 if v in face else 0 for v in range(V)) for face in map(set, p.faces)
-    )
-    for v in range(V):
-        if sum(vec[v] for vec in vectors) != 3:
-            raise TheoremViolation(f"vertex {v} lies on != 3 faces after validation")
-    for slot in range(3):
-        members = c.class_members(slot)
-        sums = [sum(vectors[i][v] for i in members) for v in range(V)]
-        if any(x != 1 for x in sums):
-            raise TheoremViolation(f"class {slot} indicator sum is not all-ones")
-    s = IncidenceSystem(vectors=vectors, coloring=c, n=p.n)
-    if sum(1 for col in s.homogenized_pivots if col < V) != p.n:
+    vectors = []  # row by row: all rows as lists and as tuples at once double the peak
+    for face in p.faces:
+        vec = [0] * p.num_vertices
+        for v in face:
+            vec[v] = 1
+        vectors.append(tuple(vec))
+    s = IncidenceSystem(vectors=tuple(vectors), coloring=c, n=p.n)
+    if s.incidence_rank != p.n:
         raise TheoremViolation(f"incidence rank != n = {p.n}")
     return s
 
@@ -172,9 +205,13 @@ def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
 def hull_dimension(s: IncidenceSystem) -> int:
     """Affine dimension of the hull; must follow the class-size pattern.
 
-    It is the rank of the homogenized vectors minus one: that matrix is as
-    sparse as the incidences, unlike the difference matrix."""
-    d = len(s.homogenized_pivots) - 1
+    The affine dependencies are the dependencies of coefficient sum zero,
+    which weighs each component of s.dependency_roots by its size: a
+    multiple of the one-vertex sum only for three components of equal
+    size. So the dimension is the incidence rank, less one in that case.
+    """
+    sizes = Counter(s.dependency_roots).values()
+    d = s.incidence_rank - (len(sizes) == 3 and len(set(sizes)) == 1)
     m1, m2, m3 = s.coloring.class_sizes
     expected = s.n - 1 if m1 == m2 == m3 else s.n
     if d != expected:
@@ -185,38 +222,40 @@ def hull_dimension(s: IncidenceSystem) -> int:
 
 
 def gale_transform(s: IncidenceSystem) -> GaleDiagram:
-    """Canonical Gale diagram, built from the class sizes.
+    """Canonical Gale diagram, built per class from the class sizes.
 
     Every vertex lies on one face of each class, so the class-constant
     x = (y1, y2, y3) with y1 + y2 + y3 = 0 = m1 y1 + m2 y2 + m3 y3 are
-    affine dependencies of the hull vertices. The exact hull dimension
-    proves they span the whole null space. Reducing them with pivots from
-    the last column backwards gives the basis null_space_basis returns (a
-    1 at each free column, 0 at the other), with no elimination over the
-    vertex rows. Each basis vector is checked against the incidences.
+    affine dependencies of the hull vertices; the certified hull dimension
+    proves they span the whole null space. The basis is the one
+    null_space_basis returns, whose free columns are the last faces of the
+    classes, latest first: a 1 at each free column, 0 at the other. Each
+    basis vector is checked in integers at every vertex, and each of the
+    (at most three) distinct points is normalized once.
     """
-    hull_dimension(s)  # pins the null-space dimension to len(span)
-    npts = s.n + 2
+    slots = s.slots
+    last = {slot: j for j, slot in enumerate(slots)}
+    a, b, c = sorted(last, key=last.get, reverse=True)
     m1, m2, m3 = s.coloring.class_sizes
-    if m1 == m2 == m3:
-        span = [(1, -1, 0), (0, 1, -1)]
+    if m1 == m2 == m3:  # basis vectors as (value per class, divisor)
+        basis = [({a: 0, b: 1, c: -1}, 1), ({a: 1, b: 0, c: -1}, 1)]
     else:
-        span = [(m3 - m2, m1 - m3, m2 - m1)]
-    slot = {label: i for i, label in enumerate(s.coloring.slot_colors)}
-    R, _ = rref([[y[slot[c]] for c in reversed(s.coloring.colors)] for y in span])
-    basis = [tuple(reversed(row)) for row in reversed(R)]
-
-    faces_at = [[j for j, x in enumerate(col) if x] for col in zip(*s.vectors)]
-    for i, b in enumerate(basis):
-        bad = next((v for v, fs in enumerate(faces_at) if sum(b[j] for j in fs)), None)
+        y = dict(enumerate((m3 - m2, m1 - m3, m2 - m1)))
+        basis = [(y, next(y[slot] for slot in (a, b, c) if y[slot]))]
+    for i, (y, _) in enumerate(basis):
+        values = [y[slot] for slot in slots]
+        bad = next((v for v, fs in enumerate(s.faces_at) if sum(map(values.__getitem__, fs))), None)
         if bad is not None:
             raise TheoremViolation(f"Gale vector {i} is no dependency at vertex {bad}")
-        if sum(b):
+        if sum(values):
             raise TheoremViolation(f"Gale vector {i} does not sum to zero")
-    points = tuple(tuple(b[j] for b in basis) for j in range(npts))
+    hull_dimension(s)  # pins the null-space dimension to len(basis)
+    cls = [tuple(Fraction(y[slot], div) for y, div in basis) for slot in range(3)]
+    normalized = {pt: primitive_vector(pt) for pt in set(cls)}
+    points = tuple(cls[slot] for slot in slots)
     return GaleDiagram(
         points=points,
-        normalized=tuple(primitive_vector(pt) for pt in points),
+        normalized=tuple(map(normalized.__getitem__, points)),
         colors=s.coloring.colors,
         ambient=len(basis),
     )
@@ -258,6 +297,13 @@ def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:
     if D == 1 or all(_cross(u, q) == 0 for q in nonzero):
         return _both_signs([dot(u, q) for q in nonzero])
     return all(_both_signs([_cross(p, q) for q in nonzero]) for p in nonzero)
+
+
+def _rank(points: Sequence[Point]) -> int:
+    """Rank of points of dimension 1 or 2, with no elimination."""
+    if any(len(p) == 2 and _cross(p, q) for p in points for q in points):
+        return 2
+    return int(any(map(any, points)))
 
 
 def _cross(p: Point, q: Point) -> Fraction:
@@ -389,7 +435,7 @@ def _class_patterns(
                 f"type {hull_type} criterion says {by_formula}"
             )
         if by_formula:
-            offset[held] = -1 - ambient + rank(off[held])
+            offset[held] = -1 - ambient + _rank(off[held])
     return PatternTable(tuple(least), tuple(map(frozenset, off)), tuple(offset))
 
 
@@ -462,7 +508,7 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
             keys = map(base.__or__, keys)
         faces.update(zip(keys, shifted[high, count]))
 
-    # gale_transform's hull_dimension already pinned the exact rank to t.dim
+    # hull_dimension's certificate (IncidenceSystem.dependency_roots) pinned t.dim
     faces[full] = t.dim
     return FaceLattice(dim=t.dim, top=full, faces=faces)
 

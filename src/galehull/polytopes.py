@@ -10,6 +10,7 @@ polytopal maps of the 2-sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterable, Optional, Sequence
 
 from .errors import (
@@ -47,13 +48,13 @@ class PlanarPolytope:
     def fvector(self) -> tuple[int, int, int]:
         return (2 * self.n, 3 * self.n, self.n + 2)
 
+    @cached_property
     def skeleton(self) -> dict[int, list[int]]:
         """Adjacency lists of the 1-skeleton, neighbor lists sorted."""
-        nbrs: dict[int, set[int]] = {v: set() for v in range(self.num_vertices)}
-        for e in self.edges:
-            u, v = sorted(e)
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+        nbrs: dict[int, list[int]] = {v: [] for v in range(self.num_vertices)}
+        for u, v in self.edges:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         return {v: sorted(s) for v, s in nbrs.items()}
 
 
@@ -135,35 +136,27 @@ def validate(raw: Sequence[Sequence[int]]) -> PlanarPolytope:
     if F != n + 2 or n < 2:
         raise EulerViolation(f"face count {F} differs from n+2={n + 2}")
 
-    seen = {0}
-    stack = [0]
-    nbrs: dict[int, list[int]] = {v: [] for v in range(V)}
-    for e in edge_faces:
-        u, v = sorted(e)
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    while stack:
-        u = stack.pop()
-        for w in nbrs[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != V:
-        raise Disconnected(f"1-skeleton has {V - len(seen)} unreachable vertices")
-
     adjacency = [set() for _ in range(F)]
-    for owners in edge_faces.values():
-        a, b = owners
+    for a, b in edge_faces.values():
         adjacency[a].add(b)
         adjacency[b].add(a)
-
-    return PlanarPolytope(
+    p = PlanarPolytope(
         faces=tuple(faces),
         n=n,
         edges=frozenset(edge_faces),
         vertex_faces=tuple(tuple(sorted(o)) for o in vertex_faces),
         adjacency=tuple(frozenset(a) for a in adjacency),
     )
+
+    seen, stack = {0}, [0]
+    while stack:
+        for w in p.skeleton[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != V:
+        raise Disconnected(f"1-skeleton has {V - len(seen)} unreachable vertices")
+    return p
 
 
 def three_color(p: PlanarPolytope) -> FaceColoring:
@@ -180,7 +173,7 @@ def three_color(p: PlanarPolytope) -> FaceColoring:
     start = p.faces[0][0]
     for label, f in enumerate(p.vertex_faces[start], 1):
         colors[f] = label
-    nbrs = p.skeleton()
+    nbrs = p.skeleton
     seen, stack = {start}, [start]
     while stack:
         for w in nbrs[stack.pop()]:
@@ -301,13 +294,19 @@ def catalog(name: str, parameter: Optional[int] = None) -> PlanarPolytope:
 HAMILTON_VERTEX_CAP = 30
 
 
+def require_hamilton_cap(vertices: int) -> None:
+    """Refuse a search over more than HAMILTON_VERTEX_CAP vertices. The CLI
+    asks this of an input's vertex count before it builds or validates it."""
+    if vertices > HAMILTON_VERTEX_CAP:
+        raise TooLarge(f"{vertices} vertices exceeds the cap of {HAMILTON_VERTEX_CAP}")
+
+
 def hamiltonian_cycle(p: PlanarPolytope) -> Optional[list[int]]:
     """Exhaustive backtracking search for a Hamiltonian cycle on the
     1-skeleton; returns the cycle as a vertex sequence, or None."""
     V = p.num_vertices
-    if V > HAMILTON_VERTEX_CAP:
-        raise TooLarge(f"{V} vertices exceeds the cap of {HAMILTON_VERTEX_CAP}")
-    nbrs = p.skeleton()
+    require_hamilton_cap(V)
+    nbrs = p.skeleton
     path = [0]
     visited = [False] * V
     visited[0] = True

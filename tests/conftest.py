@@ -1,19 +1,26 @@
 from __future__ import annotations
 
+import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
 from operator import and_, getitem, or_
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import pytest
+from hypothesis import strategies as st
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
 from galehull.errors import CriterionMismatch
 from galehull.gale import FaceLattice, byte_tables, members
-from galehull.linalg import affine_dimension, dot, rank, spanning_hyperplane
+from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +61,41 @@ def prism8_analysis(prism8):
 @pytest.fixture(scope="session")
 def trunc_oct_analysis(trunc_oct):
     return analyze_polytope(trunc_oct)
+
+
+def _sizes_by_type(n_max: int) -> dict[str, list[tuple[int, int, int]]]:
+    """Every sorted class-size triple with n <= n_max that gen can glue."""
+    out: dict[str, list[tuple[int, int, int]]] = {}
+    for total in range(6, n_max + 3):
+        for m1 in range(2, total // 3 + 1):
+            for m2 in range(m1, (total - m1) // 2 + 1):
+                sizes = (m1, m2, total - m1 - m2)
+                if gen.plans(sizes):
+                    out.setdefault(gen.hull_type(sizes), []).append(sizes)
+    return out
+
+
+def gluings(sizes_by_type):
+    return st.builds(
+        lambda sizes, seed: gen.glued(random.Random(seed), sizes),
+        st.sampled_from(sorted(sizes_by_type)).flatmap(
+            lambda t: st.sampled_from(sizes_by_type[t])
+        ),
+        st.integers(0, 2**16),
+    )
+
+
+UP_TO_14 = _sizes_by_type(14)
+
+
+def ranks_by_elimination(s) -> tuple[int, int]:
+    """(incidence rank, hull dimension) of an IncidenceSystem by one
+    fraction-free elimination of its vectors, each with a trailing 1: the
+    pivots before the last column give the rank, all pivots less one the
+    affine dimension. galehull certified both this way before the
+    class-component certificate."""
+    pivots = pivot_columns([list(v) + [1] for v in s.vectors])
+    return sum(1 for c in pivots if c < len(s.vectors[0])), len(pivots) - 1
 
 
 def neighborliness_by_combinations(lattice) -> int:

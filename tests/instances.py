@@ -122,3 +122,13 @@ INSTANCE_BUILDERS = (
     type_one_polytope,
     type_one_polytope_mirror,
 )
+
+
+def two_cubes_polytope() -> PlanarPolytope:
+    """Two cubes joined across a 2-edge cut: each loses an edge (0-1 and
+    8-9), and new edges 0-8 and 1-9 join them. Two 8-gons then share both
+    new edges, so the map is not 3-connected and so not polytopal, yet it
+    passes validate: sizes (3, 3, 4), n = 8."""
+    cube = [[4, 5, 6, 7], [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]]
+    joined = [[1, 2, 3, 0, 8, 12, 13, 9], [0, 4, 5, 1, 9, 10, 11, 8]]
+    return validate(cube + [[v + 8 for v in f] for f in cube] + joined)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
 
@@ -11,10 +12,13 @@ from hypothesis import strategies as st
 
 import instances
 from conftest import (
+    UP_TO_14,
     byte_fold,
     enumerate_faces_by_mask_scan,
     enumerate_faces_by_subset,
+    gluings,
     neighborliness_by_combinations,
+    ranks_by_elimination,
 )
 from galehull import (
     analyze_polytope,
@@ -37,7 +41,7 @@ from galehull import (
 from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
 from galehull.gale import IncidenceSystem, rref_gale_points
-from galehull.linalg import affine_dimension
+from galehull.linalg import affine_dimension, rank
 from galehull.polytopes import coloring_from_assignment
 
 F = Fraction
@@ -90,46 +94,83 @@ def test_hull_dimension_violation_is_detected(cube):
         hull_dimension(s)
 
 
-def test_incidence_and_hull_ranks_share_one_elimination(prism6, monkeypatch):
-    import galehull.gale as gale_module
-
+def _patch_roots(monkeypatch, change=lambda roots: roots):
+    """Route IncidenceSystem.dependency_roots through change; returns the
+    list of systems it ran on."""
+    exact = IncidenceSystem.dependency_roots.func
     calls = []
-    exact = gale_module.pivot_columns
 
-    def counting(rows):
-        calls.append(len(rows))
-        return exact(rows)
+    def changed(self):
+        calls.append(self)
+        return tuple(change(list(exact(self))))
 
-    monkeypatch.setattr(gale_module, "pivot_columns", counting)
+    prop = cached_property(changed)
+    prop.__set_name__(IncidenceSystem, "dependency_roots")
+    monkeypatch.setattr(IncidenceSystem, "dependency_roots", prop)
+    return calls
+
+
+def test_incidence_and_hull_ranks_share_one_elimination(prism6, monkeypatch):
+    # one certificate, no elimination, gives both ranks
+    calls = _patch_roots(monkeypatch)
     analysis = analyze_polytope(prism6)
-    assert calls == [8]
-    assert analysis.system.homogenized_pivots[-1] == 12   # the trailing 1s
+    assert calls == [analysis.system]
+    assert analysis.system.incidence_rank == 6 and analysis.report.dim == 6
 
 
-def _lose_a_pivot(monkeypatch, index):
-    import galehull.gale as gale_module
-
-    exact = gale_module.pivot_columns
-
-    def losing(rows):
-        pivots = exact(rows)
-        del pivots[index]
-        return pivots
-
-    monkeypatch.setattr(gale_module, "pivot_columns", losing)
+def _split_face_zero(roots):
+    roots[0] = -1   # a component of its own
+    return roots
 
 
 def test_incidence_rank_check_still_fires(prism6, monkeypatch):
-    _lose_a_pivot(monkeypatch, 0)
+    _patch_roots(monkeypatch, _split_face_zero)
     with pytest.raises(TheoremViolation, match="incidence rank != n = 6"):
         incidence_system(prism6, three_color(prism6))
 
 
-def test_hull_dimension_check_still_fires(prism6, monkeypatch):
-    _lose_a_pivot(monkeypatch, -1)   # the trailing-1 column: rank n survives
-    s = incidence_system(prism6, three_color(prism6))
-    with pytest.raises(TheoremViolation, match="hull dimension 5 but class sizes"):
+def test_hull_dimension_check_still_fires(cube, monkeypatch):
+    def move_face_zero(roots):
+        roots[0] = roots[2]   # the top square joins a side's class: rank n survives
+        return roots
+
+    _patch_roots(monkeypatch, move_face_zero)
+    s = incidence_system(cube, three_color(cube))
+    with pytest.raises(TheoremViolation, match=r"hull dimension 4 but class sizes \(2, 2, 2\)"):
         hull_dimension(s)
+
+
+def test_certificate_rejects_a_vertex_without_a_face_of_each_class(cube):
+    s = incidence_system(cube, three_color(cube))
+    fake = IncidenceSystem(s.vectors, coloring_from_assignment((1, 2, 2, 3, 3, 3)), s.n)
+    with pytest.raises(TheoremViolation, match="vertex 2 is not on one face of each class"):
+        fake.incidence_rank
+
+
+def test_the_certificate_and_the_diagram_run_no_elimination(monkeypatch):
+    import galehull.linalg as linalg_module
+    import galehull.pipeline as pipeline_module
+
+    exact = linalg_module._eliminate
+    enumerating = []
+
+    def eliminating(rows, reduce):
+        assert enumerating, "a linalg elimination ran before enumerate_faces"
+        return exact(rows, reduce)
+
+    def entering(*args):
+        enumerating.append(True)
+        return enumerate_faces(*args)
+
+    monkeypatch.setattr(linalg_module, "_eliminate", eliminating)
+    for name, p in GALE_INSTANCES:
+        s = incidence_system(p, three_color(p))
+        classify(s, gale_transform(s))
+    monkeypatch.setattr(pipeline_module, "enumerate_faces", entering)
+    for name, param in (("cube", None), ("prism", 6), ("truncated-octahedron", None)):
+        enumerating.clear()
+        analyze_polytope(catalog(name, param))
+        assert enumerating
 
 
 def test_type_four_relint_runs_on_the_three_class_points(cube_analysis, monkeypatch):
@@ -208,13 +249,40 @@ def test_closed_form_diagram_equals_rref_route_relabelled(data):
     assert gale_transform(s).points == rref_gale_points(s)
 
 
-HULL_INSTANCES = GALE_INSTANCES + [("prism:48", catalog("prism", 48))]
+def _certificate_equals_elimination(p):
+    """The certified incidence rank and hull dimension equal the exact
+    ranks of the vectors and the elimination route they replaced."""
+    s = incidence_system(p, three_color(p))
+    certified = s.incidence_rank, hull_dimension(s)
+    assert certified == (rank(s.vectors), affine_dimension(s.vectors)) == ranks_by_elimination(s)
+    return s
+
+
+HULL_INSTANCES = GALE_INSTANCES + [
+    ("prism:48", catalog("prism", 48)),
+    ("two cubes", instances.two_cubes_polytope()),
+]
 
 
 @pytest.mark.parametrize("name,p", HULL_INSTANCES, ids=[n for n, _ in HULL_INSTANCES])
 def test_homogenized_rank_is_the_affine_dimension(name, p):
-    s = incidence_system(p, three_color(p))
-    assert hull_dimension(s) == affine_dimension(s.vectors)
+    s = _certificate_equals_elimination(p)
+    if name == "two cubes":   # not 3-connected, yet a type III hull
+        assert s.coloring.class_sizes == (3, 3, 4) and classify(s, gale_transform(s)).hull_type == "III"
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(gluings(UP_TO_14), st.integers(0, 2**16))
+def test_generated_certified_ranks_equal_the_elimination(inst, seed):
+    """Generated gluings of all four types, faces shuffled and vertices
+    relabelled by a drawn seed."""
+    rng = random.Random(seed)
+    faces = [list(f) for f in inst.faces]
+    rng.shuffle(faces)
+    labels = list(range(max(map(max, faces)) + 1))
+    rng.shuffle(labels)
+    p = validate([[labels[v] for v in f] for f in faces])
+    assert _certificate_equals_elimination(p).coloring.class_sizes == inst.sizes
 
 
 def test_gale_transform_takes_no_affine_dimension(monkeypatch):
@@ -272,19 +340,13 @@ def test_disagreeing_rref_route_fails_verify(monkeypatch, capsys):
     assert "Gale point 0" in doc["error"]["message"]
 
 
-def test_corrupted_basis_trips_the_residual_check(prism6_analysis, monkeypatch):
-    import galehull.gale as gale_module
+def test_corrupted_basis_trips_the_residual_check(prism6_analysis):
+    from dataclasses import replace
 
-    exact = gale_module.rref
-
-    def corrupted(rows):
-        R, pivots = exact(rows)
-        R[0][-1] += 1  # face 0 (a hexagon) moves off its class value
-        return R, pivots
-
-    monkeypatch.setattr(gale_module, "rref", corrupted)
-    with pytest.raises(TheoremViolation, match="no dependency at vertex"):
-        gale_transform(prism6_analysis.system)
+    s = replace(prism6_analysis.system)  # a fresh cache
+    s.__dict__["slots"] = (1, *s.slots[1:])  # face 0 (a hexagon) moves off its class value
+    with pytest.raises(TheoremViolation, match="Gale vector 0 is no dependency at vertex 0"):
+        gale_transform(s)
 
 
 def test_wrong_classes_of_the_right_sizes_trip_the_residual_check(cube):
@@ -587,8 +649,8 @@ def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis, monkeypatch):
         classify(a.system, bad)
     # the table grades as a wrong ambient would: one less Gale rank is one
     # more ambient dimension in -1 - ambient + rank, and the anchor trips
-    exact = gale_module.rank
-    monkeypatch.setattr(gale_module, "rank", lambda points: exact(points) - 1)
+    exact = gale_module._rank
+    monkeypatch.setattr(gale_module, "_rank", lambda points: exact(points) - 1)
     t = classify(a.system, a.diagram)
     with pytest.raises(CriterionMismatch, match=r"sizes \(2, 3, 3\).*dim -2.*says -1"):
         enumerate_faces(a.system, a.diagram, t)
@@ -696,7 +758,7 @@ def test_pattern_counts_reads_the_table(name, monkeypatch):
 
     t = _analyzed(ENUMERATION_INSTANCES[name])[2]
     calls = _counting_relint(monkeypatch)
-    monkeypatch.setattr(gale_module, "rank", lambda points: calls.append("rank"))
+    monkeypatch.setattr(gale_module, "_rank", lambda points: calls.append("rank"))
     pattern_counts(t)
     assert calls == []
 

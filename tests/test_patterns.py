@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 import tempfile
 from pathlib import Path
 
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import enumerate_faces_by_mask_scan
+from conftest import UP_TO_14, enumerate_faces_by_mask_scan, gen, gluings
 from galehull import (
     FaceLattice,
     PlanarPolytope,
@@ -34,9 +33,6 @@ from galehull import (
 )
 from galehull.cli import main
 from galehull.errors import CriterionMismatch, TheoremViolation, TooManyPoints
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-import gen  # noqa: E402
 
 
 def _walked(lattice):
@@ -60,31 +56,6 @@ FIXED = [
 def test_pattern_counts_equal_the_walks(name, build):
     a = analyze_polytope(build())
     assert _counted(a) == _walked(a.lattice)
-
-
-def _sizes_by_type(n_max: int) -> dict[str, list[tuple[int, int, int]]]:
-    """Every sorted class-size triple with n <= n_max that gen can glue."""
-    out: dict[str, list[tuple[int, int, int]]] = {}
-    for total in range(6, n_max + 3):
-        for m1 in range(2, total // 3 + 1):
-            for m2 in range(m1, (total - m1) // 2 + 1):
-                sizes = (m1, m2, total - m1 - m2)
-                if gen.plans(sizes):
-                    out.setdefault(gen.hull_type(sizes), []).append(sizes)
-    return out
-
-
-def gluings(sizes_by_type):
-    return st.builds(
-        lambda sizes, seed: gen.glued(random.Random(seed), sizes),
-        st.sampled_from(sorted(sizes_by_type)).flatmap(
-            lambda t: st.sampled_from(sizes_by_type[t])
-        ),
-        st.integers(0, 2**16),
-    )
-
-
-UP_TO_14 = _sizes_by_type(14)
 
 
 def test_generated_sizes_cover_all_four_types():
@@ -186,11 +157,11 @@ def test_verify_names_the_differing_quantity(quantity, change, prism6, monkeypat
 def test_pattern_simpliciality_is_checked_against_the_type(cube, monkeypatch):
     import galehull.gale as gale_module
 
-    exact = gale_module.rank
+    exact = gale_module._rank
     # classify builds the table, so the rank it grades by is patched first.
     # For type I this is the one simpliciality check: verify's type I
     # suite reports it without checking it again.
-    monkeypatch.setattr(gale_module, "rank", lambda points: exact(points) + 1)
+    monkeypatch.setattr(gale_module, "_rank", lambda points: exact(points) + 1)
     for p, hull_type in ((cube, "IV"), (instances.type_one_polytope(), "I")):
         s = incidence_system(p, three_color(p))
         t = classify(s, gale_transform(s))
@@ -250,6 +221,39 @@ def test_input_cap_refuses_before_building_or_validating(argv, faces, nothing_bu
         "message": f"{faces} faces exceeds cap 1000",
         "source": "galehull.gale",
     }
+
+
+@pytest.mark.parametrize("argv,vertices", [
+    (["hamilton", "--catalog", "prism:100000"], 200000),
+    (["hamilton", "--catalog", "prism:16"], 32),
+    (["hamilton", "FILE"], 32),
+])
+def test_hamilton_cap_refuses_before_building_or_validating(argv, vertices, nothing_built, capsys, tmp_path):
+    # 18 faces, malformed: a map with F faces has 2(F - 2) vertices
+    path = tmp_path / "over.json"
+    path.write_text(json.dumps({"faces": [[0, 1]] * 18}))
+    assert main([str(path) if a == "FILE" else a for a in argv]) == 4
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "TooLarge",
+        "message": f"{vertices} vertices exceeds the cap of 30",
+        "source": "galehull.polytopes",
+    }
+
+
+def test_hamilton_cap_answers_as_the_search_did(capsys):
+    from galehull.errors import TooLarge
+    from galehull.polytopes import hamiltonian_cycle
+
+    with pytest.raises(TooLarge) as refused:
+        hamiltonian_cycle(catalog("prism", 16))
+    assert main(["hamilton", "--catalog", "prism:16"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == str(refused.value)
+    # malformed as well as over the cap: the cap answers first, as for analyze
+    assert main(["hamilton", "--catalog", "prism:100001"]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "TooLarge"
+    assert main(["hamilton", "--catalog", "prism:15"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "OddPrism"
+    assert main(["hamilton", "--catalog", "prism:14"]) == 0
 
 
 def test_catalog_dump_takes_no_face_cap(capsys):
