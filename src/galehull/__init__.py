@@ -1,7 +1,7 @@
 """Exact combinatorial analysis of convex hulls of face-vertex incidence
 vectors of 3-face-colorable simple 3-polytopes."""
 
-from .equivalence import equivalence_witness, equivalent, equivalent_oracle
+from .equivalence import equivalence_witness, equivalent
 from .errors import GalehullError
 from .gale import (
     FaceLattice,
@@ -12,6 +12,7 @@ from .gale import (
     enumerate_faces,
     fvector,
     gale_transform,
+    grade_anchors,
     hull_dimension,
     incidence_system,
     lattice_to_json,
@@ -22,7 +23,7 @@ from .gale import (
     simpliciality_check,
 )
 from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
-from .pipeline import Analysis, Verification, analyze_polytope, verify_polytope
+from .pipeline import Analysis, Verification, analyze_polytope, summarize_polytope, verify_polytope
 from .polytopes import (
     FaceColoring,
     PlanarPolytope,
@@ -58,9 +59,9 @@ __all__ = [
     "enumerate_faces",
     "equivalence_witness",
     "equivalent",
-    "equivalent_oracle",
     "fvector",
     "gale_transform",
+    "grade_anchors",
     "hamiltonian_cycle",
     "hull_dimension",
     "incidence_system",
@@ -72,6 +73,7 @@ __all__ = [
     "pyramid",
     "relint_contains_zero",
     "simpliciality_check",
+    "summarize_polytope",
     "three_color",
     "tkn_model",
     "type4_model",

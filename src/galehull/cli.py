@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 from .equivalence import equivalence_witness, equivalent
 from .errors import BadInput, GalehullError
 from .gale import require_face_cap
-from .pipeline import Analysis, analyze_polytope, verify_polytope
+from .pipeline import Analysis, summarize_polytope, verify_polytope
 from .polytopes import (
     CATALOG_NAMES,
     PlanarPolytope,
@@ -127,7 +127,7 @@ def _analysis_report(a: Analysis) -> dict:
 
 
 def cmd_analyze(args) -> dict:
-    return _analysis_report(analyze_polytope(_resolve_input(args, require_face_cap)))
+    return _analysis_report(summarize_polytope(_resolve_input(args, require_face_cap)))
 
 
 def cmd_verify(args) -> dict:
@@ -152,8 +152,8 @@ def cmd_verify(args) -> dict:
 def cmd_compare(args) -> dict:
     pa = _resolve_spec(args.inputA)
     pb = _resolve_spec(args.inputB)
-    aa = analyze_polytope(pa)
-    ab = analyze_polytope(pb)
+    aa = summarize_polytope(pa)
+    ab = summarize_polytope(pb)
     by_theorem = equivalent(aa.report, pa.fvector, ab.report, pb.fvector)
     if args.no_oracle:
         by_oracle: object = "skipped"
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("analyze", help="classify the hull and enumerate its faces")
+    sub = subs.add_parser("analyze", help="classify the hull and count its faces")
     _add_input_args(sub)
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_analyze)

@@ -34,11 +34,6 @@ def equivalent(
     )
 
 
-def equivalent_oracle(a: IncidenceSystem, b: IncidenceSystem) -> bool:
-    """True iff the brute-force lattices admit a vertex bijection."""
-    return equivalence_witness(a, b) is not None
-
-
 def equivalence_witness(
     a: IncidenceSystem, b: IncidenceSystem
 ) -> Optional[dict[int, int]]:

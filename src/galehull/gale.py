@@ -448,34 +448,27 @@ def _half_patterns(smasks: Sequence[int], shift: int, width: int) -> list[int]:
     return [a | b << 1 | c << 2 for a, b, c in zip(c1, c2, c3)]
 
 
-def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
-    """All faces of the hull, built one high half mask at a time.
-
-    classify checked that the diagram g is constant on classes, so a
-    proper subset's face status and dimension depend only on its pattern
-    in the table t.patterns. A subset holds a class when both halves of
-    its mask, split at bit low = (n+2) // 2, hold their parts of it, so
-    its pattern is the AND of the patterns of its two halves. Per high
-    half pattern one row lists the low halves that complete a face, with
-    their dimensions; a high half adds its popcount to them and its bits
-    to the keys, in ascending mask order. The least face with each
-    distinct Gale support (classes may share a point) is also graded by
-    exact affine rank; the two must agree. The table holds every Gale
-    point this needs; g stays a parameter because perfbench/spans.py
-    reads the diagram off this call to count supports.
-    """
+def _require_vertex_cap(s: IncidenceSystem) -> None:
+    """Refuse a hull of more than ANALYSIS_VERTEX_CAP vertices."""
     npts = s.n + 2
     if npts > ANALYSIS_VERTEX_CAP:
         raise TooManyPoints(f"{npts} hull vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
+
+
+def grade_anchors(s: IncidenceSystem, t: TypeReport) -> None:
+    """Grade the least face with each distinct Gale support (classes may
+    share a point) by exact affine rank, which must equal its grade in the
+    table t.patterns. The analysis runs this once, after classify: for
+    analyze, ANALYSIS_VERTEX_CAP bounds only these exact ranks."""
+    _require_vertex_cap(s)
     table = t.patterns
-    offset = table.offset
     anchored: set[frozenset[Point]] = set()
     for held in sorted(range(7), key=table.least.__getitem__):
-        if offset[held] is None or table.support[held] in anchored:
+        if table.offset[held] is None or table.support[held] in anchored:
             continue
         anchored.add(table.support[held])
         mask = table.least[held]
-        dim = mask.bit_count() + offset[held]
+        dim = mask.bit_count() + table.offset[held]
         exact = affine_dimension([s.vectors[j] for j in members(mask)])
         if exact != dim:
             raise CriterionMismatch(
@@ -483,6 +476,26 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
                 f"grades it dim {dim}, exact affine rank says {exact}"
             )
 
+
+def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
+    """All faces of the hull, built one high half mask at a time.
+
+    classify checked that the diagram g is constant on classes, so a
+    proper subset's face status and dimension depend only on its pattern
+    in the table t.patterns, which grade_anchors cross-checks by exact
+    rank. A subset holds a class when both halves of its mask, split at
+    bit low = (n+2) // 2, hold their parts of it, so its pattern is the
+    AND of the patterns of its two halves. Per high half pattern one row
+    lists the low halves that complete a face, with their dimensions; a
+    high half adds its popcount to them and its bits to the keys, in
+    ascending mask order. The table holds every Gale point this needs; g
+    stays a parameter because perfbench/spans.py reads the diagram off
+    this call to count supports.
+    """
+    _require_vertex_cap(s)  # bounds the 2^(n+2) face dict
+    npts = s.n + 2
+    table = t.patterns
+    offset = table.offset
     full = (1 << npts) - 1
     low = npts // 2
     smasks = table.least[1], table.least[2], table.least[4]
@@ -554,7 +567,8 @@ def pattern_counts(t: TypeReport) -> tuple[tuple[int, ...], bool, int]:
             if count and 0 <= size + o < t.dim:
                 counts[size + o] += count
                 simplicial = simplicial and o == -1
-    _require_type_simpliciality(simplicial, t)
+    if simplicial != (t.hull_type in ("I", "IV")):
+        raise TheoremViolation(f"type {t.hull_type} hull has simpliciality {simplicial}")
     return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
 
 
@@ -567,23 +581,11 @@ def fvector(lattice: FaceLattice) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def simpliciality_check(lattice: FaceLattice, t: Optional[TypeReport] = None) -> bool:
-    """True iff every proper face is a simplex (|J| == dim + 1).
-
-    Types I and IV must be simplicial, II and III must not; passing the
-    type report turns that prediction into a hard check.
-    """
-    simplicial = all(
+def simpliciality_check(lattice: FaceLattice) -> bool:
+    """True iff every proper face is a simplex (|J| == dim + 1)."""
+    return all(
         f.bit_count() == d + 1 for f, d in lattice.faces.items() if 0 <= d < lattice.dim
     )
-    if t is not None:
-        _require_type_simpliciality(simplicial, t)
-    return simplicial
-
-
-def _require_type_simpliciality(simplicial: bool, t: TypeReport) -> None:
-    if simplicial != (t.hull_type in ("I", "IV")):
-        raise TheoremViolation(f"type {t.hull_type} hull has simpliciality {simplicial}")
 
 
 def neighborliness(lattice: FaceLattice) -> int:

@@ -191,6 +191,3 @@ def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | 
     """Exact dot product; an int when both vectors are integer."""
     return sum(map(mul, u, v))
 
-
-def matvec(rows: Sequence[Row], v: Sequence[Fraction | int]) -> tuple[Fraction | int, ...]:
-    return tuple(dot(row, v) for row in rows)

@@ -88,6 +88,11 @@ def gluings(sizes_by_type):
 UP_TO_14 = _sizes_by_type(14)
 
 
+def matvec(rows, v) -> tuple:
+    """The exact product of a matrix, given as rows, and a vector."""
+    return tuple(dot(row, v) for row in rows)
+
+
 def ranks_by_elimination(s) -> tuple[int, int]:
     """(incidence rank, hull dimension) of an IncidenceSystem by one
     fraction-free elimination of its vectors, each with a trailing 1: the

@@ -9,7 +9,6 @@ from galehull import (
     analyze_polytope,
     equivalence_witness,
     equivalent,
-    equivalent_oracle,
 )
 from galehull.errors import CriterionMismatch
 from galehull.gale import TypeReport
@@ -33,7 +32,7 @@ def test_equivalent_relabeled_prism(prism6, prism6_analysis, relabeled):
     assert equivalent(
         prism6_analysis.report, prism6.fvector, oa.report, other.fvector
     )
-    assert equivalent_oracle(prism6_analysis.system, oa.system)
+    assert equivalence_witness(prism6_analysis.system, oa.system) is not None
 
 
 def test_equivalent_rejects_different_face_count(cube, cube_analysis, prism6, prism6_analysis):
@@ -69,7 +68,7 @@ def test_equivalent_is_reflexive_and_symmetric(cube, cube_analysis, prism6, pris
 
 def test_oracle_equivalence_cube_vs_prism(cube_analysis, prism6_analysis):
     # hull dimensions 3 vs 6 differ
-    assert not equivalent_oracle(cube_analysis.system, prism6_analysis.system)
+    assert equivalence_witness(cube_analysis.system, prism6_analysis.system) is None
 
 
 def test_oracle_witness_for_relabeled_cube(cube_analysis, relabeled):

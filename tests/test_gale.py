@@ -27,11 +27,13 @@ from galehull import (
     enumerate_faces,
     fvector,
     gale_transform,
+    grade_anchors,
     hull_dimension,
     incidence_system,
     members,
     neighborliness,
     oracle_lattice,
+    pattern_counts,
     relint_contains_zero,
     simpliciality_check,
     three_color,
@@ -152,25 +154,25 @@ def test_the_certificate_and_the_diagram_run_no_elimination(monkeypatch):
     import galehull.pipeline as pipeline_module
 
     exact = linalg_module._eliminate
-    enumerating = []
+    anchoring = []
 
     def eliminating(rows, reduce):
-        assert enumerating, "a linalg elimination ran before enumerate_faces"
+        assert anchoring, "a linalg elimination ran before grade_anchors"
         return exact(rows, reduce)
 
     def entering(*args):
-        enumerating.append(True)
-        return enumerate_faces(*args)
+        anchoring.append(True)
+        return grade_anchors(*args)
 
     monkeypatch.setattr(linalg_module, "_eliminate", eliminating)
     for name, p in GALE_INSTANCES:
         s = incidence_system(p, three_color(p))
         classify(s, gale_transform(s))
-    monkeypatch.setattr(pipeline_module, "enumerate_faces", entering)
+    monkeypatch.setattr(pipeline_module, "grade_anchors", entering)
     for name, param in (("cube", None), ("prism", 6), ("truncated-octahedron", None)):
-        enumerating.clear()
+        anchoring.clear()
         analyze_polytope(catalog(name, param))
-        assert enumerating
+        assert anchoring
 
 
 def test_type_four_relint_runs_on_the_three_class_points(cube_analysis, monkeypatch):
@@ -208,7 +210,7 @@ def test_simpliciality_check_makes_no_proper_faces_copy(cube_analysis, monkeypat
         raise AssertionError("proper_faces() copies the face dict")
 
     monkeypatch.setattr(type(cube_analysis.lattice), "proper_faces", copying)
-    assert simpliciality_check(cube_analysis.lattice, cube_analysis.report)
+    assert simpliciality_check(cube_analysis.lattice)
 
 
 def test_gale_transform_residuals_are_zero(prism6_analysis):
@@ -623,8 +625,9 @@ def test_exact_rank_runs_once_per_gale_support(name, p, monkeypatch):
         calls.append(len(points))
         return exact(points)
 
-    monkeypatch.setattr(gale_module, "affine_dimension", counting)
     lattice = enumerate_faces(s, g, t)
+    monkeypatch.setattr(gale_module, "affine_dimension", counting)
+    grade_anchors(s, t)
     npts = len(g.points)
     supports = {
         frozenset(g.points[j] for j in range(npts) if not face >> j & 1)
@@ -653,7 +656,7 @@ def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis, monkeypatch):
     monkeypatch.setattr(gale_module, "_rank", lambda points: exact(points) - 1)
     t = classify(a.system, a.diagram)
     with pytest.raises(CriterionMismatch, match=r"sizes \(2, 3, 3\).*dim -2.*says -1"):
-        enumerate_faces(a.system, a.diagram, t)
+        grade_anchors(a.system, t)
 
 
 ENUMERATION_INSTANCES = dict(
@@ -822,7 +825,7 @@ def test_type_one_k_two_shares_one_gale_support(monkeypatch):
         return exact(points)
 
     monkeypatch.setattr(gale_module, "affine_dimension", counting)
-    enumerate_faces(s, g, t)
+    grade_anchors(s, t)
     # the three face patterns (none, class 1, class 3 held) share one support
     assert len(calls) == 1
 
@@ -837,9 +840,13 @@ def test_fvector_prism6_matches_reference(prism6_analysis):
 def test_simpliciality(cube_analysis, prism6_analysis):
     assert simpliciality_check(cube_analysis.lattice) is True
     assert simpliciality_check(prism6_analysis.lattice) is False
-    # prediction hook raises when the type disagrees
-    with pytest.raises(TheoremViolation):
-        simpliciality_check(prism6_analysis.lattice, cube_analysis.report)
+    # the type's prediction is checked where the counts are taken: prism:6's
+    # non-simplicial table under the cube's type IV raises
+    from dataclasses import replace
+
+    mismatched = replace(prism6_analysis.report, hull_type=cube_analysis.report.hull_type)
+    with pytest.raises(TheoremViolation, match="type IV hull has simpliciality False"):
+        pattern_counts(mismatched)
 
 
 def test_neighborliness_known_values(cube_analysis):

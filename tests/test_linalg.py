@@ -9,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import primitive_vector_by_fractions, rref_by_fractions
+from conftest import matvec, primitive_vector_by_fractions, rref_by_fractions
 from galehull import incidence_system, three_color
 from galehull.errors import DimensionMismatch
 from galehull.linalg import (
     affine_dimension,
     dot,
-    matvec,
     null_space_basis,
     null_vector,
     pivot_columns,

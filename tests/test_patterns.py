@@ -27,6 +27,7 @@ from galehull import (
     neighborliness,
     pattern_counts,
     simpliciality_check,
+    summarize_polytope,
     three_color,
     validate,
     verify_polytope,
@@ -272,3 +273,99 @@ def test_input_cap_sits_above_every_analysis(capsys):
         "message": f"1002 faces exceeds cap {INCIDENCE_FACE_CAP}",
         "source": "galehull.gale",
     }
+
+
+@pytest.fixture
+def never_enumerating(monkeypatch):
+    """Entering enumerate_faces raises."""
+    import galehull.gale as gale_module
+    import galehull.pipeline as pipeline_module
+
+    def enumerating(*args):
+        raise AssertionError("the face lattice is being enumerated")
+
+    for module in (gale_module, pipeline_module):
+        monkeypatch.setattr(module, "enumerate_faces", enumerating)
+
+
+# every catalog instance under ANALYSIS_VERTEX_CAP, and the gluings
+SUMMARIZED = [
+    ("cube", lambda: catalog("cube")),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+    *((f"prism:{k}", lambda k=k: catalog("prism", k)) for k in range(4, 23, 2)),
+    *((b.__name__, b) for b in (*instances.INSTANCE_BUILDERS, instances.two_cubes_polytope)),
+]
+
+
+@pytest.mark.parametrize("name,build", SUMMARIZED, ids=[n for n, _ in SUMMARIZED])
+def test_analyze_and_compare_never_enumerate(name, build, never_enumerating, tmp_path, capsys):
+    p = build()
+    a = summarize_polytope(p)
+    assert len(a.hull_fvector) == a.report.dim
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"faces": [list(f) for f in p.faces]}))
+    assert main(["analyze", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["hull"]["fvector"] == list(a.hull_fvector)
+    # the oracle route builds 2^(n+2) faces of its own: up to 16 points here
+    oracle = [] if p.n + 2 <= 16 else ["--no-oracle"]
+    assert main(["compare", str(path), "catalog:cube", *oracle]) == 0
+    like_the_cube = (p.n, a.report.hull_type) == (4, "IV")
+    assert json.loads(capsys.readouterr().out)["equivalentByTheorem"] == like_the_cube
+
+
+def test_verify_enumerates_once(monkeypatch, capsys):
+    import galehull.pipeline as pipeline_module
+
+    exact = pipeline_module.enumerate_faces
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(pipeline_module, "enumerate_faces", counting)
+    for p in (catalog("cube"), catalog("prism", 6), instances.type_one_polytope()):
+        calls.clear()
+        v = verify_polytope(p)
+        assert v.analysis.lattice is v.analysis.lattice  # cached on the one read
+        assert len(calls) == 1
+    calls.clear()
+    assert main(["verify", "--catalog", "truncated-octahedron"]) == 0
+    assert len(calls) == 1
+
+
+# prism:20 and prism:22 would enumerate 2^22 and 2^24 faces twice
+ENUMERATED = [(n, b) for n, b in SUMMARIZED if n not in ("prism:20", "prism:22")]
+
+
+@pytest.mark.parametrize("name,build", ENUMERATED, ids=[n for n, _ in ENUMERATED])
+def test_lazy_lattice_equals_direct_enumeration(name, build):
+    a = summarize_polytope(build())
+    assert "lattice" not in vars(a)
+    direct = enumerate_faces(a.system, a.diagram, a.report)
+    assert (a.lattice.dim, a.lattice.top) == (direct.dim, direct.top)
+    # same faces, dimensions and insertion order
+    assert list(a.lattice.faces.items()) == list(direct.faces.items())
+
+
+def test_over_cap_analyze_refuses_before_the_anchors(monkeypatch, capsys):
+    import galehull.gale as gale_module
+
+    def ranking(points):
+        raise AssertionError("an exact rank ran above the cap")
+
+    monkeypatch.setattr(gale_module, "affine_dimension", ranking)
+    error = {
+        "code": "TooManyPoints",
+        "message": "26 hull vertices exceeds cap 24",
+        "source": "galehull.gale",
+    }
+    for argv in (["analyze", "--catalog", "prism:24"], ["compare", "catalog:prism:24", "catalog:cube"]):
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().out) == {"error": error}
+    # enumerate_faces keeps its own check, with the same message
+    p = catalog("prism", 24)
+    s = incidence_system(p, three_color(p))
+    g = gale_transform(s)
+    with pytest.raises(TooManyPoints, match=error["message"]):
+        enumerate_faces(s, g, classify(s, g))
