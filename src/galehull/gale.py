@@ -24,7 +24,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
@@ -39,11 +39,11 @@ from .linalg import affine_dimension, dot, null_space_basis, primitive_vector
 from .polytopes import FaceColoring, PlanarPolytope
 
 ANALYSIS_VERTEX_CAP = 24  # hull vertices (= faces of the input polytope)
-# Faces of the input, for the dense (n+2) x 2n incidence vectors: at 1000
-# faces (prism:998), analyze refuses at the enumeration cap after 0.22-0.27 s
-# and 34 MB, 0.10-0.15 s and 18 MB above the interpreter (5 fresh processes;
-# 2-vCPU Xeon, Python 3.11.7). The vectors grow with the square of the face
-# count; the rank and Gale certificates are linear in the vertices.
+# Faces of the input, for validation, coloring and the rank and Gale
+# certificates, all linear in the vertices: at 1000 faces (prism:998),
+# analyze refuses at the vertex cap after 0.14-0.17 s and 19 MB, against
+# 0.12-0.16 s and 16.5 MB for the cube (5 fresh processes, peak RSS through
+# os.wait4; 2-vCPU Xeon, Python 3.11.7).
 INCIDENCE_FACE_CAP = 1000
 
 Point = tuple[Fraction, ...]
@@ -51,11 +51,14 @@ Point = tuple[Fraction, ...]
 
 @dataclass(frozen=True)
 class IncidenceSystem:
-    """The n+2 face-vertex indicator vectors, in face input order."""
+    """The n+2 face-vertex incidences of a validated polytope."""
 
-    vectors: tuple[tuple[int, ...], ...]
+    polytope: PlanarPolytope
     coloring: FaceColoring
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.polytope.n
 
     def class_indices(self, slot: int) -> tuple[int, ...]:
         return self.coloring.class_members(slot)
@@ -66,13 +69,16 @@ class IncidenceSystem:
         return tuple(map(self.coloring.slot_colors.index, self.coloring.colors))
 
     @cached_property
-    def faces_at(self) -> list[list[int]]:
-        """Vertex -> the faces whose vectors hold it, ascending."""
-        at: list[list[int]] = [[] for _ in self.vectors[0]]
-        for j, vec in enumerate(self.vectors):
-            for v in compress(range(len(vec)), vec):
-                at[v].append(j)
-        return at
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """The indicator vectors, in face input order, built on first read.
+        Only the exact routes read them, under ANALYSIS_VERTEX_CAP or POINT_CAP."""
+        vectors = []  # row by row: all rows as lists and as tuples at once double the peak
+        for face in self.polytope.faces:
+            vec = [0] * self.polytope.num_vertices
+            for v in face:
+                vec[v] = 1
+            vectors.append(tuple(vec))
+        return tuple(vectors)
 
     @cached_property
     def dependency_roots(self) -> tuple[int, ...]:
@@ -89,11 +95,11 @@ class IncidenceSystem:
         is n + 3 - c: it is n iff the components are the three classes.
         """
         slots = self.slots
-        by_slot = [sorted(faces, key=slots.__getitem__) for faces in self.faces_at]
+        by_slot = [sorted(faces, key=slots.__getitem__) for faces in self.polytope.vertex_faces]
         for v, faces in enumerate(by_slot):
             if [slots[j] for j in faces] != [0, 1, 2]:
                 raise TheoremViolation(f"vertex {v} is not on one face of each class")
-        parent = list(range(len(self.vectors)))
+        parent = list(range(self.n + 2))
 
         def root(j: int) -> int:
             while parent[j] != j:
@@ -108,7 +114,7 @@ class IncidenceSystem:
 
     @property
     def incidence_rank(self) -> int:
-        return len(self.vectors) + 1 - len(set(self.dependency_roots))
+        return self.n + 3 - len(set(self.dependency_roots))
 
 
 @dataclass(frozen=True)
@@ -187,16 +193,9 @@ def require_face_cap(faces: int) -> None:
 
 
 def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
-    """Build the indicator vectors of all faces and certify their rank n in
-    linear time (IncidenceSystem.dependency_roots)."""
+    """The incidences of p, their rank n certified in linear time."""
     require_face_cap(p.n + 2)
-    vectors = []  # row by row: all rows as lists and as tuples at once double the peak
-    for face in p.faces:
-        vec = [0] * p.num_vertices
-        for v in face:
-            vec[v] = 1
-        vectors.append(tuple(vec))
-    s = IncidenceSystem(vectors=tuple(vectors), coloring=c, n=p.n)
+    s = IncidenceSystem(p, c)
     if s.incidence_rank != p.n:
         raise TheoremViolation(f"incidence rank != n = {p.n}")
     return s
@@ -233,7 +232,7 @@ def gale_transform(s: IncidenceSystem) -> GaleDiagram:
     basis vector is checked in integers at every vertex, and each of the
     (at most three) distinct points is normalized once.
     """
-    slots = s.slots
+    slots, vertex_faces = s.slots, s.polytope.vertex_faces
     last = {slot: j for j, slot in enumerate(slots)}
     a, b, c = sorted(last, key=last.get, reverse=True)
     m1, m2, m3 = s.coloring.class_sizes
@@ -244,7 +243,7 @@ def gale_transform(s: IncidenceSystem) -> GaleDiagram:
         basis = [(y, next(y[slot] for slot in (a, b, c) if y[slot]))]
     for i, (y, _) in enumerate(basis):
         values = [y[slot] for slot in slots]
-        bad = next((v for v, fs in enumerate(s.faces_at) if sum(map(values.__getitem__, fs))), None)
+        bad = next((v for v, fs in enumerate(vertex_faces) if sum(values[j] for j in fs)), None)
         if bad is not None:
             raise TheoremViolation(f"Gale vector {i} is no dependency at vertex {bad}")
         if sum(values):

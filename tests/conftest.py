@@ -103,6 +103,20 @@ def ranks_by_elimination(s) -> tuple[int, int]:
     return sum(1 for c in pivots if c < len(s.vectors[0])), len(pivots) - 1
 
 
+def vectors_by_faces(p) -> tuple[tuple[int, ...], ...]:
+    """The face-vertex indicator vectors of p, in face input order, built
+    row by row: the eager build that incidence_system made before
+    IncidenceSystem.vectors was built on first read, kept as its
+    reference."""
+    vectors = []
+    for face in p.faces:
+        vec = [0] * p.num_vertices
+        for v in face:
+            vec[v] = 1
+        vectors.append(tuple(vec))
+    return tuple(vectors)
+
+
 def neighborliness_by_combinations(lattice) -> int:
     """Every k-subset of vertices tested in turn: the form that
     gale.neighborliness replaced, kept as its reference."""

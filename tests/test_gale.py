@@ -19,6 +19,7 @@ from conftest import (
     gluings,
     neighborliness_by_combinations,
     ranks_by_elimination,
+    vectors_by_faces,
 )
 from galehull import (
     analyze_polytope,
@@ -84,14 +85,7 @@ def test_hull_dimension_theorem(cube_analysis, prism6_analysis, trunc_oct_analys
 def test_hull_dimension_violation_is_detected(cube):
     # an improper "coloring" with unequal class sizes predicts dim n = 4,
     # the actual hull has dimension 3
-    fake = coloring_from_assignment((1, 2, 2, 3, 3, 3))
-    s = IncidenceSystem(
-        vectors=tuple(
-            tuple(1 if v in set(face) else 0 for v in range(8)) for face in cube.faces
-        ),
-        coloring=fake,
-        n=4,
-    )
+    s = IncidenceSystem(cube, coloring_from_assignment((1, 2, 2, 3, 3, 3)))
     with pytest.raises(TheoremViolation):
         hull_dimension(s)
 
@@ -143,8 +137,7 @@ def test_hull_dimension_check_still_fires(cube, monkeypatch):
 
 
 def test_certificate_rejects_a_vertex_without_a_face_of_each_class(cube):
-    s = incidence_system(cube, three_color(cube))
-    fake = IncidenceSystem(s.vectors, coloring_from_assignment((1, 2, 2, 3, 3, 3)), s.n)
+    fake = IncidenceSystem(cube, coloring_from_assignment((1, 2, 2, 3, 3, 3)))
     with pytest.raises(TheoremViolation, match="vertex 2 is not on one face of each class"):
         fake.incidence_rank
 
@@ -251,6 +244,29 @@ def test_closed_form_diagram_equals_rref_route_relabelled(data):
     assert gale_transform(s).points == rref_gale_points(s)
 
 
+def _incidences_equal_the_eager_build(p):
+    """s.vectors equals the eager build, and each vertex-face list the
+    ascending faces whose vector holds the vertex, which the certificates
+    read from the vectors before."""
+    vectors = vectors_by_faces(p)
+    assert incidence_system(p, three_color(p)).vectors == vectors
+    for v, faces in enumerate(p.vertex_faces):
+        assert faces == tuple(j for j, vec in enumerate(vectors) if vec[v])
+
+
+@pytest.mark.parametrize("name,p", GALE_INSTANCES, ids=[n for n, _ in GALE_INSTANCES])
+def test_incidences_equal_the_eager_build(name, p):
+    _incidences_equal_the_eager_build(p)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(gluings(UP_TO_14), st.integers(0, 2**16))
+def test_generated_incidences_equal_the_eager_build(inst, shuffle_seed):
+    faces = [list(f) for f in inst.faces]
+    random.Random(shuffle_seed).shuffle(faces)
+    _incidences_equal_the_eager_build(validate(faces))
+
+
 def _certificate_equals_elimination(p):
     """The certified incidence rank and hull dimension equal the exact
     ranks of the vectors and the elimination route they replaced."""
@@ -354,12 +370,7 @@ def test_corrupted_basis_trips_the_residual_check(prism6_analysis):
 def test_wrong_classes_of_the_right_sizes_trip_the_residual_check(cube):
     # classes {0,2}, {1,4}, {3,5}: sizes (2,2,2) and hull dimension 3 as for
     # the true coloring, but faces 0 and 2 share an edge
-    s = incidence_system(cube, three_color(cube))
-    fake = IncidenceSystem(
-        vectors=s.vectors,
-        coloring=coloring_from_assignment((1, 2, 1, 3, 2, 3)),
-        n=s.n,
-    )
+    fake = IncidenceSystem(cube, coloring_from_assignment((1, 2, 1, 3, 2, 3)))
     with pytest.raises(TheoremViolation, match="no dependency at vertex"):
         gale_transform(fake)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import random
 import tempfile
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,7 @@ from galehull import (
 )
 from galehull.cli import main
 from galehull.errors import CriterionMismatch, TheoremViolation, TooManyPoints
+from galehull.gale import IncidenceSystem
 
 
 def _walked(lattice):
@@ -369,3 +371,62 @@ def test_over_cap_analyze_refuses_before_the_anchors(monkeypatch, capsys):
     g = gale_transform(s)
     with pytest.raises(TooManyPoints, match=error["message"]):
         enumerate_faces(s, g, classify(s, g))
+
+
+# past ANALYSIS_VERTEX_CAP: prisms and the analyze-large gluings, n = 24 to 70
+OVER_CAP = [
+    ("prism:24", lambda: catalog("prism", 24)),
+    ("prism:998", lambda: catalog("prism", 998)),
+    *(
+        (f"glued-{m1}.{m2}.{m3}", lambda m=(m1, m2, m3): validate(gen.glued(random.Random(1), m).faces))
+        for m1, m2, m3 in ((20, 22, 24), (20, 26, 26), (22, 22, 26), (24, 24, 24))
+    ),
+]
+
+
+@pytest.mark.parametrize("name,build", OVER_CAP, ids=[n for n, _ in OVER_CAP])
+def test_over_cap_analyze_and_compare_build_no_dense_vectors(
+    name, build, monkeypatch, tmp_path, capsys
+):
+    def densifying(self):
+        raise AssertionError("the dense incidence vectors are being built")
+
+    monkeypatch.setattr(IncidenceSystem, "vectors", property(densifying))
+    p = build()
+    error = {
+        "code": "TooManyPoints",
+        "message": f"{p.n + 2} hull vertices exceeds cap 24",
+        "source": "galehull.gale",
+    }
+    with pytest.raises(TooManyPoints, match=error["message"]):
+        summarize_polytope(p)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"faces": [list(f) for f in p.faces]}))
+    for argv in (["analyze", str(path)], ["compare", str(path), "catalog:cube"]):
+        assert main(argv) == 4
+        assert json.loads(capsys.readouterr().out) == {"error": error}
+
+
+@pytest.mark.parametrize("name,build", SUMMARIZED, ids=[n for n, _ in SUMMARIZED])
+def test_the_anchors_read_the_dense_vectors_first(name, build, monkeypatch):
+    import galehull.pipeline as pipeline_module
+
+    exact, anchors = IncidenceSystem.vectors.func, pipeline_module.grade_anchors
+    anchoring, reads = [], []
+
+    def reading(self):
+        reads.append(bool(anchoring))
+        return exact(self)
+
+    def entering(s, t):
+        anchoring.append(True)
+        anchors(s, t)
+        anchoring.clear()
+
+    prop = cached_property(reading)
+    prop.__set_name__(IncidenceSystem, "vectors")
+    monkeypatch.setattr(IncidenceSystem, "vectors", prop)
+    monkeypatch.setattr(pipeline_module, "grade_anchors", entering)
+    summarize_polytope(build())
+    # built at most once, inside grade_anchors; an empty-face anchor reads none
+    assert reads in ([], [True])
