@@ -3,24 +3,23 @@
 This is the ground truth the Gale machinery is validated against, so it
 shares nothing with the coface criterion: facets are found by scanning
 the d-subsets for spanning hyperplanes with all points on one closed
-side, skipping the subsets that lie on a hyperplane already found. The
-rest of the lattice comes from the vertex-facet incidences in facet-set
-coordinates (Kaibel and Pfetsch): the join of a face with a point off it
-is the AND of their facet sets, and each face is graded one above the
-highest face it is a join of. Each facet's exact affine rank anchors
-that grading. Facet sets turn back into vertex masks through per-byte
-AND tables of the facet masks, many faces per pass. The arithmetic is
-fraction-free: hull coordinates are pivot columns and each hyperplane is
-an integer null vector, both found by integer elimination, so on
-integer points (every incidence vector) the scan evaluates
-normal . q - offset in ints. Desk scale only (at most 26 points).
+side, skipping the subsets that lie on a hyperplane already found. Each
+facet's exact affine rank is checked. The rest of the lattice comes from
+the point-facet incidences: a face is the largest point subset that has
+its facet set, read for every subset off per-half tables, and each face
+is graded one above a face that is one point smaller, or by its exact
+affine rank when there is none. The arithmetic is fraction-free: hull
+coordinates are pivot columns and each hyperplane is an integer null
+vector, both found by integer elimination, so on integer points (every
+incidence vector) the scan evaluates normal . q - offset in ints. Desk
+scale only (at most 26 points).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, islice
-from operator import add, and_
+from itertools import combinations, count, product, starmap
+from operator import and_
 from typing import Sequence
 
 from .errors import (
@@ -34,7 +33,6 @@ from .gale import (
     FaceLattice,
     IncidenceSystem,
     TypeReport,
-    byte_tables,
     members,
 )
 from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
@@ -103,11 +101,19 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     """Face lattice of conv(points) by exhaustive hyperplane scanning.
 
     Faces are bitmasks over the input points; the empty face and the
-    full polytope are included. Each facet must have exact affine
-    dimension d - 1. Every face is graded one above the highest face it
-    is a join of, the join of face t and point i being the least face
-    holding both, and the facets and the polytope must come out at d - 1
-    and d. Points need not be vertices.
+    full polytope are included. Points need not be vertices.
+
+    Each facet must have exact affine dimension d - 1. A face is the
+    largest point subset with its facet set (a Galois closure), so the
+    faces are read off the facet sets of all 2^N subsets. If a face f
+    minus one point p is a face g, f is a pyramid over g: aff f is
+    spanned by aff g and p, and g is a proper face of f, so f has
+    dimension dim g + 1. Every other face takes its exact affine rank,
+    and the facets and the polytope must come out at d - 1 and d.
+
+    The cost is 2^N table reads in C plus one Python step per face: output
+    sized on galehull's hulls, where almost every point subset is a face,
+    but not on low-dimensional point sets.
     """
     pts = _check_points(points)
     qpts, d = _project_to_hull_coordinates(pts)
@@ -121,42 +127,39 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
             raise StructureMismatch(
                 f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
             )
-    # Faces are keyed by facet set, the empty face by all facets and the
-    # polytope by none. inc[i] holds the facets through point i, so the
-    # least face holding face t and point i is t & inc[i], its join. Every
-    # join other than t is a proper superface with fewer facets, and every
-    # face y is the join of each of its facets x with a point of y off x.
-    # So buckets of decreasing facet count grade every join source first,
-    # and a face is one dimension above the highest face it is a join of.
-    # A point on face t joins to t itself, so only the points off t count.
+    # inc[i] holds the facets through point i, so a point subset lies on
+    # the AND of its points' inc. Each half's table holds that AND for
+    # every subset of its points, doubling once per point, so the product
+    # visits every subset in ascending mask order. The last subset with a
+    # facet set, the union of them all, is the face that has it. The dict
+    # goes before grading: kept, it adds to the peak memory.
     n = len(pts)
     top = (1 << n) - 1
     inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
-    # per byte: facet set -> AND of its facets; point mask -> its points' inc
-    mask_tables = byte_tables(facets, and_, top)
-    inc_tables = byte_tables([(x,) for x in inc], add, ())
-    buckets = [{} for _ in facets] + [{(1 << len(facets)) - 1: -1}]
-    faces = {}
-    while buckets:
-        items = iter(buckets.pop().items())
-        # 64 faces at a time, as in reference.check_witness: lists this
-        # small stay in the small-object allocator and add no peak memory
-        while chunk := list(islice(items, 64)):
-            masks = [top] * len(chunk)
-            for c, table in enumerate(mask_tables):
-                masks = [m & table[t >> 8 * c & 255] for m, (t, _) in zip(masks, chunk)]
-            offs = [()] * len(chunk)
-            for c, table in enumerate(inc_tables):
-                offs = [o + table[(top ^ m) >> 8 * c & 255] for o, m in zip(offs, masks)]
-            for (t, dim), off in zip(chunk, offs):
-                for x in off:
-                    j = t & x
-                    above = buckets[j.bit_count()]
-                    if above.get(j, -1) <= dim:
-                        above[j] = dim + 1
-            faces.update((m, dim) for m, (_, dim) in zip(masks, chunk))
+    lows, highs = [(1 << len(facets)) - 1], [(1 << len(facets)) - 1]
+    for i, x in enumerate(inc):
+        half = lows if i < n // 2 else highs
+        half += [t & x for t in half]
+    closure = dict(zip(starmap(and_, product(highs, lows)), count()))
+    order = sorted(closure.values())
+    del closure
+    # A face f with a face g = f minus one point p is a pyramid over g:
+    # aff f is spanned by aff g and p, and g is a proper face of f. So f
+    # grades one above g, which comes first in ascending mask order. Any
+    # other face (the empty face too) takes its exact affine rank. The
+    # point dropped first is the lowest, which succeeds on almost every
+    # face of galehull's hulls.
+    faces: dict[int, int] = {}
+    get = faces.get
+    for f in order:
+        dim = get(f & f - 1)
+        if dim is None:
+            dim = next((faces[g] for i in members(f) if (g := f ^ 1 << i) in faces), None)
+        faces[f] = (
+            affine_dimension([qpts[i] for i in members(f)]) if dim is None else dim + 1
+        )
     if faces[top] != d or any(faces[f] != d - 1 for f in facets):
-        raise StructureMismatch("join grading disagrees with the facet ranks")
+        raise StructureMismatch("pyramid grading disagrees with the facet ranks")
     return FaceLattice(dim=d, top=top, faces=faces)
 
 

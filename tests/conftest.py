@@ -5,9 +5,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd, lcm
-from operator import and_, getitem, or_
+from operator import add, and_, getitem, or_
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -15,9 +15,10 @@ import pytest
 from hypothesis import strategies as st
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
-from galehull.errors import CriterionMismatch
+from galehull.errors import CriterionMismatch, DegenerateInput, StructureMismatch
 from galehull.gale import FaceLattice, byte_tables, members
 from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
+from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
@@ -310,8 +311,62 @@ def facet_supports_by_keys(qpts: list[tuple], d: int):
     return out
 
 
+def oracle_lattice_by_joins(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
+    """The join closure that oracle.oracle_lattice's per-half facet-set
+    tables and pyramid grading replaced, kept verbatim as their reference."""
+    pts = _check_points(points)
+    qpts, d = _project_to_hull_coordinates(pts)
+    if d == 0:
+        raise DegenerateInput("all points coincide")
+
+    facets = [mask for mask, *_ in _facet_supports(qpts, d)]
+    for f in facets:
+        r = affine_dimension([qpts[i] for i in members(f)])
+        if r != d - 1:
+            raise StructureMismatch(
+                f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
+            )
+    # Faces are keyed by facet set, the empty face by all facets and the
+    # polytope by none. inc[i] holds the facets through point i, so the
+    # least face holding face t and point i is t & inc[i], its join. Every
+    # join other than t is a proper superface with fewer facets, and every
+    # face y is the join of each of its facets x with a point of y off x.
+    # So buckets of decreasing facet count grade every join source first,
+    # and a face is one dimension above the highest face it is a join of.
+    # A point on face t joins to t itself, so only the points off t count.
+    n = len(pts)
+    top = (1 << n) - 1
+    inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
+    # per byte: facet set -> AND of its facets; point mask -> its points' inc
+    mask_tables = byte_tables(facets, and_, top)
+    inc_tables = byte_tables([(x,) for x in inc], add, ())
+    buckets = [{} for _ in facets] + [{(1 << len(facets)) - 1: -1}]
+    faces = {}
+    while buckets:
+        items = iter(buckets.pop().items())
+        # 64 faces at a time, as in reference.check_witness: lists this
+        # small stay in the small-object allocator and add no peak memory
+        while chunk := list(islice(items, 64)):
+            masks = [top] * len(chunk)
+            for c, table in enumerate(mask_tables):
+                masks = [m & table[t >> 8 * c & 255] for m, (t, _) in zip(masks, chunk)]
+            offs = [()] * len(chunk)
+            for c, table in enumerate(inc_tables):
+                offs = [o + table[(top ^ m) >> 8 * c & 255] for o, m in zip(offs, masks)]
+            for (t, dim), off in zip(chunk, offs):
+                for x in off:
+                    j = t & x
+                    above = buckets[j.bit_count()]
+                    if above.get(j, -1) <= dim:
+                        above[j] = dim + 1
+            faces.update((m, dim) for m, (_, dim) in zip(masks, chunk))
+    if faces[top] != d or any(faces[f] != d - 1 for f in facets):
+        raise StructureMismatch("join grading disagrees with the facet ranks")
+    return FaceLattice(dim=d, top=top, faces=faces)
+
+
 def join_grading_by_fold(facets: list[int], n: int) -> dict[int, int]:
-    """The join grading of oracle.oracle_lattice with every face joined to
+    """The join grading of oracle_lattice_by_joins with every face joined to
     every point and its vertex mask read by one byte_fold call: the form
     that the per-bucket tables over the points off each face replaced,
     kept as their reference. Takes the facet masks, returns the faces."""

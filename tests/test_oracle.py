@@ -16,6 +16,7 @@ from conftest import (
     join_grading_by_fold,
     lattice_isomorphic,
     neighborliness_by_combinations,
+    oracle_lattice_by_joins,
     relabel_faces,
 )
 from galehull import (
@@ -221,11 +222,19 @@ def test_facet_scan_skips_subsets_on_known_hyperplanes(
     assert len(spans) == calls
 
 
-COUNTED_POINTS = POSET_RANK_POINTS[:3] + POSET_RANK_POINTS[-4:]
+# the apex comes last, so the top is a pyramid only over the face without
+# its highest point
+SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 1)]
+COUNTED_POINTS = (
+    POSET_RANK_POINTS[:3] + POSET_RANK_POINTS[-4:] + [("square-pyramid", SQUARE_PYRAMID)]
+)
 
 
 @pytest.mark.parametrize("name,pts", COUNTED_POINTS, ids=[n for n, _ in COUNTED_POINTS])
 def test_exact_rank_runs_once_per_facet(name, pts, monkeypatch):
+    """One exact rank per facet, plus one per face that is no pyramid over
+    a face one point smaller: the empty face, the top of a simplicial
+    hull, the faces through points that are not vertices."""
     import galehull.oracle as oracle_module
 
     calls = []
@@ -238,7 +247,10 @@ def test_exact_rank_runs_once_per_facet(name, pts, monkeypatch):
     monkeypatch.setattr(oracle_module, "affine_dimension", counting)
     lat = oracle_lattice(pts)
     facets = [f for f, d in lat.faces.items() if d == lat.dim - 1]
-    assert sorted(calls) == sorted(f.bit_count() for f in facets)
+    no_pyramids = [
+        f for f in lat.faces if not any(f ^ 1 << i in lat.faces for i in members(f))
+    ]
+    assert sorted(calls) == sorted(f.bit_count() for f in facets + no_pyramids)
 
 
 def test_wrong_facet_rank_names_the_facet(monkeypatch):
@@ -256,6 +268,47 @@ def test_wrong_facet_rank_names_the_facet(monkeypatch):
         match=r"facet \[0, 2, 4\] has affine dimension 1, expected 2",
     ):
         oracle_lattice(OCTAHEDRON)
+
+
+def test_wrong_rank_of_a_face_that_is_no_pyramid_trips_the_grading_check(monkeypatch):
+    """The octahedron's top is no pyramid over a face one point smaller,
+    so it takes an exact rank; misgrading it alone fails the final check."""
+    import galehull.oracle as oracle_module
+
+    exact = oracle_module.affine_dimension
+
+    def wrong(points):
+        return exact(points) - (len(points) == len(OCTAHEDRON))
+
+    monkeypatch.setattr(oracle_module, "affine_dimension", wrong)
+    with pytest.raises(
+        StructureMismatch, match="pyramid grading disagrees with the facet ranks"
+    ):
+        oracle_lattice(OCTAHEDRON)
+
+
+def _join_closure_instances():
+    yield "cube", catalog("cube")  # prism:4
+    yield "truncated-octahedron", catalog("truncated-octahedron")
+    for k in range(6, 16, 2):
+        yield f"prism:{k}", catalog("prism", k)
+    for build in instances.INSTANCE_BUILDERS:
+        yield build.__name__, build()
+
+
+JOIN_CLOSURE_POINTS = [(name, _vectors(p)) for name, p in _join_closure_instances()]
+
+
+def _assert_oracle_equals_the_join_closure(pts):
+    lat, ref = oracle_lattice(pts), oracle_lattice_by_joins(pts)
+    assert (lat.dim, lat.top, lat.faces) == (ref.dim, ref.top, ref.faces)
+
+
+@pytest.mark.parametrize(
+    "name,pts", JOIN_CLOSURE_POINTS, ids=[n for n, _ in JOIN_CLOSURE_POINTS]
+)
+def test_oracle_equals_the_join_closure(name, pts):
+    _assert_oracle_equals_the_join_closure(pts)
 
 
 def _closure_lattice(points):
@@ -312,6 +365,13 @@ def test_join_grading_equals_the_closure_construction(pts):
     lat = oracle_lattice(pts)
     assert (lat.dim, lat.faces) == _closure_lattice(pts)
     assert lat.top == (1 << len(pts)) - 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets_with_non_vertices())
+def test_oracle_equals_the_join_closure_with_non_vertices(pts):
+    if len(set(pts)) > 1:
+        _assert_oracle_equals_the_join_closure(pts)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
