@@ -15,7 +15,9 @@ per-type criterion; a disagreement raises, it is never a tolerated
 outcome. Face enumeration and the face counts read that table. A subset
 holds a class when both halves of its vertex mask hold their parts of
 it, so enumeration tests no mask on its own: it joins one table row of
-low halves to each high half.
+low halves to each high half. subset_table folds a value per point over
+every subset of a half; the enumeration, the oracle and the witness
+check read all their masks through two such tables.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
-from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
+from operator import or_
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CriterionMismatch,
@@ -169,20 +172,13 @@ def members(mask: int) -> list[int]:
     return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
-T = TypeVar("T")
-
-
-def byte_tables(values: Sequence[T], op: Callable[[T, T], T], unit: T) -> list[list[T]]:
-    """Per-byte lookup tables: entry b of table c folds
-    values[8c .. 8c + 7] over the set bits of b, starting from unit."""
-    tables = []
-    for c in range(0, len(values), 8):
-        chunk = values[c:c + 8]
-        table = [unit]
-        for b in range(1, 1 << len(chunk)):
-            table.append(op(table[b & (b - 1)], chunk[(b & -b).bit_length() - 1]))
-        tables.append(table)
-    return tables
+def subset_table(values: Sequence[int], op: Callable[[int, int], int], unit: int) -> list[int]:
+    """Entry h folds op over values[i] for the set bits i of h, starting
+    from unit: the table doubles once per value."""
+    table = [unit]
+    for x in values:
+        table += [op(t, x) for t in table]
+    return table
 
 
 def require_face_cap(faces: int) -> None:
@@ -438,15 +434,6 @@ def _class_patterns(
     return PatternTable(tuple(least), tuple(map(frozenset, off)), tuple(offset))
 
 
-def _half_patterns(smasks: Sequence[int], shift: int, width: int) -> list[int]:
-    """Entry h has bit i set when the half mask h, standing for bits
-    shift .. shift + width - 1, holds the part of class i in those bits;
-    a class with no vertex there counts as held."""
-    parts = [m >> shift & ((1 << width) - 1) for m in smasks]
-    c1, c2, c3 = ([h & p == p for h in range(1 << width)] for p in parts)
-    return [a | b << 1 | c << 2 for a, b, c in zip(c1, c2, c3)]
-
-
 def _require_vertex_cap(s: IncidenceSystem) -> None:
     """Refuse a hull of more than ANALYSIS_VERTEX_CAP vertices."""
     npts = s.n + 2
@@ -497,9 +484,11 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
     offset = table.offset
     full = (1 << npts) - 1
     low = npts // 2
-    smasks = table.least[1], table.least[2], table.least[4]
-    lows = _half_patterns(smasks, 0, low)
-    highs = _half_patterns(smasks, low, npts - low)
+    # a half mask h holds a class with no bit in the half's complement of h
+    bits = [1 << slot for slot in s.slots]
+    lows, highs = (
+        [7 & ~t for t in reversed(subset_table(half, or_, 0))] for half in (bits[:low], bits[low:])
+    )
     # pattern 7 holds every class, which only the full mask does: it comes last
     by_pattern = (*offset, None)
     rows = {}  # high half pattern -> (low halves completing a face, their dims)

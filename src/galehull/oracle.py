@@ -34,6 +34,7 @@ from .gale import (
     IncidenceSystem,
     TypeReport,
     members,
+    subset_table,
 )
 from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
 
@@ -128,18 +129,16 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
                 f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
             )
     # inc[i] holds the facets through point i, so a point subset lies on
-    # the AND of its points' inc. Each half's table holds that AND for
-    # every subset of its points, doubling once per point, so the product
-    # visits every subset in ascending mask order. The last subset with a
-    # facet set, the union of them all, is the face that has it. The dict
-    # goes before grading: kept, it adds to the peak memory.
+    # the AND of its points' inc. Each half's subset_table holds that AND
+    # for every subset of its points, so the product visits every subset
+    # in ascending mask order. The last subset with a facet set, the union
+    # of them all, is the face that has it. The dict goes before grading:
+    # kept, it adds to the peak memory.
     n = len(pts)
     top = (1 << n) - 1
     inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
-    lows, highs = [(1 << len(facets)) - 1], [(1 << len(facets)) - 1]
-    for i, x in enumerate(inc):
-        half = lows if i < n // 2 else highs
-        half += [t & x for t in half]
+    every = (1 << len(facets)) - 1
+    lows, highs = subset_table(inc[:n // 2], and_, every), subset_table(inc[n // 2:], and_, every)
     closure = dict(zip(starmap(and_, product(highs, lows)), count()))
     order = sorted(closure.values())
     del closure

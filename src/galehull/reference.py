@@ -15,11 +15,11 @@ searched for.
 
 from __future__ import annotations
 
-from itertools import combinations, islice
-from operator import or_
+from itertools import combinations, compress, repeat
+from operator import and_, ne, or_, rshift
 
 from .errors import BadParameters, StructureMismatch, TooManyPoints
-from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, IncidenceSystem, byte_tables, members
+from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, IncidenceSystem, members, subset_table
 
 
 def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceLattice:
@@ -136,9 +136,10 @@ def check_witness(
 ) -> None:
     """Require the vertex bijection `witness` to map the faces of a onto
     the faces of b, dimensions kept: equal face counts, and the image of
-    every face, read through per-byte OR tables, a face of b of the same
-    dimension. Then it is a lattice isomorphism. StructureMismatch names
-    the stage and the first face that fails, with its image."""
+    every face, read through one OR subset_table per half of its mask, a
+    face of b of the same dimension. Then it is a lattice isomorphism.
+    StructureMismatch names the stage and the first face that fails, with
+    its image."""
     if sorted(witness) != members(a.top) or sorted(witness.values()) != members(b.top):
         raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
     if len(a.faces) != len(b.faces):
@@ -148,20 +149,17 @@ def check_witness(
     images = [0] * a.top.bit_length()
     for v, w in witness.items():
         images[v] = 1 << w
-    tables = byte_tables(images, or_, 0)
-    get = b.faces.get
-    items = iter(a.faces.items())
-    # 64 faces at a time, one byte of each per pass: lists this small
-    # stay in the small-object allocator, so the check leaves no heap
-    # growth behind, and ran faster than whole-lattice lists
-    while chunk := list(islice(items, 64)):
-        mapped = [0] * len(chunk)
-        for c, table in enumerate(tables):
-            shift = 8 * c
-            mapped = [m | table[f >> shift & 255] for m, (f, _) in zip(mapped, chunk)]
-        for (face, dim), image in zip(chunk, mapped):
-            if get(image) != dim:
-                raise StructureMismatch(
-                    f"{stage}: face {members(face)} of dimension {dim} maps to "
-                    f"{members(image)}, no face of that dimension"
-                )
+    low = len(images) // 2
+    keep = (1 << low) - 1
+    lows, highs = subset_table(images[:low], or_, 0), subset_table(images[low:], or_, 0)
+    # every image, one C-level map chain over the faces with no list built
+    high_images = map(highs.__getitem__, map(rshift, a.faces, repeat(low)))
+    mapped = map(or_, high_images, map(lows.__getitem__, map(and_, a.faces, repeat(keep))))
+    wrong = map(ne, map(b.faces.get, mapped), a.faces.values())
+    bad = next(compress(a.faces.items(), wrong), None)
+    if bad is not None:
+        face, dim = bad
+        raise StructureMismatch(
+            f"{stage}: face {members(face)} of dimension {dim} maps to "
+            f"{members(highs[face >> low] | lows[face & keep])}, no face of that dimension"
+        )

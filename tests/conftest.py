@@ -9,14 +9,14 @@ from itertools import combinations, islice
 from math import gcd, lcm
 from operator import add, and_, getitem, or_
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import pytest
 from hypothesis import strategies as st
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
 from galehull.errors import CriterionMismatch, DegenerateInput, StructureMismatch
-from galehull.gale import FaceLattice, byte_tables, members
+from galehull.gale import FaceLattice, members
 from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
 from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
 
@@ -225,6 +225,24 @@ def enumerate_faces_by_mask_scan(s, g, t) -> FaceLattice:
     return FaceLattice(dim=t.dim, top=full, faces=faces)
 
 
+T = TypeVar("T")
+
+
+# The per-byte tables that gale.subset_table replaced, kept verbatim for
+# byte_fold and the references below.
+def byte_tables(values: Sequence[T], op: Callable[[T, T], T], unit: T) -> list[list[T]]:
+    """Per-byte lookup tables: entry b of table c folds
+    values[8c .. 8c + 7] over the set bits of b, starting from unit."""
+    tables = []
+    for c in range(0, len(values), 8):
+        chunk = values[c:c + 8]
+        table = [unit]
+        for b in range(1, 1 << len(chunk)):
+            table.append(op(table[b & (b - 1)], chunk[(b & -b).bit_length() - 1]))
+        tables.append(table)
+    return tables
+
+
 def byte_fold(
     values: Sequence[int], op: Callable[[int, int], int], unit: int
 ) -> Callable[[int], int]:
@@ -386,6 +404,40 @@ def join_grading_by_fold(facets: list[int], n: int) -> dict[int, int]:
                     above[j] = dim + 1
         faces.update((vertices_of(t), dim) for t, dim in bucket.items())
     return faces
+
+
+def check_witness_by_bytes(
+    a: FaceLattice, b: FaceLattice, witness: dict[int, int], stage: str
+) -> None:
+    """The witness check through per-byte OR tables, 64 faces per pass:
+    the form that the per-half subset tables of reference.check_witness
+    replaced, kept verbatim as its reference."""
+    if sorted(witness) != members(a.top) or sorted(witness.values()) != members(b.top):
+        raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
+    if len(a.faces) != len(b.faces):
+        raise StructureMismatch(
+            f"{stage}: {len(a.faces)} faces against {len(b.faces)} in the image lattice"
+        )
+    images = [0] * a.top.bit_length()
+    for v, w in witness.items():
+        images[v] = 1 << w
+    tables = byte_tables(images, or_, 0)
+    get = b.faces.get
+    items = iter(a.faces.items())
+    # 64 faces at a time, one byte of each per pass: lists this small
+    # stay in the small-object allocator, so the check leaves no heap
+    # growth behind, and ran faster than whole-lattice lists
+    while chunk := list(islice(items, 64)):
+        mapped = [0] * len(chunk)
+        for c, table in enumerate(tables):
+            shift = 8 * c
+            mapped = [m | table[f >> shift & 255] for m, (f, _) in zip(mapped, chunk)]
+        for (face, dim), image in zip(chunk, mapped):
+            if get(image) != dim:
+                raise StructureMismatch(
+                    f"{stage}: face {members(face)} of dimension {dim} maps to "
+                    f"{members(image)}, no face of that dimension"
+                )
 
 
 # The backtracking isomorphism search that the class-block witnesses of

@@ -43,7 +43,7 @@ from galehull import (
 )
 from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
-from galehull.gale import IncidenceSystem, rref_gale_points
+from galehull.gale import IncidenceSystem, rref_gale_points, subset_table
 from galehull.linalg import affine_dimension, rank
 from galehull.polytopes import coloring_from_assignment
 
@@ -884,10 +884,18 @@ def test_byte_fold_equals_a_loop_over_the_set_bits(case):
     values, xs = case
     full = (1 << 30) - 1
     meet, join = byte_fold(values, and_, full), byte_fold(values, or_, 0)
+    # 14 values at most keep the subset tables at 16k entries
+    k = min(len(values), 14)
+    meets, joins = subset_table(values[:k], and_, full), subset_table(values[:k], or_, 0)
+    assert subset_table([], and_, full) == [full] and subset_table([], or_, 0) == [0]
     for x in xs:
         on = [values[j] for j in members(x)]
         assert meet(x) == reduce(and_, on, full)
         assert join(x) == reduce(or_, on, 0)
+        part = x & (1 << k) - 1
+        on = [values[j] for j in members(part)]
+        assert meets[part] == reduce(and_, on, full)
+        assert joins[part] == reduce(or_, on, 0)
 
 
 def _neighborliness_cases():

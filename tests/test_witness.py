@@ -8,11 +8,13 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import galehull.equivalence as equivalence_module
 import galehull.pipeline as pipeline_module
 import instances
-from conftest import relabel_faces
+from conftest import UP_TO_14, check_witness_by_bytes, gluings, relabel_faces
 from galehull import (
     FaceLattice,
     analyze_polytope,
@@ -24,7 +26,8 @@ from galehull import (
     verify_polytope,
 )
 from galehull.errors import StructureMismatch
-from galehull.reference import check_witness
+from galehull.pipeline import reference_model
+from galehull.reference import block_order, check_witness
 
 BASE = [
     ("cube", lambda: catalog("cube")),
@@ -139,3 +142,79 @@ def test_check_witness_wants_a_vertex_bijection_and_equal_face_counts(prism6_ana
     del fewer.faces[1]
     with pytest.raises(StructureMismatch, match="^short: 200 faces against 199"):
         check_witness(lattice, fewer, ident, "short")
+
+
+# --- check_witness against its per-byte reference ---------------------------
+
+def _verdict(check, a, b, phi) -> str | None:
+    """The StructureMismatch text of one witness check, None if it passes."""
+    try:
+        check(a, b, phi, "witness")
+    except StructureMismatch as e:
+        return str(e)
+    return None
+
+
+def _same_verdict(a, b, phi) -> str | None:
+    verdict = _verdict(check_witness, a, b, phi)
+    assert verdict == _verdict(check_witness_by_bytes, a, b, phi)
+    return verdict
+
+
+def _block_witness(p):
+    """A hull's analysis, its model and the block witness between them."""
+    analysis = analyze_polytope(p)
+    report = analysis.report
+    order = block_order(analysis.system, report.hull_type)
+    model = reference_model(report, p.n)
+    return analysis, model, {v: i for i, v in enumerate(order)}
+
+
+ROUTE_CASES = [
+    ("cube", lambda: catalog("cube")),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+] + [(f"prism:{k}", lambda k=k: catalog("prism", k)) for k in range(6, 15, 2)] + [
+    (build.__name__, build) for build in instances.INSTANCE_BUILDERS
+]
+
+
+@pytest.mark.parametrize("name,build", ROUTE_CASES, ids=[n for n, _ in ROUTE_CASES])
+def test_check_witness_matches_the_byte_tables_on_block_witnesses(name, build):
+    analysis, model, phi = _block_witness(build())
+    assert _same_verdict(analysis.lattice, model, phi) is None
+    u, w = analysis.system.class_indices(0)[0], analysis.system.class_indices(1)[0]
+    phi[u], phi[w] = phi[w], phi[u]
+    assert _same_verdict(analysis.lattice, model, phi) is not None
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(gluings(UP_TO_14), st.none() | st.integers(0, 2**16))
+def test_check_witness_matches_the_byte_tables_on_permuted_witnesses(inst, seed):
+    """The block witness, or its images permuted by a drawn seed: most
+    permutations are no automorphism of the model."""
+    analysis, model, phi = _block_witness(validate([list(f) for f in inst.faces]))
+    if seed is not None:
+        images = list(phi.values())
+        random.Random(seed).shuffle(images)
+        phi = dict(zip(phi, images))
+    _same_verdict(analysis.lattice, model, phi)
+
+
+def test_check_witness_matches_the_byte_tables_on_tiny_lattices():
+    empty = FaceLattice(dim=-1, top=0, faces={0: -1})
+    point = FaceLattice(dim=0, top=1, faces={0: -1, 1: 0})
+    segment = FaceLattice(dim=1, top=3, faces={0: -1, 1: 0, 2: 0, 3: 1})
+    # with no point both half tables are [0]; with one, low = 0 and the
+    # low half's table is [0]
+    assert _same_verdict(empty, empty, {}) is None
+    assert _same_verdict(point, point, {0: 0}) is None
+    assert _same_verdict(segment, segment, {0: 1, 1: 0}) is None
+    raised = FaceLattice(dim=1, top=1, faces={0: -1, 1: 1})
+    assert _same_verdict(point, raised, {0: 0}) == (
+        "witness: face [0] of dimension 0 maps to [0], no face of that dimension"
+    )
+    flat = FaceLattice(dim=1, top=3, faces={0: -1, 1: 0, 2: 0, 3: 0})
+    assert _same_verdict(segment, flat, {0: 0, 1: 1}) == (
+        "witness: face [0, 1] of dimension 1 maps to [0, 1], no face of that dimension"
+    )
+    assert _same_verdict(segment, segment, {0: 0, 1: 0}) is not None
