@@ -32,12 +32,7 @@ from .polytopes import (
     three_color,
     validate,
 )
-from .reference import (
-    cyclic_facets,
-    pyramid,
-    tkn_model,
-    type4_model,
-)
+from .reference import cyclic_facets, model_facets
 
 __version__ = "1.0.0"
 
@@ -67,16 +62,14 @@ __all__ = [
     "incidence_system",
     "lattice_to_json",
     "members",
+    "model_facets",
     "neighborliness",
     "oracle_lattice",
     "pattern_counts",
-    "pyramid",
     "relint_contains_zero",
     "simpliciality_check",
     "summarize_polytope",
     "three_color",
-    "tkn_model",
-    "type4_model",
     "validate",
     "verify_polytope",
     "verify_pyramid_structure",

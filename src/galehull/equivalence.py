@@ -38,7 +38,7 @@ def equivalence_witness(
     a: IncidenceSystem, b: IncidenceSystem
 ) -> Optional[dict[int, int]]:
     """A vertex bijection between the oracle lattices of a and b, checked
-    face by face, when n, type and m2 agree; None otherwise, certified by
+    on their facets, when n, type and m2 agree; None otherwise, certified by
     differing oracle f-vectors. A failed check raises StructureMismatch,
     equal f-vectors on hulls the classes call inequivalent CriterionMismatch."""
     oracle_a, oracle_b = oracle_lattice(a.vectors), oracle_lattice(b.vectors)
@@ -54,5 +54,5 @@ def equivalence_witness(
         return None
     order_a, order_b = block_order(a, type_a), block_order(b, type_b)
     witness = dict(zip(order_a, order_b))
-    check_witness(oracle_a, oracle_b, witness, "equivalence witness")
+    check_witness(oracle_a.facets, oracle_b.facets, witness, "equivalence witness")
     return witness

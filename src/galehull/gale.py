@@ -23,7 +23,7 @@ check read all their masks through two such tables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
@@ -152,16 +152,18 @@ class TypeReport:
 class FaceLattice:
     """All faces of a polytope as vertex bitmasks (bit j set when vertex j
     lies on the face) with exact dimensions, including the empty face 0
-    (dim -1) and the full polytope `top` (dim d)."""
+    (dim -1) and the full polytope `top` (dim d). The oracle also lists
+    the facets it found; other builders leave `facets` empty."""
 
     dim: int
     top: int
     faces: dict[int, int]
+    facets: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def vertex_indices(self) -> tuple[int, ...]:
-        singletons = [f for f, d in self.faces.items() if d == 0 and f.bit_count() == 1]
-        return tuple(sorted(f.bit_length() - 1 for f in singletons))
+        get = self.faces.get
+        return tuple(j for j in range(self.top.bit_length()) if get(1 << j) == 0)
 
     def proper_faces(self) -> dict[int, int]:
         return {f: d for f, d in self.faces.items() if 0 <= d < self.dim}

@@ -12,7 +12,9 @@ affine rank when there is none. The arithmetic is fraction-free: hull
 coordinates are pivot columns and each hyperplane is an integer null
 vector, both found by integer elimination, so on integer points (every
 incidence vector) the scan evaluates normal . q - offset in ints. Desk
-scale only (at most 26 points).
+scale only (at most 26 points), and oracle_lattice reads all 2^N point
+subsets whatever the face count: 26 points of a convex polygon, 54
+faces, take about 3.2 s.
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     """Face lattice of conv(points) by exhaustive hyperplane scanning.
 
     Faces are bitmasks over the input points; the empty face and the
-    full polytope are included. Points need not be vertices.
+    full polytope are included, and `facets` lists the facets in the
+    order the scan found them. Points need not be vertices.
 
     Each facet must have exact affine dimension d - 1. A face is the
     largest point subset with its facet set (a Galois closure), so the
@@ -112,9 +115,10 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     dimension dim g + 1. Every other face takes its exact affine rank,
     and the facets and the polytope must come out at d - 1 and d.
 
-    The cost is 2^N table reads in C plus one Python step per face: output
-    sized on galehull's hulls, where almost every point subset is a face,
-    but not on low-dimensional point sets.
+    The cost is 2^N table reads in C plus one Python step per face,
+    whatever the face count: output sized on galehull's hulls, where
+    almost every point subset is a face, but not on low-dimensional point
+    sets (26 points of a convex polygon, 54 faces, take about 3.2 s).
     """
     pts = _check_points(points)
     qpts, d = _project_to_hull_coordinates(pts)
@@ -159,7 +163,7 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
         )
     if faces[top] != d or any(faces[f] != d - 1 for f in facets):
         raise StructureMismatch("pyramid grading disagrees with the facet ranks")
-    return FaceLattice(dim=d, top=top, faces=faces)
+    return FaceLattice(dim=d, top=top, faces=faces, facets=tuple(facets))
 
 
 def beyond_facets(
@@ -197,7 +201,7 @@ def beyond_facets(
 
 def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, lattice: FaceLattice) -> dict:
     """Confirm the apex class of a type II/III hull: each apex vertex lies
-    on every facet of the oracle lattice except exactly one. The apex
+    on every facet the oracle lattice lists except exactly one. The apex
     class's zero Gale points, and the nonzero ones of the other classes,
     were pinned by classify, which checks the (0, v, -v) and (v, -v, 0)
     class values exactly."""
@@ -206,7 +210,7 @@ def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, lattice: FaceLat
     apex_slot = 0 if t.hull_type == "II" else 2
     apexes = s.class_indices(apex_slot)
 
-    facets = [f for f, d in lattice.faces.items() if d == lattice.dim - 1]
+    facets = lattice.facets
     for j in apexes:
         missing = sum(1 for f in facets if not f >> j & 1)
         if missing != 1:

@@ -27,14 +27,7 @@ from .gale import (
 from .linalg import null_vector
 from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
 from .polytopes import FaceColoring, PlanarPolytope, three_color
-from .reference import (
-    block_order,
-    check_witness,
-    cyclic_facets,
-    pyramid,
-    tkn_model,
-    type4_model,
-)
+from .reference import block_order, check_witness, model_facets
 
 
 @dataclass(frozen=True)
@@ -73,18 +66,6 @@ def analyze_polytope(p: PlanarPolytope) -> Analysis:
     analysis = summarize_polytope(p)
     analysis.lattice  # enumerated and cached
     return analysis
-
-
-def reference_model(report: TypeReport, n: int) -> FaceLattice:
-    """The predicted lattice for a classified hull."""
-    m1, m2, m3 = report.sorted_sizes
-    if report.hull_type == "I":
-        return tkn_model(n, m2 - 1)
-    if report.hull_type == "II":
-        return pyramid(cyclic_facets(2 * m2, 2 * m2 - 2), m1)
-    if report.hull_type == "III":
-        return pyramid(cyclic_facets(2 * m2, 2 * m2 - 2), m3)
-    return type4_model(m2)
 
 
 def _face_diff(a: FaceLattice, b: FaceLattice, limit: int = 12) -> str:
@@ -191,7 +172,7 @@ class Verification:
     pyramid_report: Optional[dict]
     neighborliness_matches: Optional[bool]
     type_one_report: Optional[dict]
-    reference: FaceLattice
+    reference: tuple[int, ...]      # the model's facets
     reference_witness: dict[int, int]
 
 
@@ -233,10 +214,12 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     if report.hull_type == "I":
         type_one_report = type_one_checks(analysis)
 
-    reference = reference_model(report, analysis.polytope.n)
+    # the criterion lattice equals the oracle lattice (checked above), so
+    # mapping the oracle's facets onto the model's maps both lattices
+    reference = model_facets(report.hull_type, report.sorted_sizes)
     order = block_order(analysis.system, report.hull_type)
     witness = {v: i for i, v in enumerate(order)}
-    check_witness(analysis.lattice, reference, witness, f"witness onto {report.structure}")
+    check_witness(oracle.facets, reference, witness, f"witness onto {report.structure}")
 
     return Verification(
         analysis=analysis,

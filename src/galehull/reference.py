@@ -1,39 +1,31 @@
-"""Reference face lattices and class-block witnesses onto them.
+"""Closed-form model facets and class-block witnesses onto them.
 
-Cyclic polytopes are built from the evenness condition on the linear
-vertex order, pyramids by adjoining apex subsets to base faces, and the
-two closed-form models (one-dimensional two-class diagrams and the
-three-equal-class hull) directly from their face criteria. Everything is
-coordinate-free; geometric claims about these models are validated in the
-hull oracle where coordinates exist.
+Every type's model is a named polytope with few facets, built here as
+vertex masks: T^n_{m2-1} (the complements of one vertex of each of its
+two classes), the three-equal-class hull (the complements of the
+transversals), and the pyramids over the cyclic polytope C(2 m2, 2 m2 - 2)
+(its evenness facets, each with every apex, and the base with every apex
+but one). Everything is coordinate-free; the hull oracle checks the
+geometry where coordinates exist.
 
 The Gale diagram is constant on color classes, so a hull maps onto its
 model class by class: block_order reads the map off the sorted classes
-and check_witness checks it in one pass over the faces. Nothing is
-searched for.
+and check_witness checks it on the facets. Every face is the
+intersection of the facets that hold it (Kaibel and Pfetsch, "Computing
+the face lattice of a polytope from its vertex-facet incidences", CGTA
+2002), so a vertex bijection that carries the facets onto the facets is
+a face lattice isomorphism. Nothing is searched for.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, compress, repeat
-from operator import and_, ne, or_, rshift
+from functools import reduce
+from itertools import combinations, product
+from operator import or_
+from typing import Sequence
 
-from .errors import BadParameters, StructureMismatch, TooManyPoints
-from .gale import ANALYSIS_VERTEX_CAP, FaceLattice, IncidenceSystem, members, subset_table
-
-
-def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceLattice:
-    faces: dict[int, int] = {}
-    for facet in facets:
-        sub = facet
-        while True:  # every submask of the facet, down to the empty face
-            faces[sub] = sub.bit_count() - 1
-            if not sub:
-                break
-            sub = (sub - 1) & facet
-    top = (1 << num_vertices) - 1
-    faces[top] = dim
-    return FaceLattice(dim=dim, top=top, faces=faces)
+from .errors import BadParameters, StructureMismatch
+from .gale import IncidenceSystem, members, subset_table
 
 
 def gale_evenness(subset: int, v: int) -> bool:
@@ -47,69 +39,41 @@ def gale_evenness(subset: int, v: int) -> bool:
     return True
 
 
-def cyclic_facets(v: int, d: int) -> FaceLattice:
-    """Face lattice of the cyclic polytope C(v, d) on vertices 0..v-1."""
+def cyclic_facets(v: int, d: int) -> list[int]:
+    """The facets of the cyclic polytope C(v, d) on vertices 0..v-1, as
+    vertex masks in ascending order of their index tuples."""
     if not v > d >= 2:
         raise BadParameters(f"cyclic polytope needs v > d >= 2, got v={v} d={d}")
     subsets = (sum(1 << i for i in c) for c in combinations(range(v), d))
-    return _simplicial_lattice(v, [f for f in subsets if gale_evenness(f, v)], d)
+    return [f for f in subsets if gale_evenness(f, v)]
 
 
-def pyramid(base: FaceLattice, apex_count: int) -> FaceLattice:
-    """apex_count-fold pyramid: every face is (base face) union (apex
-    subset); the apexes are vertices nbase .. nbase + apex_count - 1."""
-    if apex_count < 0:
-        raise BadParameters("apex count must be nonnegative")
-    nbase = base.top.bit_count()
-    if base.top != (1 << nbase) - 1:
-        raise BadParameters("pyramid base must use contiguous vertex indices")
-    faces: dict[int, int] = {}
-    for apexes in range(1 << apex_count):
-        for g, gdim in base.faces.items():
-            faces[g | apexes << nbase] = gdim + apexes.bit_count()
-    dim = base.dim + apex_count
-    top = (1 << (nbase + apex_count)) - 1
-    faces[top] = dim
-    return FaceLattice(dim=dim, top=top, faces=faces)
-
-
-def tkn_model(n: int, k: int) -> FaceLattice:
-    """Simplicial n-polytope with n+2 vertices: a simplex plus a point
-    beyond k facets. Classes A (vertices 0..k) and B (k+1..n+1); a
-    proper face is any subset containing neither class entirely."""
-    if not 1 <= k <= n // 2:
-        raise BadParameters(f"model needs 1 <= k <= n/2, got n={n} k={k}")
-    npts = n + 2
-    if npts > ANALYSIS_VERTEX_CAP:
-        raise TooManyPoints(f"{npts} vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
-    top = (1 << npts) - 1
-    class_a = (1 << (k + 1)) - 1
-    class_b = top & ~class_a
-    faces = {
-        f: f.bit_count() - 1
-        for f in range(top)
-        if f & class_a != class_a and f & class_b != class_b
-    }
-    faces[top] = n
-    return FaceLattice(dim=n, top=top, faces=faces)
-
-
-def type4_model(m: int) -> FaceLattice:
-    """Hull model for three equal classes of size m: 3m vertices, class i
-    is the block i*m .. (i+1)*m - 1, and the proper faces are the subsets
-    missing at least one vertex of every class."""
-    if m < 2:
-        raise BadParameters(f"model needs m >= 2, got {m}")
-    npts = 3 * m
-    if npts > ANALYSIS_VERTEX_CAP:
-        raise TooManyPoints(f"{npts} vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
-    top = (1 << npts) - 1
-    classes = [((1 << m) - 1) << (i * m) for i in range(3)]
-    faces = {
-        f: f.bit_count() - 1 for f in range(top) if all(f & c != c for c in classes)
-    }
-    faces[top] = 3 * m - 3
-    return FaceLattice(dim=3 * m - 3, top=top, faces=faces)
+def model_facets(hull_type: str, sorted_sizes: tuple[int, int, int]) -> tuple[int, ...]:
+    """The facets of the model of a hull of the given type and sorted class
+    sizes m1 <= m2 <= m3, as vertex masks in block_order's layout:
+    type I is T^n_{m2-1} with class A (vertices 0..m2-1) then class B,
+    and a facet misses one vertex of each; type IV has class i at the
+    block i*m .. (i+1)*m - 1, and a facet misses one vertex of each
+    class; types II and III are the m1- and m3-fold pyramids over
+    C(2 m2, 2 m2 - 2), the apexes after the base vertices."""
+    m1, m2, m3 = sorted_sizes
+    if hull_type == "I":
+        npts = m1 + m2 + m3
+        top = (1 << npts) - 1
+        return tuple(top ^ (1 << a | 1 << b) for a in range(m2) for b in range(m2, npts))
+    if hull_type == "IV":
+        top = (1 << 3 * m2) - 1
+        return tuple(
+            top ^ (1 << a | 1 << (m2 + b) | 1 << (2 * m2 + c))
+            for a, b, c in product(range(m2), repeat=3)
+        )
+    if hull_type not in ("II", "III"):
+        raise BadParameters(f"no model for hull type {hull_type!r}")
+    base = 2 * m2
+    apexes = ((1 << (m1 if hull_type == "II" else m3)) - 1) << base
+    return tuple(f | apexes for f in cyclic_facets(base, base - 2)) + tuple(
+        (1 << base) - 1 | (apexes ^ 1 << j) for j in members(apexes)
+    )
 
 
 # --- class-block witnesses -------------------------------------------------
@@ -132,34 +96,30 @@ def block_order(system: IncidenceSystem, hull_type: str) -> list[int]:
 
 
 def check_witness(
-    a: FaceLattice, b: FaceLattice, witness: dict[int, int], stage: str
+    a: Sequence[int], b: Sequence[int], witness: dict[int, int], stage: str
 ) -> None:
-    """Require the vertex bijection `witness` to map the faces of a onto
-    the faces of b, dimensions kept: equal face counts, and the image of
-    every face, read through one OR subset_table per half of its mask, a
-    face of b of the same dimension. Then it is a lattice isomorphism.
-    StructureMismatch names the stage and the first face that fails, with
-    its image."""
-    if sorted(witness) != members(a.top) or sorted(witness.values()) != members(b.top):
+    """Require the vertex bijection `witness` to map the facets a of one
+    polytope onto the facets b of another, both free of repeats: equal
+    facet counts, and the image of every facet, read through one OR
+    subset_table per half of its mask, a facet of b. Then it is a face
+    lattice isomorphism. The vertices are the union of the facets, as on
+    every polytope of dimension 1 or more. StructureMismatch names the
+    stage and the first facet that fails, with its image."""
+    vertices_a, vertices_b = reduce(or_, a, 0), reduce(or_, b, 0)
+    if sorted(witness) != members(vertices_a) or sorted(witness.values()) != members(vertices_b):
         raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
-    if len(a.faces) != len(b.faces):
-        raise StructureMismatch(
-            f"{stage}: {len(a.faces)} faces against {len(b.faces)} in the image lattice"
-        )
-    images = [0] * a.top.bit_length()
+    if len(a) != len(b):
+        raise StructureMismatch(f"{stage}: {len(a)} facets against {len(b)} in the image")
+    images = [0] * vertices_a.bit_length()
     for v, w in witness.items():
         images[v] = 1 << w
     low = len(images) // 2
     keep = (1 << low) - 1
     lows, highs = subset_table(images[:low], or_, 0), subset_table(images[low:], or_, 0)
-    # every image, one C-level map chain over the faces with no list built
-    high_images = map(highs.__getitem__, map(rshift, a.faces, repeat(low)))
-    mapped = map(or_, high_images, map(lows.__getitem__, map(and_, a.faces, repeat(keep))))
-    wrong = map(ne, map(b.faces.get, mapped), a.faces.values())
-    bad = next(compress(a.faces.items(), wrong), None)
-    if bad is not None:
-        face, dim = bad
-        raise StructureMismatch(
-            f"{stage}: face {members(face)} of dimension {dim} maps to "
-            f"{members(highs[face >> low] | lows[face & keep])}, no face of that dimension"
-        )
+    facets = set(b)
+    for f in a:
+        image = highs[f >> low] | lows[f & keep]
+        if image not in facets:
+            raise StructureMismatch(
+                f"{stage}: facet {members(f)} maps to {members(image)}, no facet of the image"
+            )

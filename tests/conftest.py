@@ -5,9 +5,9 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, islice
+from itertools import combinations, compress, islice, repeat
 from math import gcd, lcm
-from operator import add, and_, getitem, or_
+from operator import add, and_, getitem, ne, or_, rshift
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -15,10 +15,17 @@ import pytest
 from hypothesis import strategies as st
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
-from galehull.errors import CriterionMismatch, DegenerateInput, StructureMismatch
-from galehull.gale import FaceLattice, members
+from galehull.errors import (
+    BadParameters,
+    CriterionMismatch,
+    DegenerateInput,
+    StructureMismatch,
+    TooManyPoints,
+)
+from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, TypeReport, members, subset_table
 from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
 from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
+from galehull.reference import gale_evenness
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
@@ -410,7 +417,7 @@ def check_witness_by_bytes(
     a: FaceLattice, b: FaceLattice, witness: dict[int, int], stage: str
 ) -> None:
     """The witness check through per-byte OR tables, 64 faces per pass:
-    the form that the per-half subset tables of reference.check_witness
+    the form that the per-half subset tables of check_witness_by_faces
     replaced, kept verbatim as its reference."""
     if sorted(witness) != members(a.top) or sorted(witness.values()) != members(b.top):
         raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
@@ -438,6 +445,136 @@ def check_witness_by_bytes(
                     f"{stage}: face {members(face)} of dimension {dim} maps to "
                     f"{members(image)}, no face of that dimension"
                 )
+
+
+# The lattice models and the face-by-face witness check that the
+# closed-form model facets and the facet-level check_witness of
+# galehull.reference replaced, kept verbatim as their reference (the
+# model builders as functions of this module, not of galehull).
+
+def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceLattice:
+    faces: dict[int, int] = {}
+    for facet in facets:
+        sub = facet
+        while True:  # every submask of the facet, down to the empty face
+            faces[sub] = sub.bit_count() - 1
+            if not sub:
+                break
+            sub = (sub - 1) & facet
+    top = (1 << num_vertices) - 1
+    faces[top] = dim
+    return FaceLattice(dim=dim, top=top, faces=faces)
+
+
+def cyclic_facets(v: int, d: int) -> FaceLattice:
+    """Face lattice of the cyclic polytope C(v, d) on vertices 0..v-1."""
+    if not v > d >= 2:
+        raise BadParameters(f"cyclic polytope needs v > d >= 2, got v={v} d={d}")
+    subsets = (sum(1 << i for i in c) for c in combinations(range(v), d))
+    return _simplicial_lattice(v, [f for f in subsets if gale_evenness(f, v)], d)
+
+
+def pyramid(base: FaceLattice, apex_count: int) -> FaceLattice:
+    """apex_count-fold pyramid: every face is (base face) union (apex
+    subset); the apexes are vertices nbase .. nbase + apex_count - 1."""
+    if apex_count < 0:
+        raise BadParameters("apex count must be nonnegative")
+    nbase = base.top.bit_count()
+    if base.top != (1 << nbase) - 1:
+        raise BadParameters("pyramid base must use contiguous vertex indices")
+    faces: dict[int, int] = {}
+    for apexes in range(1 << apex_count):
+        for g, gdim in base.faces.items():
+            faces[g | apexes << nbase] = gdim + apexes.bit_count()
+    dim = base.dim + apex_count
+    top = (1 << (nbase + apex_count)) - 1
+    faces[top] = dim
+    return FaceLattice(dim=dim, top=top, faces=faces)
+
+
+def tkn_model(n: int, k: int) -> FaceLattice:
+    """Simplicial n-polytope with n+2 vertices: a simplex plus a point
+    beyond k facets. Classes A (vertices 0..k) and B (k+1..n+1); a
+    proper face is any subset containing neither class entirely."""
+    if not 1 <= k <= n // 2:
+        raise BadParameters(f"model needs 1 <= k <= n/2, got n={n} k={k}")
+    npts = n + 2
+    if npts > ANALYSIS_VERTEX_CAP:
+        raise TooManyPoints(f"{npts} vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
+    top = (1 << npts) - 1
+    class_a = (1 << (k + 1)) - 1
+    class_b = top & ~class_a
+    faces = {
+        f: f.bit_count() - 1
+        for f in range(top)
+        if f & class_a != class_a and f & class_b != class_b
+    }
+    faces[top] = n
+    return FaceLattice(dim=n, top=top, faces=faces)
+
+
+def type4_model(m: int) -> FaceLattice:
+    """Hull model for three equal classes of size m: 3m vertices, class i
+    is the block i*m .. (i+1)*m - 1, and the proper faces are the subsets
+    missing at least one vertex of every class."""
+    if m < 2:
+        raise BadParameters(f"model needs m >= 2, got {m}")
+    npts = 3 * m
+    if npts > ANALYSIS_VERTEX_CAP:
+        raise TooManyPoints(f"{npts} vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
+    top = (1 << npts) - 1
+    classes = [((1 << m) - 1) << (i * m) for i in range(3)]
+    faces = {
+        f: f.bit_count() - 1 for f in range(top) if all(f & c != c for c in classes)
+    }
+    faces[top] = 3 * m - 3
+    return FaceLattice(dim=3 * m - 3, top=top, faces=faces)
+
+
+def reference_model(report: TypeReport, n: int) -> FaceLattice:
+    """The predicted lattice for a classified hull."""
+    m1, m2, m3 = report.sorted_sizes
+    if report.hull_type == "I":
+        return tkn_model(n, m2 - 1)
+    if report.hull_type == "II":
+        return pyramid(cyclic_facets(2 * m2, 2 * m2 - 2), m1)
+    if report.hull_type == "III":
+        return pyramid(cyclic_facets(2 * m2, 2 * m2 - 2), m3)
+    return type4_model(m2)
+
+
+def check_witness_by_faces(
+    a: FaceLattice, b: FaceLattice, witness: dict[int, int], stage: str
+) -> None:
+    """Require the vertex bijection `witness` to map the faces of a onto
+    the faces of b, dimensions kept: equal face counts, and the image of
+    every face, read through one OR subset_table per half of its mask, a
+    face of b of the same dimension. Then it is a lattice isomorphism.
+    StructureMismatch names the stage and the first face that fails, with
+    its image."""
+    if sorted(witness) != members(a.top) or sorted(witness.values()) != members(b.top):
+        raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
+    if len(a.faces) != len(b.faces):
+        raise StructureMismatch(
+            f"{stage}: {len(a.faces)} faces against {len(b.faces)} in the image lattice"
+        )
+    images = [0] * a.top.bit_length()
+    for v, w in witness.items():
+        images[v] = 1 << w
+    low = len(images) // 2
+    keep = (1 << low) - 1
+    lows, highs = subset_table(images[:low], or_, 0), subset_table(images[low:], or_, 0)
+    # every image, one C-level map chain over the faces with no list built
+    high_images = map(highs.__getitem__, map(rshift, a.faces, repeat(low)))
+    mapped = map(or_, high_images, map(lows.__getitem__, map(and_, a.faces, repeat(keep))))
+    wrong = map(ne, map(b.faces.get, mapped), a.faces.values())
+    bad = next(compress(a.faces.items(), wrong), None)
+    if bad is not None:
+        face, dim = bad
+        raise StructureMismatch(
+            f"{stage}: face {members(face)} of dimension {dim} maps to "
+            f"{members(highs[face >> low] | lows[face & keep])}, no face of that dimension"
+        )
 
 
 # The backtracking isomorphism search that the class-block witnesses of

@@ -13,22 +13,19 @@ from time import perf_counter
 from galehull import (
     analyze_polytope,
     catalog,
-    cyclic_facets,
     equivalence_witness,
     equivalent,
     fvector,
     hamiltonian_cycle,
     oracle_lattice,
-    pyramid,
     relint_contains_zero,
     simpliciality_check,
     three_color,
-    type4_model,
     validate,
     verify_polytope,
 )
 from galehull.linalg import rank
-from conftest import lattice_isomorphic, relabel_faces
+from conftest import cyclic_facets, lattice_isomorphic, pyramid, relabel_faces, type4_model
 from instances import type_one_polytope
 
 OCTAHEDRON = [

@@ -12,10 +12,9 @@ from galehull import (
     catalog,
     equivalence_witness,
     equivalent,
-    type4_model,
     verify_polytope,
 )
-from conftest import lattice_isomorphic
+from conftest import lattice_isomorphic, type4_model
 from instances import (
     all_equal_polytope,
     largest_distinct_polytope,

@@ -842,7 +842,7 @@ def test_type_one_k_two_shares_one_gale_support(monkeypatch):
 
 
 def test_fvector_prism6_matches_reference(prism6_analysis):
-    from galehull import cyclic_facets, pyramid
+    from conftest import cyclic_facets, pyramid
 
     ref = pyramid(cyclic_facets(6, 4), 2)
     assert fvector(prism6_analysis.lattice) == fvector(ref)
@@ -861,7 +861,8 @@ def test_simpliciality(cube_analysis, prism6_analysis):
 
 
 def test_neighborliness_known_values(cube_analysis):
-    from galehull import cyclic_facets, oracle_lattice
+    from conftest import cyclic_facets
+    from galehull import oracle_lattice
 
     assert neighborliness(cube_analysis.lattice) == 1
     assert neighborliness(cyclic_facets(6, 4)) == 2
@@ -899,7 +900,8 @@ def test_byte_fold_equals_a_loop_over_the_set_bits(case):
 
 
 def _neighborliness_cases():
-    from galehull import cyclic_facets, oracle_lattice, pyramid, tkn_model, type4_model
+    from conftest import cyclic_facets, pyramid, tkn_model, type4_model
+    from galehull import oracle_lattice
 
     for name, p in GRADING_INSTANCES:
         yield name, lambda p=p: analyze_polytope(p).lattice
@@ -940,7 +942,8 @@ def test_lattice_intersection_closed(cube_analysis):
 def test_lattice_json_dump_golden():
     import json
 
-    from galehull import cyclic_facets, lattice_to_json
+    from conftest import cyclic_facets
+    from galehull import lattice_to_json
 
     dump = lattice_to_json(cyclic_facets(4, 2))
     assert dump == {

@@ -20,6 +20,7 @@ from conftest import (
     relabel_faces,
 )
 from galehull import (
+    analyze_polytope,
     beyond_facets,
     catalog,
     fvector,
@@ -159,6 +160,30 @@ def test_poset_rank_equals_exact_rank(name, pts):
     lat = oracle_lattice(pts)
     for face, dim in lat.faces.items():
         assert dim == affine_dimension([pts[i] for i in members(face)]), members(face)
+
+
+def _vertex_indices_by_walk(lattice):
+    """FaceLattice.vertex_indices as a walk over every face: the form that
+    the direct read of the singletons replaced, kept as its reference."""
+    singletons = [f for f, d in lattice.faces.items() if d == 0 and f.bit_count() == 1]
+    return tuple(sorted(f.bit_length() - 1 for f in singletons))
+
+
+@pytest.mark.parametrize(
+    "name,pts", POSET_RANK_POINTS, ids=[n for n, _ in POSET_RANK_POINTS]
+)
+def test_vertex_indices_and_facets_equal_walks_over_the_faces(name, pts):
+    lat = oracle_lattice(pts)
+    assert lat.vertex_indices == _vertex_indices_by_walk(lat)
+    by_walk = [f for f, d in lat.faces.items() if d == lat.dim - 1]
+    assert len(lat.facets) == len(set(lat.facets)) == len(by_walk)
+    assert set(lat.facets) == set(by_walk)
+
+
+def test_vertex_indices_of_the_criterion_lattices_equal_the_walk():
+    for name, p in _poset_rank_instances():
+        lat = analyze_polytope(p).lattice
+        assert lat.vertex_indices == _vertex_indices_by_walk(lat) == tuple(range(len(_vectors(p))))
 
 
 def _assert_oracle_equals_the_references(pts):

@@ -1,25 +1,32 @@
 from __future__ import annotations
 
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galehull import (
-    cyclic_facets,
     fvector,
     members,
     neighborliness,
     oracle_lattice,
-    pyramid,
     simpliciality_check,
+)
+from conftest import (
+    _face_counts,
+    _facets,
+    cyclic_facets,
+    lattice_isomorphic,
+    pyramid,
+    reference_model,
     tkn_model,
     type4_model,
 )
-from conftest import _face_counts, lattice_isomorphic
+from galehull import reference
 from galehull.errors import BadParameters
-from galehull.gale import FaceLattice
+from galehull.gale import FaceLattice, size_type
 
 
 def _mask(indices):
@@ -314,3 +321,43 @@ def test_face_counts_equal_a_loop_per_vertex(lattice):
 def test_face_counts_on_models():
     for _, lat, _ in MODEL_CASES:
         assert _face_counts(lat) == _face_counts_by_loop(lat)
+
+
+# --- closed-form model facets against the lattice models --------------------
+
+def _sorted_sizes(npts_max):
+    """Every sorted class-size triple with m1 >= 2 and at most npts_max
+    vertices."""
+    for total in range(6, npts_max + 1):
+        for m1 in range(2, total // 3 + 1):
+            for m2 in range(m1, (total - m1) // 2 + 1):
+                yield m1, m2, total - m1 - m2
+
+
+SIZES_UP_TO_16 = list(_sorted_sizes(16))
+
+
+@pytest.mark.parametrize(
+    "sizes", SIZES_UP_TO_16, ids=[f"{size_type(s)}-{s}" for s in SIZES_UP_TO_16]
+)
+def test_model_facets_are_the_facets_of_the_lattice_models(sizes):
+    hull_type = size_type(sizes)
+    m1, m2, m3 = sizes
+    facets = reference.model_facets(hull_type, sizes)
+    report = SimpleNamespace(hull_type=hull_type, sorted_sizes=sizes)
+    model = reference_model(report, sum(sizes) - 2)
+    assert len(set(facets)) == len(facets)
+    assert set(facets) == set(_facets(model))
+    # C(2 m2, 2 m2 - 2) has m2**2 facets, and each apex adds the base
+    expected = {"I": m2 * (m1 + m3), "II": m2**2 + m1, "III": m2**2 + m3, "IV": m2**3}
+    assert len(facets) == expected[hull_type]
+
+
+def test_cyclic_facets_are_the_facets_of_the_cyclic_lattices():
+    for v, d in ((4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 4), (8, 6), (9, 4)):
+        facets = reference.cyclic_facets(v, d)
+        assert facets == sorted(_facets(cyclic_facets(v, d)), key=members)
+    with pytest.raises(BadParameters):
+        reference.cyclic_facets(4, 4)
+    with pytest.raises(BadParameters):
+        reference.model_facets("V", (2, 2, 2))

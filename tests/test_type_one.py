@@ -15,10 +15,9 @@ from galehull import (
     beyond_facets,
     oracle_lattice,
     three_color,
-    tkn_model,
     verify_polytope,
 )
-from conftest import lattice_isomorphic
+from conftest import lattice_isomorphic, tkn_model
 from galehull.errors import CriterionMismatch, StructureMismatch
 from galehull.pipeline import _simplex_beyond_count, type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror

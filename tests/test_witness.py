@@ -1,6 +1,7 @@
 """Class-block witnesses: the vertex map of a hull onto its model, and of
 one oracle lattice onto another, read off the sorted color classes and
-checked face by face, whatever the face order of the input."""
+checked on the facets, whatever the face order of the input. The
+face-by-face check in conftest is the reference for the verdicts."""
 
 from __future__ import annotations
 
@@ -14,7 +15,15 @@ from hypothesis import strategies as st
 import galehull.equivalence as equivalence_module
 import galehull.pipeline as pipeline_module
 import instances
-from conftest import UP_TO_14, check_witness_by_bytes, gluings, relabel_faces
+from conftest import (
+    UP_TO_14,
+    _facets,
+    check_witness_by_bytes,
+    check_witness_by_faces,
+    gluings,
+    reference_model,
+    relabel_faces,
+)
 from galehull import (
     FaceLattice,
     analyze_polytope,
@@ -26,8 +35,7 @@ from galehull import (
     verify_polytope,
 )
 from galehull.errors import StructureMismatch
-from galehull.pipeline import reference_model
-from galehull.reference import block_order, check_witness
+from galehull.reference import block_order, check_witness, model_facets
 
 BASE = [
     ("cube", lambda: catalog("cube")),
@@ -61,7 +69,9 @@ def _maps_faces_onto(a, b, phi) -> bool:
 @pytest.mark.parametrize("name,build", CASES, ids=[n for n, _ in CASES])
 def test_verify_witness_is_a_face_bijection(name, build):
     v = verify_polytope(build())
-    assert _maps_faces_onto(v.analysis.lattice, v.reference, v.reference_witness)
+    model = reference_model(v.analysis.report, v.analysis.polytope.n)
+    assert sorted(v.reference) == sorted(_facets(model))
+    assert _maps_faces_onto(v.analysis.lattice, model, v.reference_witness)
 
 
 @pytest.fixture
@@ -116,9 +126,29 @@ def test_a_witness_swapped_across_classes_names_a_face(hull_type, build, monkeyp
         lambda system, t: _swap_across_classes(exact(system, t), system),
     )
     with pytest.raises(
-        StructureMismatch, match=r"^witness onto .*: face \[[\d, ]*\] of dimension -?\d+ maps to \["
+        StructureMismatch,
+        match=r"^witness onto .*: facet \[[\d, ]*\] maps to \[[\d, ]*\], no facet of the image$",
     ):
         verify_polytope(build())
+
+
+@pytest.mark.parametrize("hull_type,build", ONE_PER_TYPE, ids=[t for t, _ in ONE_PER_TYPE])
+def test_compare_catches_a_witness_swapped_across_classes(hull_type, build, monkeypatch):
+    """The second hull's block order swapped across classes: the composed
+    witness maps some facet of the first oracle to no facet of the second."""
+    p = build()
+    a = analyze_polytope(p).system
+    b = analyze_polytope(_shuffled(p, 3)).system
+    exact = equivalence_module.block_order
+    monkeypatch.setattr(
+        equivalence_module,
+        "block_order",
+        lambda system, t: (
+            _swap_across_classes(exact(system, t), system) if system is b else exact(system, t)
+        ),
+    )
+    with pytest.raises(StructureMismatch, match=r"^equivalence witness: facet \[[\d, ]*\] maps to "):
+        equivalence_witness(a, b)
 
 
 def test_a_swapped_equivalence_witness_names_a_face(prism6):
@@ -127,24 +157,22 @@ def test_a_swapped_equivalence_witness_names_a_face(prism6):
     phi = equivalence_witness(a, b)
     u, w = a.class_indices(0)[0], a.class_indices(1)[0]
     phi[u], phi[w] = phi[w], phi[u]
-    with pytest.raises(StructureMismatch, match=r"^equivalence witness: face \["):
-        check_witness(oracle_lattice(a.vectors), oracle_lattice(b.vectors), phi,
+    with pytest.raises(StructureMismatch, match=r"^equivalence witness: facet \["):
+        check_witness(oracle_lattice(a.vectors).facets, oracle_lattice(b.vectors).facets, phi,
                       "equivalence witness")
 
 
 def test_check_witness_wants_a_vertex_bijection_and_equal_face_counts(prism6_analysis):
-    lattice = prism6_analysis.lattice
+    facets = oracle_lattice(prism6_analysis.system.vectors).facets
     ident = {v: v for v in range(8)}
-    check_witness(lattice, lattice, ident, "identity")
+    check_witness(facets, facets, ident, "identity")
     with pytest.raises(StructureMismatch, match="^collapsed: the witness is no bijection"):
-        check_witness(lattice, lattice, {**ident, 1: 0}, "collapsed")
-    fewer = FaceLattice(dim=lattice.dim, top=lattice.top, faces=dict(lattice.faces))
-    del fewer.faces[1]
-    with pytest.raises(StructureMismatch, match="^short: 200 faces against 199"):
-        check_witness(lattice, fewer, ident, "short")
+        check_witness(facets, facets, {**ident, 1: 0}, "collapsed")
+    with pytest.raises(StructureMismatch, match="^short: 11 facets against 10 in the image$"):
+        check_witness(facets, facets[1:], ident, "short")
 
 
-# --- check_witness against its per-byte reference ---------------------------
+# --- check_witness against the face-level references ------------------------
 
 def _verdict(check, a, b, phi) -> str | None:
     """The StructureMismatch text of one witness check, None if it passes."""
@@ -155,14 +183,29 @@ def _verdict(check, a, b, phi) -> str | None:
     return None
 
 
-def _same_verdict(a, b, phi) -> str | None:
-    verdict = _verdict(check_witness, a, b, phi)
+def _face_verdict(a, b, phi) -> str | None:
+    """The verdict of the face-by-face check, the same text through the
+    per-half subset tables and through the per-byte tables."""
+    verdict = _verdict(check_witness_by_faces, a, b, phi)
     assert verdict == _verdict(check_witness_by_bytes, a, b, phi)
     return verdict
 
 
+def _same_verdict(analysis, model, phi) -> str | None:
+    """The face-level verdict on the hull's lattice and its model lattice;
+    check_witness on the hull's facets and the closed-form model facets
+    must pass or fail with it."""
+    verdict = _face_verdict(analysis.lattice, model, phi)
+    report = analysis.report
+    facets = model_facets(report.hull_type, report.sorted_sizes)
+    by_facets = _verdict(check_witness, _facets(analysis.lattice), facets, phi)
+    assert (by_facets is None) == (verdict is None)
+    return verdict
+
+
 def _block_witness(p):
-    """A hull's analysis, its model and the block witness between them."""
+    """A hull's analysis, its model lattice and the block witness between
+    them."""
     analysis = analyze_polytope(p)
     report = analysis.report
     order = block_order(analysis.system, report.hull_type)
@@ -181,10 +224,10 @@ ROUTE_CASES = [
 @pytest.mark.parametrize("name,build", ROUTE_CASES, ids=[n for n, _ in ROUTE_CASES])
 def test_check_witness_matches_the_byte_tables_on_block_witnesses(name, build):
     analysis, model, phi = _block_witness(build())
-    assert _same_verdict(analysis.lattice, model, phi) is None
+    assert _same_verdict(analysis, model, phi) is None
     u, w = analysis.system.class_indices(0)[0], analysis.system.class_indices(1)[0]
     phi[u], phi[w] = phi[w], phi[u]
-    assert _same_verdict(analysis.lattice, model, phi) is not None
+    assert _same_verdict(analysis, model, phi) is not None
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -197,7 +240,7 @@ def test_check_witness_matches_the_byte_tables_on_permuted_witnesses(inst, seed)
         images = list(phi.values())
         random.Random(seed).shuffle(images)
         phi = dict(zip(phi, images))
-    _same_verdict(analysis.lattice, model, phi)
+    _same_verdict(analysis, model, phi)
 
 
 def test_check_witness_matches_the_byte_tables_on_tiny_lattices():
@@ -205,16 +248,28 @@ def test_check_witness_matches_the_byte_tables_on_tiny_lattices():
     point = FaceLattice(dim=0, top=1, faces={0: -1, 1: 0})
     segment = FaceLattice(dim=1, top=3, faces={0: -1, 1: 0, 2: 0, 3: 1})
     # with no point both half tables are [0]; with one, low = 0 and the
-    # low half's table is [0]
-    assert _same_verdict(empty, empty, {}) is None
-    assert _same_verdict(point, point, {0: 0}) is None
-    assert _same_verdict(segment, segment, {0: 1, 1: 0}) is None
+    # low half's table is [0]. The facet check reads a polytope's vertices
+    # off its facets, so it takes the segment and no smaller one.
+    assert _face_verdict(empty, empty, {}) is None
+    assert _face_verdict(point, point, {0: 0}) is None
+    assert _face_verdict(segment, segment, {0: 1, 1: 0}) is None
     raised = FaceLattice(dim=1, top=1, faces={0: -1, 1: 1})
-    assert _same_verdict(point, raised, {0: 0}) == (
+    assert _face_verdict(point, raised, {0: 0}) == (
         "witness: face [0] of dimension 0 maps to [0], no face of that dimension"
     )
     flat = FaceLattice(dim=1, top=3, faces={0: -1, 1: 0, 2: 0, 3: 0})
-    assert _same_verdict(segment, flat, {0: 0, 1: 1}) == (
+    assert _face_verdict(segment, flat, {0: 0, 1: 1}) == (
         "witness: face [0, 1] of dimension 1 maps to [0, 1], no face of that dimension"
     )
-    assert _same_verdict(segment, segment, {0: 0, 1: 0}) is not None
+    assert _face_verdict(segment, segment, {0: 0, 1: 0}) is not None
+    assert _verdict(check_witness, [1, 2], [1, 2], {0: 1, 1: 0}) is None
+    assert _verdict(check_witness, [1, 2], [2, 1], {0: 0, 1: 1}) is None
+    assert _verdict(check_witness, [1, 2], [1, 2], {0: 0, 1: 0}) == (
+        "witness: the witness is no bijection of the vertices"
+    )
+    assert _verdict(check_witness, [1, 2], [3], {0: 0, 1: 1}) == (
+        "witness: 2 facets against 1 in the image"
+    )
+    assert _verdict(check_witness, [1, 2], [1, 3], {0: 0, 1: 1}) == (
+        "witness: facet [1] maps to [1], no facet of the image"
+    )
