@@ -22,7 +22,7 @@ from .gale import (
     relint_contains_zero,
     simpliciality_check,
 )
-from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
+from .oracle import oracle_lattice, verify_pyramid_structure
 from .pipeline import Analysis, Verification, analyze_polytope, summarize_polytope, verify_polytope
 from .polytopes import (
     FaceColoring,
@@ -47,7 +47,6 @@ __all__ = [
     "TypeReport",
     "Verification",
     "analyze_polytope",
-    "beyond_facets",
     "catalog",
     "classify",
     "cyclic_facets",

@@ -85,10 +85,6 @@ class DegenerateInput(InputError):
     code = "DegenerateInput"
 
 
-class PointOutsideAffineHull(InputError):
-    code = "PointOutsideAffineHull"
-
-
 # --- internal cross-checks (exit 3: these signal bugs) -------------------
 
 class TheoremViolation(InternalCheckError):

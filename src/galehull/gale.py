@@ -572,10 +572,13 @@ def fvector(lattice: FaceLattice) -> tuple[int, ...]:
 
 
 def simpliciality_check(lattice: FaceLattice) -> bool:
-    """True iff every proper face is a simplex (|J| == dim + 1)."""
-    return all(
-        f.bit_count() == d + 1 for f, d in lattice.faces.items() if 0 <= d < lattice.dim
-    )
+    """True iff every proper face is a simplex: it has dim + 1 vertices.
+    Points that are not vertices are not counted."""
+    faces = lattice.faces.items()
+    vmask = sum(1 << v for v in lattice.vertex_indices)
+    if vmask != lattice.top:  # some points are not vertices
+        faces = [(f & vmask, d) for f, d in faces]
+    return all(f.bit_count() == d + 1 for f, d in faces if 0 <= d < lattice.dim)
 
 
 def neighborliness(lattice: FaceLattice) -> int:

@@ -8,7 +8,10 @@ facet's exact affine rank is checked. The rest of the lattice comes from
 the point-facet incidences: a face is the largest point subset that has
 its facet set, read for every subset off per-half tables, and each face
 is graded one above a face that is one point smaller, or by its exact
-affine rank when there is none. The arithmetic is fraction-free: hull
+affine rank when there is none. The lattice lists the facets it found,
+and verify's facet-level checks read them (the apex signature of types
+II and III, every type I beyond recount and the model witness), so each
+hull is scanned once. The arithmetic is fraction-free: hull
 coordinates are pivot columns and each hyperplane is an integer null
 vector, both found by integer elimination, so on integer points (every
 incidence vector) the scan evaluates normal . q - offset in ints. Desk
@@ -27,7 +30,6 @@ from typing import Sequence
 from .errors import (
     DegenerateInput,
     DimensionMismatch,
-    PointOutsideAffineHull,
     StructureMismatch,
     TooManyPoints,
 )
@@ -68,13 +70,9 @@ def _project_to_hull_coordinates(pts: list[tuple]) -> tuple[list[tuple], int]:
     return [tuple(p[c] for c in pivots) for p in pts], len(pivots)
 
 
-def _facet_supports(qpts: list[tuple], d: int):
-    """All facet supporting hyperplanes of full-dimensional conv(qpts) in R^d.
-
-    Yields (facet_mask, normal, offset, side) with side = +1 if the
-    polytope satisfies normal.x <= offset, else -1; bit i of facet_mask
-    is set when qpts[i] lies on the facet.
-    """
+def _facet_supports(qpts: list[tuple], d: int) -> list[int]:
+    """The facets of full-dimensional conv(qpts) in R^d, as masks with bit
+    i set when qpts[i] lies on the facet, in the order the scan finds them."""
     n = len(qpts)
     # d points on a known hyperplane span it again or span nothing
     planes: list[int] = []
@@ -90,13 +88,8 @@ def _facet_supports(qpts: list[tuple], d: int):
         values = [dot(normal, q) - offset for q in qpts]
         mask = sum(1 << i for i, v in enumerate(values) if v == 0)
         planes.append(mask)
-        if all(v <= 0 for v in values):
-            side = -1
-        elif all(v >= 0 for v in values):
-            side = 1
-        else:
-            continue
-        out.append((mask, normal, offset, side))
+        if all(v <= 0 for v in values) or all(v >= 0 for v in values):
+            out.append(mask)
     return out
 
 
@@ -125,7 +118,7 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     if d == 0:
         raise DegenerateInput("all points coincide")
 
-    facets = [mask for mask, *_ in _facet_supports(qpts, d)]
+    facets = _facet_supports(qpts, d)
     for f in facets:
         r = affine_dimension([qpts[i] for i in members(f)])
         if r != d - 1:
@@ -164,39 +157,6 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     if faces[top] != d or any(faces[f] != d - 1 for f in facets):
         raise StructureMismatch("pyramid grading disagrees with the facet ranks")
     return FaceLattice(dim=d, top=top, faces=faces, facets=tuple(facets))
-
-
-def beyond_facets(
-    point: Sequence[Fraction | int], others: Sequence[Sequence[Fraction | int]]
-) -> int:
-    """Number of facets of conv(others) strictly separating the point.
-
-    The point must lie in the affine hull of the others; the centroid of
-    the others is the strict-inside witness.
-    """
-    pts = _check_points(others)
-    if len(point) != len(pts[0]):
-        raise DimensionMismatch("point and others of unequal dimension")
-    # a point inside the affine hull leaves the pivot columns as they are
-    projected, d = _project_to_hull_coordinates(pts + [tuple(point)])
-    if affine_dimension(pts) != d:
-        raise PointOutsideAffineHull("point leaves the affine hull of the others")
-    if d == 0:
-        raise DegenerateInput("all points coincide")
-    *qpts, qpoint = projected
-
-    n = len(qpts)
-    # n times the centroid, so the side test stays exact in the scan's type
-    total = tuple(sum(q[r] for q in qpts) for r in range(d))
-    count = 0
-    for _, normal, offset, _ in _facet_supports(qpts, d):
-        inside = dot(normal, total) - n * offset
-        value = dot(normal, qpoint) - offset
-        if inside == 0:
-            raise StructureMismatch("centroid on a facet hyperplane")
-        if value != 0 and (value > 0) != (inside > 0):
-            count += 1
-    return count
 
 
 def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, lattice: FaceLattice) -> dict:

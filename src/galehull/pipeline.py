@@ -25,7 +25,7 @@ from .gale import (
     simpliciality_check,
 )
 from .linalg import null_vector
-from .oracle import beyond_facets, oracle_lattice, verify_pyramid_structure
+from .oracle import oracle_lattice, verify_pyramid_structure
 from .polytopes import FaceColoring, PlanarPolytope, three_color
 from .reference import block_order, check_witness, model_facets
 
@@ -124,16 +124,20 @@ def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
             )
 
 
-def type_one_checks(analysis: Analysis) -> dict:
+def type_one_checks(analysis: Analysis, facets: Sequence[int]) -> dict:
     """Property suite that must hold for every hull with three distinct
     class sizes: every middle-class vertex beyond exactly m2-1 facets of
     the simplex spanned by the others.
 
-    The counts come from barycentric coordinates; the oracle's facet scan
-    (beyond_facets) recounts the first middle-class vertex and must agree.
-    Simpliciality (pattern_counts) and equality with the oracle lattice
-    (verify_polytope) are checked before this runs, so the report states
-    them without a second check."""
+    The counts come from barycentric coordinates, which also certify that
+    the other N-1 vertices span a simplex S. The oracle's facets recount
+    every middle-class vertex v and must agree: a facet of the hull misses
+    v exactly when it is a facet of S with v strictly beneath it, so v is
+    beyond N-1 less that many. A v on a facet hyperplane of S would have a
+    zero coordinate, and the counts would differ. Simpliciality
+    (pattern_counts) and equality with the oracle lattice (verify_polytope)
+    are checked before this runs, so the report states them without a
+    second check."""
     report = analysis.report
     if report.hull_type != "I":
         raise ValueError("type I checks apply to type I hulls only")
@@ -143,13 +147,12 @@ def type_one_checks(analysis: Analysis) -> dict:
     for v0 in analysis.system.class_indices(1):
         rest = [vectors[j] for j in range(len(vectors)) if j != v0]
         count = _simplex_beyond_count(vectors[v0], rest)
-        if not beyond:
-            scanned = beyond_facets(vectors[v0], rest)
-            if scanned != count:
-                raise StructureMismatch(
-                    f"middle-class vertex {v0}: barycentric coordinates put it "
-                    f"beyond {count} facets, the facet scan {scanned}"
-                )
+        by_facets = len(rest) - sum(1 for f in facets if not f >> v0 & 1)
+        if by_facets != count:
+            raise StructureMismatch(
+                f"middle-class vertex {v0}: barycentric coordinates put it "
+                f"beyond {count} facets, the oracle's facets {by_facets}"
+            )
         beyond[v0] = count
         if count != m2 - 1:
             raise StructureMismatch(
@@ -212,7 +215,7 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
 
     type_one_report = None
     if report.hull_type == "I":
-        type_one_report = type_one_checks(analysis)
+        type_one_report = type_one_checks(analysis, oracle.facets)
 
     # the criterion lattice equals the oracle lattice (checked above), so
     # mapping the oracle's facets onto the model's maps both lattices

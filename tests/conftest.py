@@ -309,9 +309,9 @@ def primitive_vector_by_fractions(vec) -> tuple[int, ...]:
 
 
 def facet_supports_by_keys(qpts: list[tuple], d: int):
-    """Every d-subset spanned and its hyperplane deduplicated by key: the
-    scan that oracle._facet_supports replaced by skipping subsets on known
-    hyperplanes, kept as its reference."""
+    """The facet masks, with every d-subset spanned and its hyperplane
+    deduplicated by key: the scan that oracle._facet_supports replaced by
+    skipping subsets on known hyperplanes, kept as its reference."""
     n = len(qpts)
     seen: set[tuple] = set()
     out = []
@@ -325,14 +325,8 @@ def facet_supports_by_keys(qpts: list[tuple], d: int):
             continue
         seen.add(key)
         values = [dot(normal, q) - offset for q in qpts]
-        if all(v <= 0 for v in values):
-            side = -1
-        elif all(v >= 0 for v in values):
-            side = 1
-        else:
-            continue
-        mask = sum(1 << i for i, v in enumerate(values) if v == 0)
-        out.append((mask, normal, offset, side))
+        if all(v <= 0 for v in values) or all(v >= 0 for v in values):
+            out.append(sum(1 << i for i, v in enumerate(values) if v == 0))
     return out
 
 
@@ -344,7 +338,7 @@ def oracle_lattice_by_joins(points: Sequence[Sequence[Fraction | int]]) -> FaceL
     if d == 0:
         raise DegenerateInput("all points coincide")
 
-    facets = [mask for mask, *_ in _facet_supports(qpts, d)]
+    facets = _facet_supports(qpts, d)
     for f in facets:
         r = affine_dimension([qpts[i] for i in members(f)])
         if r != d - 1:

@@ -932,6 +932,23 @@ def test_neighborliness_equals_the_combinations_form(name, build):
     assert neighborliness(lattice) == neighborliness_by_combinations(lattice)
 
 
+def test_simpliciality_counts_vertices_not_points():
+    # points on an edge, on a 2-face or inside leave a simplicial polytope
+    # simplicial; a square pyramid stays non-simplicial with its base centre
+    from galehull import oracle_lattice
+
+    cases = dict(NEIGHBORLINESS_CASES)
+    for name in (
+        "octahedron+centre+midpoint",
+        "4-simplex+edge-midpoint",
+        "4-simplex+triangle-centre",
+    ):
+        assert simpliciality_check(cases[name]()) is True
+    square_pyramid = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 1)]
+    assert simpliciality_check(oracle_lattice(square_pyramid)) is False
+    assert simpliciality_check(oracle_lattice(square_pyramid + [(1, 1, 0)])) is False
+
+
 def test_lattice_intersection_closed(cube_analysis):
     faces = set(cube_analysis.lattice.faces)
     for a in faces:

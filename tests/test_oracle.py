@@ -21,7 +21,6 @@ from conftest import (
 )
 from galehull import (
     analyze_polytope,
-    beyond_facets,
     catalog,
     fvector,
     incidence_system,
@@ -35,7 +34,6 @@ from galehull import (
 from galehull.errors import (
     DegenerateInput,
     DimensionMismatch,
-    PointOutsideAffineHull,
     StructureMismatch,
     TooManyPoints,
 )
@@ -190,9 +188,8 @@ def _assert_oracle_equals_the_references(pts):
     """The scan equals the reference scan element by element, and the
     lattice equals the reference join grading on the reference facets."""
     qpts, d = _project_to_hull_coordinates([tuple(p) for p in pts])
-    supports = facet_supports_by_keys(qpts, d)
-    assert _facet_supports(qpts, d) == supports
-    facets = [mask for mask, *_ in supports]
+    facets = facet_supports_by_keys(qpts, d)
+    assert _facet_supports(qpts, d) == facets
     lat = oracle_lattice(pts)
     assert (lat.dim, lat.faces) == (d, join_grading_by_fold(facets, len(pts)))
 
@@ -342,7 +339,7 @@ def _closure_lattice(points):
     replaced, kept as an independent reference."""
     pts = [tuple(p) for p in points]
     qpts, d = _project_to_hull_coordinates(pts)
-    facets = [mask for mask, *_ in _facet_supports(qpts, d)]
+    facets = _facet_supports(qpts, d)
     closure, queue = set(facets), list(facets)
     while queue:
         m = queue.pop()
@@ -419,29 +416,8 @@ def test_oracle_caps_and_degenerate():
         oracle_lattice([(i,) for i in range(27)])
     with pytest.raises(DegenerateInput):
         oracle_lattice([(1, 1), (1, 1), (1, 1)])
-
-
-def test_beyond_facets_interior_point_is_zero():
-    triangle = [(0, 0), (3, 0), (0, 3)]
-    assert beyond_facets((1, 1), triangle) == 0
-
-
-def test_beyond_facets_counts():
-    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert beyond_facets((F(1, 2), 2), square) == 1   # above the top edge
-    assert beyond_facets((2, 2), square) == 2          # past the corner
-    assert beyond_facets((F(1, 2), F(1, 2)), square) == 0
-
-
-def test_beyond_facets_outside_affine_hull():
-    square_in_3d = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)]
-    with pytest.raises(PointOutsideAffineHull):
-        beyond_facets((F(1, 2), F(1, 2), 1), square_in_3d)
-
-
-def test_beyond_facets_point_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        beyond_facets((1, 1, 1), [(0, 0), (3, 0), (0, 3)])
+        oracle_lattice([(0, 0), (1, 0, 0)])
 
 
 def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):

@@ -3,24 +3,49 @@ run against the constructed n = 13 instance with sizes (4, 5, 6)."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import galehull.linalg
+import galehull.oracle
 import galehull.pipeline
 from galehull import (
     analyze_polytope,
-    beyond_facets,
+    catalog,
+    equivalence_witness,
+    members,
     oracle_lattice,
     three_color,
+    validate,
     verify_polytope,
 )
-from conftest import lattice_isomorphic, tkn_model
+from conftest import gen, lattice_isomorphic, tkn_model
 from galehull.errors import CriterionMismatch, StructureMismatch
 from galehull.pipeline import _simplex_beyond_count, type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror
+
+
+def _glued(sizes):
+    return lambda: validate(gen.glued(random.Random(1), sizes).faces)
+
+
+# the two hand-built (4,5,6) gluings and two generated ones with other m2
+TYPE_ONE_BUILDERS = {
+    "type_one_polytope": type_one_polytope,
+    "type_one_polytope_mirror": type_one_polytope_mirror,
+    "glued-4.6.7": _glued((4, 6, 7)),
+    "glued-5.6.7": _glued((5, 6, 7)),
+}
+
+
+def _beyond_by_oracle_facets(facets, npoints: int, v: int) -> int:
+    """The facets of the simplex S of the other points that v is beyond:
+    all N-1 of them less those that miss v, which are facets of S with v
+    strictly beneath."""
+    return npoints - 1 - sum(1 for f in facets if not f >> v & 1)
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +103,30 @@ def test_a_lattice_off_the_oracle_fails_before_the_suite(type_one, monkeypatch):
     assert suites == []
 
 
+@pytest.mark.parametrize("branch", ["oracle-only", "dimension disagreements"])
+def test_a_lattice_off_the_oracle_names_its_first_faces(type_one, branch, monkeypatch):
+    exact = galehull.pipeline.oracle_lattice
+    found = {}
+
+    def changed(points):
+        lattice = exact(points)
+        faces = dict(lattice.faces)
+        if branch == "oracle-only":
+            found["face"] = next(m for m in range(lattice.top) if m not in faces)
+            faces[found["face"]] = 0
+        else:
+            found["face"] = 1
+            faces[1] = 1
+        return replace(lattice, faces=faces)
+
+    monkeypatch.setattr(galehull.pipeline, "oracle_lattice", changed)
+    with pytest.raises(CriterionMismatch) as caught:
+        verify_polytope(type_one)
+    assert str(caught.value) == (
+        f"criterion and oracle lattices differ: {branch}: [{members(found['face'])}]"
+    )
+
+
 def test_distinct_size_suite_runs_and_passes(verification):
     report = verification.type_one_report
     assert report is not None
@@ -85,12 +134,13 @@ def test_distinct_size_suite_runs_and_passes(verification):
     assert all(v == 4 for v in report["beyondCounts"].values())
 
 
-def test_middle_class_vertices_beyond_m2_minus_1(verification):
-    s = verification.analysis.system
-    m2 = verification.analysis.report.sorted_sizes[1]
-    for v0 in s.class_indices(1):
-        rest = [s.vectors[j] for j in range(len(s.vectors)) if j != v0]
-        assert beyond_facets(s.vectors[v0], rest) == m2 - 1
+def test_middle_class_vertices_beyond_m2_minus_1():
+    for build in TYPE_ONE_BUILDERS.values():
+        s = analyze_polytope(build()).system
+        m2 = sorted(s.coloring.class_sizes)[1]
+        facets = oracle_lattice(s.vectors).facets
+        for v0 in s.class_indices(1):
+            assert _beyond_by_oracle_facets(facets, len(s.vectors), v0) == m2 - 1
 
 
 def test_gale_values_follow_k(verification):
@@ -115,16 +165,26 @@ def test_dropping_a_middle_vertex_leaves_a_simplex(verification):
     rest = [s.vectors[j] for j in range(len(s.vectors)) if j != v0]
     lat = oracle_lattice(rest)
     assert lat.dim == 13 and len(rest) == 14
-    assert len([f for f, d in lat.faces.items() if d == 12]) == 14
+    assert len(lat.facets) == len([f for f, d in lat.faces.items() if d == 12]) == 14
+    # v0 is beyond the facets of the simplex that the hull keeps neither
+    # as they are nor as pyramids with apex v0: the recount's identity,
+    # checked on a second scan of a second polytope
+    def lifted(f):
+        return sum(1 << (i if i < v0 else i + 1) for i in range(len(rest)) if f >> i & 1)
+
+    hull = set(verification.oracle.facets)
+    beyond = [f for f in lat.facets if not {lifted(f), lifted(f) | 1 << v0} & hull]
+    assert len(beyond) == _beyond_by_oracle_facets(hull, len(s.vectors), v0) == 4
 
 
-@pytest.mark.parametrize("build", [type_one_polytope, type_one_polytope_mirror])
+@pytest.mark.parametrize("build", TYPE_ONE_BUILDERS.values(), ids=TYPE_ONE_BUILDERS)
 def test_barycentric_count_equals_facet_scan(build):
     s = analyze_polytope(build()).system
+    facets = oracle_lattice(s.vectors).facets
     for v0 in s.class_indices(1):
         rest = [s.vectors[j] for j in range(len(s.vectors)) if j != v0]
-        assert _simplex_beyond_count(s.vectors[v0], rest) == beyond_facets(
-            s.vectors[v0], rest
+        assert _simplex_beyond_count(s.vectors[v0], rest) == _beyond_by_oracle_facets(
+            facets, len(s.vectors), v0
         )
 
 
@@ -132,7 +192,20 @@ def test_barycentric_count_on_a_triangle():
     triangle = [(0, 0), (3, 0), (0, 3)]
     for point, count in [((1, 1), 0), ((4, 4), 1), ((-1, -1), 2), ((0, 1), 0)]:
         assert _simplex_beyond_count(point, triangle) == count
-        assert beyond_facets(point, triangle) == count
+
+
+def test_a_dropped_facet_fails_the_recount(verification):
+    facets = verification.oracle.facets
+    # facet 0 misses one middle-class vertex, which then looks beyond one
+    # facet more than its barycentric coordinates say
+    middle = set(verification.analysis.system.class_indices(1))
+    (v0,) = [v for v in middle if not facets[0] >> v & 1]
+    with pytest.raises(
+        StructureMismatch,
+        match=rf"^middle-class vertex {v0}: barycentric coordinates put it "
+        r"beyond 4 facets, the oracle's facets 5$",
+    ):
+        type_one_checks(verification.analysis, facets[1:])
 
 
 @pytest.mark.parametrize(
@@ -150,7 +223,7 @@ def test_degenerate_others_raise(point, others):
 
 
 def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
-    calls = {"beyond_facets": 0, "rref": 0, "null_space_basis": 0}
+    calls = {"_facet_supports": 0, "rref": 0, "null_space_basis": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -161,11 +234,20 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(galehull.pipeline, "beyond_facets")
+    counted(galehull.oracle, "_facet_supports")
     counted(galehull.linalg, "rref")
     counted(galehull.linalg, "null_space_basis")
-    report = type_one_checks(verification.analysis)
+    report = type_one_checks(verification.analysis, verification.oracle.facets)
     assert report == verification.type_one_report
-    assert calls == {"beyond_facets": 1, "rref": 0, "null_space_basis": 0}
+    assert calls == {"_facet_supports": 0, "rref": 0, "null_space_basis": 0}
     oracle_lattice(verification.analysis.system.vectors)
-    assert calls["rref"] == calls["null_space_basis"] == 0
+    assert calls == {"_facet_supports": 1, "rref": 0, "null_space_basis": 0}
+    # one scan per hull: one per verify of every type, two per compare
+    for p in (catalog("cube"), catalog("prism", 6), catalog("truncated-octahedron"),
+              type_one_polytope()):
+        calls["_facet_supports"] = 0
+        verify_polytope(p)
+        assert calls["_facet_supports"] == 1
+        s = analyze_polytope(p).system
+        equivalence_witness(s, s)
+        assert calls["_facet_supports"] == 3
