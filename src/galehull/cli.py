@@ -154,18 +154,11 @@ def cmd_compare(args) -> dict:
     pb = _resolve_spec(args.inputB)
     aa = summarize_polytope(pa)
     ab = summarize_polytope(pb)
-    by_theorem = equivalent(aa.report, pa.fvector, ab.report, pb.fvector)
-    if args.no_oracle:
-        by_oracle: object = "skipped"
-        witness = None
-    else:
-        mapping = equivalence_witness(aa.system, ab.system)
-        by_oracle = mapping is not None
-        witness = [[i, j] for i, j in sorted(mapping.items())] if mapping else None
+    mapping = equivalence_witness(aa.system, ab.system)
     return {
-        "equivalentByTheorem": by_theorem,
-        "equivalentByOracle": by_oracle,
-        "witnessBijection": witness,
+        "equivalentByTheorem": equivalent(aa.report, pa.fvector, ab.report, pb.fvector),
+        "equivalentByOracle": mapping is not None,
+        "witnessBijection": [[i, j] for i, j in sorted(mapping.items())] if mapping else None,
     }
 
 
@@ -256,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("compare", help="combinatorial equivalence of two hulls")
     sub.add_argument("inputA", help="JSON file or catalog:name[:param]")
     sub.add_argument("inputB", help="JSON file or catalog:name[:param]")
-    sub.add_argument("--no-oracle", action="store_true",
-                     help="skip the oracle lattices and the witness check")
     _add_io_flags(sub)
     sub.set_defaults(func=cmd_compare)
 

@@ -4,19 +4,21 @@ Two hulls are combinatorially equivalent exactly when the underlying
 polytopes have the same face count, the same class-size type, and the
 same middle class size. The diagram-multiset criterion behind that fact
 is already enforced structurally by classify(), so the triple comparison
-is complete. The oracle route recomputes both lattices from scratch and
-certifies the verdict on them: equivalent hulls share a model, so one
-class-block map composed with the inverse of the other is an explicit
-isomorphism to check; inequivalent hulls must differ in their f-vectors.
+is complete. The oracle route scans each hull's facets once and certifies
+the verdict on them: equivalent hulls share a model, so one class-block
+map composed with the inverse of the other is an explicit isomorphism to
+check; inequivalent hulls must differ in their facet_invariant.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from typing import Optional, Sequence
 
 from .errors import CriterionMismatch
-from .gale import IncidenceSystem, TypeReport, fvector, size_type
-from .oracle import oracle_lattice
+from .gale import IncidenceSystem, TypeReport, size_type
+from .oracle import oracle_facets
 from .reference import block_order, check_witness
 
 
@@ -34,25 +36,30 @@ def equivalent(
     )
 
 
+def facet_invariant(facets: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """The vertex count of the union of the facets and the sorted facet sizes."""
+    return reduce(or_, facets, 0).bit_count(), tuple(sorted(f.bit_count() for f in facets))
+
+
 def equivalence_witness(
     a: IncidenceSystem, b: IncidenceSystem
 ) -> Optional[dict[int, int]]:
-    """A vertex bijection between the oracle lattices of a and b, checked
-    on their facets, when n, type and m2 agree; None otherwise, certified by
-    differing oracle f-vectors. A failed check raises StructureMismatch,
-    equal f-vectors on hulls the classes call inequivalent CriterionMismatch."""
-    oracle_a, oracle_b = oracle_lattice(a.vectors), oracle_lattice(b.vectors)
+    """A vertex bijection between the oracle facets of a and b, checked on
+    them, when n, type and m2 agree; None otherwise, certified by differing
+    facet invariants. A failed check raises StructureMismatch, equal
+    invariants on hulls the classes call inequivalent CriterionMismatch."""
+    (_, facets_a), (_, facets_b) = oracle_facets(a.vectors), oracle_facets(b.vectors)
     sizes_a, sizes_b = a.coloring.class_sizes, b.coloring.class_sizes
     type_a, type_b = size_type(sizes_a), size_type(sizes_b)
     if (a.n, type_a, sizes_a[1]) != (b.n, type_b, sizes_b[1]):
-        shared = fvector(oracle_a)
-        if shared == fvector(oracle_b):
+        shared = facet_invariant(facets_a)
+        if shared == facet_invariant(facets_b):
             raise CriterionMismatch(
                 f"hulls of sizes {sizes_a} and {sizes_b} differ in n, type or m2 "
-                f"but their oracle lattices share the f-vector {shared}"
+                f"but their oracle facets share the invariant {shared}"
             )
         return None
     order_a, order_b = block_order(a, type_a), block_order(b, type_b)
     witness = dict(zip(order_a, order_b))
-    check_witness(oracle_a.facets, oracle_b.facets, witness, "equivalence witness")
+    check_witness(facets_a, facets_b, witness, "equivalence witness")
     return witness

@@ -1,23 +1,21 @@
 """Independent brute-force convex hull face lattice over exact rationals.
 
 This is the ground truth the Gale machinery is validated against, so it
-shares nothing with the coface criterion: facets are found by scanning
-the d-subsets for spanning hyperplanes with all points on one closed
-side, skipping the subsets that lie on a hyperplane already found. Each
-facet's exact affine rank is checked. The rest of the lattice comes from
-the point-facet incidences: a face is the largest point subset that has
-its facet set, read for every subset off per-half tables, and each face
-is graded one above a face that is one point smaller, or by its exact
-affine rank when there is none. The lattice lists the facets it found,
-and verify's facet-level checks read them (the apex signature of types
-II and III, every type I beyond recount and the model witness), so each
-hull is scanned once. The arithmetic is fraction-free: hull
-coordinates are pivot columns and each hyperplane is an integer null
-vector, both found by integer elimination, so on integer points (every
-incidence vector) the scan evaluates normal . q - offset in ints. Desk
-scale only (at most 26 points), and oracle_lattice reads all 2^N point
-subsets whatever the face count: 26 points of a convex polygon, 54
-faces, take about 3.2 s.
+shares nothing with the coface criterion. oracle_facets finds the facets
+by scanning the d-subsets for spanning hyperplanes with all points on
+one closed side, skipping the subsets that lie on a hyperplane already
+found, and checks each facet's exact affine rank. oracle_lattice reads
+the rest of the lattice off the point-facet incidences: a face is the
+largest point subset that has its facet set, read for every subset off
+per-half tables, and each face is graded one above a face that is one
+point smaller, or by its exact affine rank when there is none. verify's
+and compare's facet-level checks read the scanned facets, so each hull
+is scanned once. The arithmetic is fraction-free: hull coordinates are
+pivot columns and each hyperplane is an integer null vector, both found
+by integer elimination, so on integer points (every incidence vector)
+the scan evaluates normal . q - offset in ints. Desk scale only (at most
+26 points), and oracle_lattice reads all 2^N point subsets whatever the
+face count: 26 points of a convex polygon, 54 faces, take about 3.2 s.
 """
 
 from __future__ import annotations
@@ -93,31 +91,13 @@ def _facet_supports(qpts: list[tuple], d: int) -> list[int]:
     return out
 
 
-def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
-    """Face lattice of conv(points) by exhaustive hyperplane scanning.
-
-    Faces are bitmasks over the input points; the empty face and the
-    full polytope are included, and `facets` lists the facets in the
-    order the scan found them. Points need not be vertices.
-
-    Each facet must have exact affine dimension d - 1. A face is the
-    largest point subset with its facet set (a Galois closure), so the
-    faces are read off the facet sets of all 2^N subsets. If a face f
-    minus one point p is a face g, f is a pyramid over g: aff f is
-    spanned by aff g and p, and g is a proper face of f, so f has
-    dimension dim g + 1. Every other face takes its exact affine rank,
-    and the facets and the polytope must come out at d - 1 and d.
-
-    The cost is 2^N table reads in C plus one Python step per face,
-    whatever the face count: output sized on galehull's hulls, where
-    almost every point subset is a face, but not on low-dimensional point
-    sets (26 points of a convex polygon, 54 faces, take about 3.2 s).
-    """
-    pts = _check_points(points)
-    qpts, d = _project_to_hull_coordinates(pts)
+def oracle_facets(points: Sequence[Sequence[Fraction | int]]) -> tuple[list[tuple], list[int]]:
+    """The points in coordinates of their affine hull R^d, and the facets
+    of conv(points) as masks over the points, which need not be vertices,
+    in the order the scan finds them, each of exact affine dimension d - 1."""
+    qpts, d = _project_to_hull_coordinates(_check_points(points))
     if d == 0:
         raise DegenerateInput("all points coincide")
-
     facets = _facet_supports(qpts, d)
     for f in facets:
         r = affine_dimension([qpts[i] for i in members(f)])
@@ -125,13 +105,35 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
             raise StructureMismatch(
                 f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
             )
+    return qpts, facets
+
+
+def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
+    """Face lattice of conv(points) from the facets of oracle_facets,
+    which it lists in scan order. Faces are bitmasks over the points; the
+    empty face and the full polytope are included.
+
+    A face is the largest point subset with its facet set (a Galois
+    closure), so the faces are read off the facet sets of all 2^N
+    subsets. If a face f minus one point p is a face g, f is a pyramid
+    over g: aff f is spanned by aff g and p, and g is a proper face of f,
+    so f has dimension dim g + 1. Every other face takes its exact affine
+    rank, and the facets and the polytope must come out at d - 1 and d.
+
+    The cost is 2^N table reads in C plus one Python step per face,
+    whatever the face count: output sized on galehull's hulls, where
+    almost every point subset is a face, but not on low-dimensional point
+    sets (26 points of a convex polygon, 54 faces, take about 3.2 s).
+    """
+    qpts, facets = oracle_facets(points)
+    d = len(qpts[0])
     # inc[i] holds the facets through point i, so a point subset lies on
     # the AND of its points' inc. Each half's subset_table holds that AND
     # for every subset of its points, so the product visits every subset
     # in ascending mask order. The last subset with a facet set, the union
     # of them all, is the face that has it. The dict goes before grading:
     # kept, it adds to the peak memory.
-    n = len(pts)
+    n = len(qpts)
     top = (1 << n) - 1
     inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
     every = (1 << len(facets)) - 1

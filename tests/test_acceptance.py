@@ -159,7 +159,7 @@ def test_criterion_5_equivalence_cross_validation():
             assert equivalent(ax.report, px.fvector, ay.report, py.fvector)
             assert lattice_isomorphic(lattices[name], lattices[name + "/relabeled"])
 
-        # the op itself (recomputing lattices) on representative pairs
+        # the op itself (rescanning facets) on representative pairs
         assert equivalence_witness(
             systems["cube"][1].system, systems["cube/relabeled"][1].system
         ) is not None

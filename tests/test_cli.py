@@ -99,12 +99,6 @@ def test_compare_catalog_specs(capsys):
     assert doc["equivalentByOracle"] is False
     assert doc["witnessBijection"] is None
 
-def test_compare_no_oracle(capsys):
-    code, out = run(capsys, ["compare", "catalog:cube", "catalog:cube", "--no-oracle"])
-    doc = json.loads(out)
-    assert doc["equivalentByTheorem"] is True
-    assert doc["equivalentByOracle"] == "skipped"
-
 def test_compare_file_and_catalog(tmp_path, capsys):
     code, out = run(capsys, ["catalog", "prism:6"])
     path = tmp_path / "p6.json"

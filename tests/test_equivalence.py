@@ -1,18 +1,34 @@
 from __future__ import annotations
 
+import random
 from math import comb
 
 import pytest
 
+import galehull.equivalence as equivalence_module
+import galehull.oracle as oracle_module
+import gen
 import instances
 from galehull import (
     analyze_polytope,
+    catalog,
     equivalence_witness,
     equivalent,
+    model_facets,
+    summarize_polytope,
+    validate,
 )
+from galehull.equivalence import facet_invariant
 from galehull.errors import CriterionMismatch
-from galehull.gale import TypeReport
-from galehull.oracle import POINT_CAP
+from galehull.gale import TypeReport, size_type
+from galehull.oracle import POINT_CAP, oracle_facets
+
+ORACLE_CASES = [
+    ("cube", lambda: catalog("cube")),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+    *((f"prism:{k}", lambda k=k: catalog("prism", k)) for k in range(6, 23, 2)),
+    *((b.__name__, b) for b in instances.INSTANCE_BUILDERS),
+]
 
 
 def _report(hull_type, sizes, dim):
@@ -121,24 +137,83 @@ def test_closed_fvector_equals_the_analysis(cube, prism6, prism8, trunc_oct):
         assert _closed_fvector(a.report.sorted_sizes) == a.hull_fvector
 
 
-def test_fvectors_certify_every_inequivalence_up_to_the_point_cap():
-    """equivalence_witness answers None only on differing oracle f-vectors.
-    Within the oracle's cap that always holds: the hulls of one (n, type,
-    m2) share an f-vector, and the 211 such classes have 211 f-vectors."""
+def _by_class(invariant) -> dict[tuple, set]:
+    """invariant(sizes) of every sorted class-size triple within the
+    oracle's cap, grouped by the hull's (n, type, m2)."""
     groups: dict[tuple, set] = {}
     for total in range(6, POINT_CAP + 1):
         for m1 in range(2, total // 3 + 1):
             for m2 in range(m1, (total - m1) // 2 + 1):
                 sizes = (m1, m2, total - m1 - m2)
-                key = (total - 2, _type_of(sizes), m2)
-                groups.setdefault(key, set()).add(_closed_fvector(sizes))
+                groups.setdefault((total - 2, _type_of(sizes), m2), set()).add(invariant(sizes))
+    return groups
+
+
+def _model_invariant(sizes):
+    return facet_invariant(model_facets(_type_of(sizes), sizes))
+
+
+def test_fvectors_certify_every_inequivalence_up_to_the_point_cap():
+    """Within the oracle's cap the hulls of one (n, type, m2) share an
+    f-vector, and the 211 such classes have 211 f-vectors."""
+    groups = _by_class(_closed_fvector)
     assert all(len(fvectors) == 1 for fvectors in groups.values())
     assert len(groups) == len({fvectors.pop() for fvectors in groups.values()}) == 211
 
 
-def test_equal_fvectors_on_inequivalent_hulls_raise(cube_analysis, prism6_analysis, monkeypatch):
-    import galehull.equivalence as equivalence_module
+def test_facet_sizes_certify_every_inequivalence_up_to_the_point_cap():
+    """equivalence_witness answers None only on differing facet invariants.
+    Within the oracle's cap that always holds: the hulls of one (n, type,
+    m2) share the vertex count and sorted facet sizes, and the 211 such
+    classes have 211 invariants. The vertex and facet counts alone do not
+    separate them: (10, I, 3) and (10, II, 5) both have 27 facets on 12
+    vertices."""
+    groups = _by_class(_model_invariant)
+    assert all(len(invariants) == 1 for invariants in groups.values())
+    invariants = {key: invariants.pop() for key, invariants in groups.items()}
+    assert len(set(invariants.values())) == 211
+    counts = {key: (vertices, len(sizes)) for key, (vertices, sizes) in invariants.items()}
+    assert counts[(10, "I", 3)] == counts[(10, "II", 5)] == (12, 27)
 
-    monkeypatch.setattr(equivalence_module, "fvector", lambda lattice: (1, 2))
-    with pytest.raises(CriterionMismatch, match=r"share the f-vector \(1, 2\)"):
+
+@pytest.mark.parametrize("name,build", ORACLE_CASES, ids=[n for n, _ in ORACLE_CASES])
+def test_oracle_facet_invariant_is_the_models(name, build):
+    a = summarize_polytope(build())
+    _, facets = oracle_facets(a.system.vectors)
+    assert facet_invariant(facets) == _model_invariant(a.report.sorted_sizes)
+
+
+def test_equivalence_witness_builds_no_lattice(monkeypatch):
+    """Every pair of hulls of all four types, equivalent or not, is
+    certified on facets alone: any oracle_lattice call fails the test."""
+
+    def refuse(points):
+        raise AssertionError("equivalence_witness built an oracle lattice")
+
+    monkeypatch.setattr(oracle_module, "oracle_lattice", refuse)
+    monkeypatch.setattr(equivalence_module, "oracle_lattice", refuse, raising=False)
+    builds = (
+        lambda: catalog("cube"),
+        lambda: catalog("prism", 6),
+        lambda: catalog("truncated-octahedron"),
+        instances.type_one_polytope,
+        lambda: validate([list(f) for f in gen.glued(random.Random(1), (4, 5, 6)).faces]),
+    )
+    systems = [summarize_polytope(build()).system for build in builds]
+    keys = [(s.n, size_type(s.coloring.class_sizes), s.coloring.class_sizes[1]) for s in systems]
+    assert sorted({k[1] for k in keys}) == ["I", "II", "III", "IV"]
+    for a, key_a in zip(systems, keys):
+        for b, key_b in zip(systems, keys):
+            assert (equivalence_witness(a, b) is not None) == (key_a == key_b)
+
+
+def test_equal_facet_invariants_on_inequivalent_hulls_raise(
+    cube_analysis, prism6_analysis, monkeypatch
+):
+    monkeypatch.setattr(equivalence_module, "facet_invariant", lambda facets: (6, (4, 4)))
+    with pytest.raises(
+        CriterionMismatch,
+        match=r"^hulls of sizes \(2, 2, 2\) and \(2, 3, 3\) differ in n, type or m2 "
+        r"but their oracle facets share the invariant \(6, \(4, 4\)\)$",
+    ):
         equivalence_witness(cube_analysis.system, prism6_analysis.system)

@@ -75,12 +75,9 @@ def test_verify_witness_is_a_face_bijection(name, build):
 
 
 @pytest.fixture
-def shared_oracle(monkeypatch):
-    """oracle_lattice cached per vector tuple, for equivalence_witness and
-    the test alike: each lattice is built once."""
-    cached = lru_cache(maxsize=None)(oracle_lattice)
-    monkeypatch.setattr(equivalence_module, "oracle_lattice", cached)
-    return cached
+def shared_oracle():
+    """oracle_lattice cached per vector tuple: each lattice is built once."""
+    return lru_cache(maxsize=None)(oracle_lattice)
 
 
 @pytest.mark.parametrize("name,build", BASE, ids=[n for n, _ in BASE])
