@@ -22,8 +22,9 @@ from .gale import (
     relint_contains_zero,
     simpliciality_check,
 )
-from .oracle import oracle_lattice, verify_pyramid_structure
-from .pipeline import Analysis, Verification, analyze_polytope, summarize_polytope, verify_polytope
+from .oracle import oracle_lattice
+from .pipeline import Analysis, Verification, analyze_polytope, summarize_polytope
+from .pipeline import verify_polytope, verify_pyramid_structure
 from .polytopes import (
     FaceColoring,
     PlanarPolytope,

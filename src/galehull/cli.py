@@ -218,9 +218,7 @@ def _emit(doc: dict, args) -> None:
 
 def _add_io_flags(sub) -> None:
     sub.add_argument("--output", help="write the JSON report to this path")
-    group = sub.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", help="compact JSON (default)")
-    group.add_argument("--pretty", action="store_true", help="indented JSON")
+    sub.add_argument("--pretty", action="store_true", help="indented JSON")
 
 
 def _add_input_args(sub) -> None:

@@ -1,10 +1,12 @@
 """Independent brute-force convex hull face lattice over exact rationals.
 
 This is the ground truth the Gale machinery is validated against, so it
-shares nothing with the coface criterion. oracle_facets finds the facets
-by scanning the d-subsets for spanning hyperplanes with all points on
-one closed side, skipping the subsets that lie on a hyperplane already
-found, and checks each facet's exact affine rank. oracle_lattice reads
+is pure geometry and shares nothing with the coface criterion.
+oracle_facets finds the facets by scanning the d-subsets for spanning
+hyperplanes with all points on one closed side, skipping the subsets
+that lie on a hyperplane already found. Only d affinely independent
+points span a plane, so the scan certifies each facet's dimension, and
+no facet is ranked again. oracle_lattice reads
 the rest of the lattice off the point-facet incidences: a face is the
 largest point subset that has its facet set, read for every subset off
 per-half tables, and each face is graded one above a face that is one
@@ -31,13 +33,7 @@ from .errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from .gale import (
-    FaceLattice,
-    IncidenceSystem,
-    TypeReport,
-    members,
-    subset_table,
-)
+from .gale import FaceLattice, members, subset_table
 from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
 
 POINT_CAP = 26
@@ -94,18 +90,14 @@ def _facet_supports(qpts: list[tuple], d: int) -> list[int]:
 def oracle_facets(points: Sequence[Sequence[Fraction | int]]) -> tuple[list[tuple], list[int]]:
     """The points in coordinates of their affine hull R^d, and the facets
     of conv(points) as masks over the points, which need not be vertices,
-    in the order the scan finds them, each of exact affine dimension d - 1."""
+    in the order the scan finds them. Each facet has affine dimension
+    d - 1 by construction: spanning_hyperplane gives a plane only when the
+    rows [q | -1] of its d points have rank d, that is when the points are
+    affinely independent, and the facet's mask holds those d points."""
     qpts, d = _project_to_hull_coordinates(_check_points(points))
     if d == 0:
         raise DegenerateInput("all points coincide")
-    facets = _facet_supports(qpts, d)
-    for f in facets:
-        r = affine_dimension([qpts[i] for i in members(f)])
-        if r != d - 1:
-            raise StructureMismatch(
-                f"facet {members(f)} has affine dimension {r}, expected {d - 1}"
-            )
-    return qpts, facets
+    return qpts, _facet_supports(qpts, d)
 
 
 def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
@@ -118,7 +110,8 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     subsets. If a face f minus one point p is a face g, f is a pyramid
     over g: aff f is spanned by aff g and p, and g is a proper face of f,
     so f has dimension dim g + 1. Every other face takes its exact affine
-    rank, and the facets and the polytope must come out at d - 1 and d.
+    rank, and the polytope and the scan's facets must come out at d and
+    d - 1.
 
     The cost is 2^N table reads in C plus one Python step per face,
     whatever the face count: output sized on galehull's hulls, where
@@ -159,31 +152,3 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     if faces[top] != d or any(faces[f] != d - 1 for f in facets):
         raise StructureMismatch("pyramid grading disagrees with the facet ranks")
     return FaceLattice(dim=d, top=top, faces=faces, facets=tuple(facets))
-
-
-def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, lattice: FaceLattice) -> dict:
-    """Confirm the apex class of a type II/III hull: each apex vertex lies
-    on every facet the oracle lattice lists except exactly one. The apex
-    class's zero Gale points, and the nonzero ones of the other classes,
-    were pinned by classify, which checks the (0, v, -v) and (v, -v, 0)
-    class values exactly."""
-    if t.hull_type not in ("II", "III"):
-        raise ValueError(f"pyramid structure applies to types II/III, not {t.hull_type}")
-    apex_slot = 0 if t.hull_type == "II" else 2
-    apexes = s.class_indices(apex_slot)
-
-    facets = lattice.facets
-    for j in apexes:
-        missing = sum(1 for f in facets if not f >> j & 1)
-        if missing != 1:
-            raise StructureMismatch(
-                f"apex vertex {j} is outside {missing} facets, expected 1"
-            )
-    return {
-        "apexSlot": apex_slot + 1,
-        "apexVertices": list(apexes),
-        "apexCount": len(apexes),
-        "zeroGalePoints": True,
-        "apexFacetSignature": True,
-        "facetCount": len(facets),
-    }

@@ -25,7 +25,7 @@ from .gale import (
     simpliciality_check,
 )
 from .linalg import null_vector
-from .oracle import oracle_lattice, verify_pyramid_structure
+from .oracle import oracle_lattice
 from .polytopes import FaceColoring, PlanarPolytope, three_color
 from .reference import block_order, check_witness, model_facets
 
@@ -68,7 +68,10 @@ def analyze_polytope(p: PlanarPolytope) -> Analysis:
     return analysis
 
 
-def _face_diff(a: FaceLattice, b: FaceLattice, limit: int = 12) -> str:
+FACE_DIFF_LIMIT = 12  # faces listed per kind of lattice disagreement
+
+
+def _face_diff(a: FaceLattice, b: FaceLattice) -> str:
     only_a = [f for f in a.faces if f not in b.faces]
     only_b = [f for f in b.faces if f not in a.faces]
     graded = [
@@ -76,11 +79,11 @@ def _face_diff(a: FaceLattice, b: FaceLattice, limit: int = 12) -> str:
     ]
     parts = []
     if only_a:
-        parts.append(f"criterion-only: {sorted(map(members, only_a))[:limit]}")
+        parts.append(f"criterion-only: {sorted(map(members, only_a))[:FACE_DIFF_LIMIT]}")
     if only_b:
-        parts.append(f"oracle-only: {sorted(map(members, only_b))[:limit]}")
+        parts.append(f"oracle-only: {sorted(map(members, only_b))[:FACE_DIFF_LIMIT]}")
     if graded:
-        parts.append(f"dimension disagreements: {sorted(map(members, graded))[:limit]}")
+        parts.append(f"dimension disagreements: {sorted(map(members, graded))[:FACE_DIFF_LIMIT]}")
     return "; ".join(parts) or "identical"
 
 
@@ -101,6 +104,11 @@ def _simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]])
         )
     *lam, mu = vec
     return sum(1 for x in lam if x * mu < 0)
+
+
+def _facets_missing(facets: Sequence[int], v: int) -> int:
+    """Number of facets, as point masks, that miss point v."""
+    return sum(1 for f in facets if not f >> v & 1)
 
 
 def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
@@ -147,7 +155,7 @@ def type_one_checks(analysis: Analysis, facets: Sequence[int]) -> dict:
     for v0 in analysis.system.class_indices(1):
         rest = [vectors[j] for j in range(len(vectors)) if j != v0]
         count = _simplex_beyond_count(vectors[v0], rest)
-        by_facets = len(rest) - sum(1 for f in facets if not f >> v0 & 1)
+        by_facets = len(rest) - _facets_missing(facets, v0)
         if by_facets != count:
             raise StructureMismatch(
                 f"middle-class vertex {v0}: barycentric coordinates put it "
@@ -165,6 +173,32 @@ def type_one_checks(analysis: Analysis, facets: Sequence[int]) -> dict:
         "beyondCounts": {str(v): c for v, c in sorted(beyond.items())},
         "expectedBeyond": m2 - 1,
         "kRatioVerified": True,
+    }
+
+
+def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, facets: Sequence[int]) -> dict:
+    """Confirm the apex class of a type II/III hull: each apex vertex lies
+    on every one of the oracle's facets except exactly one. The apex
+    class's zero Gale points, and the nonzero ones of the other classes,
+    were pinned by classify, which checks the (0, v, -v) and (v, -v, 0)
+    class values exactly."""
+    if t.hull_type not in ("II", "III"):
+        raise ValueError(f"pyramid structure applies to types II/III, not {t.hull_type}")
+    apex_slot = 0 if t.hull_type == "II" else 2
+    apexes = s.class_indices(apex_slot)
+    for j in apexes:
+        missing = _facets_missing(facets, j)
+        if missing != 1:
+            raise StructureMismatch(
+                f"apex vertex {j} is outside {missing} facets, expected 1"
+            )
+    return {
+        "apexSlot": apex_slot + 1,
+        "apexVertices": list(apexes),
+        "apexCount": len(apexes),
+        "zeroGalePoints": True,
+        "apexFacetSignature": True,
+        "facetCount": len(facets),
     }
 
 
@@ -202,7 +236,7 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
 
     pyramid_report = None
     if report.hull_type in ("II", "III"):
-        pyramid_report = verify_pyramid_structure(analysis.system, report, oracle)
+        pyramid_report = verify_pyramid_structure(analysis.system, report, oracle.facets)
 
     neighborliness_matches = None
     if report.hull_type == "IV":

@@ -38,7 +38,7 @@ from galehull.errors import (
     TooManyPoints,
 )
 from galehull.linalg import affine_dimension, dot, spanning_hyperplane
-from galehull.oracle import _facet_supports, _project_to_hull_coordinates
+from galehull.oracle import _facet_supports, _project_to_hull_coordinates, oracle_facets
 
 F = Fraction
 
@@ -253,10 +253,11 @@ COUNTED_POINTS = (
 
 
 @pytest.mark.parametrize("name,pts", COUNTED_POINTS, ids=[n for n, _ in COUNTED_POINTS])
-def test_exact_rank_runs_once_per_facet(name, pts, monkeypatch):
-    """One exact rank per facet, plus one per face that is no pyramid over
-    a face one point smaller: the empty face, the top of a simplicial
-    hull, the faces through points that are not vertices."""
+def test_exact_rank_runs_once_per_face_that_is_no_pyramid(name, pts, monkeypatch):
+    """One exact rank per face that is no pyramid over a face one point
+    smaller: the empty face, the top of a simplicial hull, the faces
+    through points that are not vertices. The facets take none of their
+    own: the scan certifies their rank."""
     import galehull.oracle as oracle_module
 
     calls = []
@@ -268,28 +269,56 @@ def test_exact_rank_runs_once_per_facet(name, pts, monkeypatch):
 
     monkeypatch.setattr(oracle_module, "affine_dimension", counting)
     lat = oracle_lattice(pts)
-    facets = [f for f, d in lat.faces.items() if d == lat.dim - 1]
     no_pyramids = [
         f for f in lat.faces if not any(f ^ 1 << i in lat.faces for i in members(f))
     ]
-    assert sorted(calls) == sorted(f.bit_count() for f in facets + no_pyramids)
+    assert sorted(calls) == sorted(f.bit_count() for f in no_pyramids)
 
 
-def test_wrong_facet_rank_names_the_facet(monkeypatch):
+FACET_POINTS = (
+    [
+        ("octahedron", OCTAHEDRON),
+        ("triangle+centroid", [(0, 0), (3, 0), (0, 3), (1, 1)]),
+        ("segment+midpoint", [(0,), (2,), (1,)]),
+        ("simplex", [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        ("square-pyramid", SQUARE_PYRAMID),
+    ]
+    + POSET_RANK_POINTS
+    + [(f"prism:{k}", _vectors(catalog("prism", k))) for k in (14, 16)]
+)
+
+
+@pytest.mark.parametrize("name,pts", FACET_POINTS, ids=[n for n, _ in FACET_POINTS])
+def test_every_scanned_facet_has_d_affinely_independent_points(name, pts):
+    """Each scanned facet has affine rank d - 1 and holds d affinely
+    independent points, whose spanning hyperplane meets the points in
+    exactly the facet."""
+    qpts, facets = oracle_facets(pts)
+    d = len(qpts[0])
+    assert d == affine_dimension(pts)
+    for f in facets:
+        on_facet = [pts[i] for i in members(f)]
+        assert affine_dimension(on_facet) == d - 1, members(f)
+        independent = []
+        for i in members(f):
+            if affine_dimension([pts[j] for j in independent + [i]]) == len(independent):
+                independent.append(i)
+        assert len(independent) == d, members(f)
+        normal, offset = spanning_hyperplane([qpts[i] for i in independent], d)
+        assert f == sum(1 << i for i, q in enumerate(qpts) if dot(normal, q) == offset)
+
+
+def test_oracle_facets_take_no_exact_rank(monkeypatch):
+    import galehull.linalg as linalg_module
     import galehull.oracle as oracle_module
 
-    exact = oracle_module.affine_dimension
-    facet = sorted(OCTAHEDRON[i] for i in (0, 2, 4))
+    def refuse(points):
+        raise AssertionError(f"oracle_facets ranked {len(points)} points")
 
-    def wrong(points):
-        return exact(points) - (sorted(points) == facet)
-
-    monkeypatch.setattr(oracle_module, "affine_dimension", wrong)
-    with pytest.raises(
-        StructureMismatch,
-        match=r"facet \[0, 2, 4\] has affine dimension 1, expected 2",
-    ):
-        oracle_lattice(OCTAHEDRON)
+    monkeypatch.setattr(oracle_module, "affine_dimension", refuse)
+    monkeypatch.setattr(linalg_module, "affine_dimension", refuse)
+    for name, pts in FACET_POINTS:
+        assert oracle_facets(pts)[1], name
 
 
 def test_wrong_rank_of_a_face_that_is_no_pyramid_trips_the_grading_check(monkeypatch):
@@ -423,7 +452,7 @@ def test_oracle_caps_and_degenerate():
 def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
     for analysis in (prism6_analysis, prism8_analysis):
         oracle = oracle_lattice(analysis.system.vectors)
-        report = verify_pyramid_structure(analysis.system, analysis.report, oracle)
+        report = verify_pyramid_structure(analysis.system, analysis.report, oracle.facets)
         apexes = set(analysis.system.class_indices(0))
         assert set(report["apexVertices"]) == apexes
         assert report["apexCount"] == 2
@@ -433,5 +462,24 @@ def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
 def test_verify_pyramid_structure_rejects_type_four(cube_analysis):
     with pytest.raises(ValueError):
         verify_pyramid_structure(
-            cube_analysis.system, cube_analysis.report, cube_analysis.lattice
+            cube_analysis.system, cube_analysis.report, cube_analysis.lattice.facets
         )
+
+
+@pytest.mark.parametrize(
+    "fixture,hull_type,slot",
+    [("prism6_analysis", "II", 0), ("trunc_oct_analysis", "III", 2)],
+)
+def test_a_dropped_facet_puts_an_apex_outside_none(fixture, hull_type, slot, request):
+    """Each apex vertex misses exactly one facet; dropping that facet from
+    the oracle's list leaves the apex on every facet, and the check names
+    it with a count of 0."""
+    analysis = request.getfixturevalue(fixture)
+    assert analysis.report.hull_type == hull_type
+    facets = list(oracle_lattice(analysis.system.vectors).facets)
+    apex = analysis.system.class_indices(slot)[-1]
+    (k,) = [k for k, f in enumerate(facets) if not f >> apex & 1]
+    with pytest.raises(
+        StructureMismatch, match=rf"^apex vertex {apex} is outside 0 facets, expected 1$"
+    ):
+        verify_pyramid_structure(analysis.system, analysis.report, facets[:k] + facets[k + 1:])
