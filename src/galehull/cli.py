@@ -23,6 +23,7 @@ from .polytopes import (
     PlanarPolytope,
     catalog,
     hamiltonian_cycle,
+    require_catalog_cap,
     require_hamilton_cap,
     validate,
 )
@@ -180,7 +181,7 @@ def cmd_catalog(args) -> dict:
             "names": list(CATALOG_NAMES),
             "parameters": {"prism": "even k >= 4, e.g. prism:6"},
         }
-    p = _parse_catalog_spec(args.name)
+    p = _parse_catalog_spec(args.name, require_catalog_cap)
     return {"faces": [list(f) for f in p.faces]}
 
 

@@ -4,20 +4,20 @@ face enumeration via the coface criterion, and face counts by class pattern.
 The n+2 face-vertex indicator vectors of a 3-face-colorable simple
 3-polytope have rank n and span a hull of dimension n-1 (all color
 classes equal) or n, certified from the color classes in linear time
-(IncidenceSystem.dependency_roots). The Gale transform is therefore
-built per class in one or two dimensions, and it pins the full face
-lattice: a vertex subset J is a proper face exactly when zero lies in
-the relative interior of the convex hull of the complementary Gale
-points, which depend only on the classes J holds in full. classify
-checks the class constancy and builds the table of these 7 class
-patterns once per hull, cross-checking each against the closed-form
-per-type criterion; a disagreement raises, it is never a tolerated
-outcome. Face enumeration and the face counts read that table. A subset
-holds a class when both halves of its vertex mask hold their parts of
-it, so enumeration tests no mask on its own: it joins one table row of
-low halves to each high half. subset_table folds a value per point over
-every subset of a half; the enumeration, the oracle and the witness
-check read all their masks through two such tables.
+(IncidenceSystem.dependency_roots). The Gale diagram is therefore
+one point per class, in one or two dimensions (GaleDiagram), and it
+pins the full face lattice: a vertex subset J is a proper face exactly
+when zero lies in the relative interior of the convex hull of the
+complementary Gale points, which depend only on the classes J holds in
+full. classify builds the table of these 7 class patterns once per
+hull, cross-checking each against the closed-form per-type criterion; a
+disagreement raises, it is never a tolerated outcome. Face enumeration
+and the face counts read that table. A subset holds a class when both
+halves of its vertex mask hold their parts of it, so enumeration tests
+no mask on its own: it joins one table row of low halves to each high
+half. subset_table folds a value per point over every subset of a half;
+the enumeration, the oracle and the witness check read all their masks
+through two such tables.
 """
 
 from __future__ import annotations
@@ -26,18 +26,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations
 from math import comb
 from operator import or_
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import (
-    CriterionMismatch,
-    DiagramMismatch,
-    DimensionMismatch,
-    TheoremViolation,
-    TooManyPoints,
-)
+from .errors import CriterionMismatch, DimensionMismatch, TheoremViolation, TooManyPoints
 from .linalg import affine_dimension, dot, null_space_basis, primitive_vector
 from .polytopes import FaceColoring, PlanarPolytope
 
@@ -122,10 +115,27 @@ class IncidenceSystem:
 
 @dataclass(frozen=True)
 class GaleDiagram:
-    points: tuple[Point, ...]                  # one per hull vertex
-    normalized: tuple[tuple[int, ...], ...]    # primitive integer directions
+    """A Gale diagram constant on color classes: one point per sorted
+    class slot, and per hull vertex the slot of its face. The per-vertex
+    points and their primitive integer directions are views of these."""
+
+    class_points: tuple[Point, Point, Point]   # sorted class slot -> its point
+    slots: tuple[int, ...]                     # hull vertex -> its sorted class slot
     colors: tuple[int, ...]                    # face color per point
-    ambient: int
+
+    @property
+    def ambient(self) -> int:
+        return len(self.class_points[0])
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(self.class_points.__getitem__, self.slots))
+
+    @cached_property
+    def normalized(self) -> tuple[tuple[int, ...], ...]:
+        """Primitive integer directions, one primitive_vector per class."""
+        per_class = tuple(map(primitive_vector, self.class_points))
+        return tuple(map(per_class.__getitem__, self.slots))
 
 
 class PatternTable(NamedTuple):
@@ -221,17 +231,17 @@ def hull_dimension(s: IncidenceSystem) -> int:
 def gale_transform(s: IncidenceSystem) -> GaleDiagram:
     """Canonical Gale diagram, built per class from the class sizes.
 
-    Every vertex lies on one face of each class, so the class-constant
+    hull_dimension runs first: its certificate (s.dependency_roots) puts
+    every vertex on one face of each class, so the class-constant
     x = (y1, y2, y3) with y1 + y2 + y3 = 0 = m1 y1 + m2 y2 + m3 y3 are
-    affine dependencies of the hull vertices; the certified hull dimension
+    affine dependencies of the hull vertices, and the certified dimension
     proves they span the whole null space. The basis is the one
     null_space_basis returns, whose free columns are the last faces of the
-    classes, latest first: a 1 at each free column, 0 at the other. Each
-    basis vector is checked in integers at every vertex, and each of the
-    (at most three) distinct points is normalized once.
+    classes, latest first: a 1 at each free column, 0 at the other. The
+    diagram holds one point per class.
     """
-    slots, vertex_faces = s.slots, s.polytope.vertex_faces
-    last = {slot: j for j, slot in enumerate(slots)}
+    hull_dimension(s)  # pins the null-space dimension to len(basis)
+    last = {slot: j for j, slot in enumerate(s.slots)}
     a, b, c = sorted(last, key=last.get, reverse=True)
     m1, m2, m3 = s.coloring.class_sizes
     if m1 == m2 == m3:  # basis vectors as (value per class, divisor)
@@ -239,22 +249,10 @@ def gale_transform(s: IncidenceSystem) -> GaleDiagram:
     else:
         y = dict(enumerate((m3 - m2, m1 - m3, m2 - m1)))
         basis = [(y, next(y[slot] for slot in (a, b, c) if y[slot]))]
-    for i, (y, _) in enumerate(basis):
-        values = [y[slot] for slot in slots]
-        bad = next((v for v, fs in enumerate(vertex_faces) if sum(values[j] for j in fs)), None)
-        if bad is not None:
-            raise TheoremViolation(f"Gale vector {i} is no dependency at vertex {bad}")
-        if sum(values):
-            raise TheoremViolation(f"Gale vector {i} does not sum to zero")
-    hull_dimension(s)  # pins the null-space dimension to len(basis)
-    cls = [tuple(Fraction(y[slot], div) for y, div in basis) for slot in range(3)]
-    normalized = {pt: primitive_vector(pt) for pt in set(cls)}
-    points = tuple(cls[slot] for slot in slots)
     return GaleDiagram(
-        points=points,
-        normalized=tuple(map(normalized.__getitem__, points)),
+        class_points=tuple(tuple(Fraction(y[slot], div) for y, div in basis) for slot in range(3)),
+        slots=s.slots,
         colors=s.coloring.colors,
-        ambient=len(basis),
     )
 
 
@@ -327,71 +325,32 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
     """Type I-IV from the equality pattern of sorted class sizes, and the
     hull's one pattern table.
 
-    This is the one place that checks the class-level facts: the diagram
-    must be constant on each class (DiagramMismatch otherwise), its class
-    points must match the predicted shape exactly, and each class
-    pattern's relint answer must match the closed-form criterion (see
-    _class_patterns). Enumeration, the face counts and verification read
-    the report and check none of this again.
+    The diagram is constant on classes by construction, and its class
+    point values follow from the class sizes, so the one class-level check
+    is the table's: each class pattern's relint answer must match the
+    closed-form criterion (see _class_patterns). Enumeration and the face
+    counts read the report and check none of this again; verification
+    cross-checks the exact points by elimination (rref_gale_points).
+    The hull dimension is the Gale dual's, N - 1 - ambient for N hull
+    vertices, which gale_transform certified by hull_dimension.
     """
     m1, m2, m3 = s.coloring.class_sizes
     n = s.n
-    cls_points: list[Point] = []
-    for slot in range(3):
-        pts = {g.points[j] for j in s.class_indices(slot)}
-        if len(pts) != 1:
-            raise DiagramMismatch(f"class {slot} is not constant in the Gale transform")
-        cls_points.append(pts.pop())
-
     hull_type = size_type(s.coloring.class_sizes)
-    k = Fraction(m3 - m1, m2 - m1) if hull_type == "I" else None
-
-    if hull_type != "IV":
-        if g.ambient != 1:
-            raise DiagramMismatch(f"type {hull_type} diagram must be 1-dimensional")
-        v1, v2, v3 = (p[0] for p in cls_points)
-
-    if hull_type == "I":
-        if v3 == 0 or v2 == 0:
-            raise DiagramMismatch("type I admits no zero Gale value")
-        # values are (1-k, k, -1) up to one nonzero scaling
-        if v1 / v3 != k - 1 or v2 / v3 != -k:
-            raise DiagramMismatch(
-                f"type I value ratios ({v1}:{v2}:{v3}) off the (1-k, k, -1) pattern"
-            )
-        structure = f"T^{n}_{m2 - 1}"
-    elif hull_type == "II":
-        if v1 != 0 or v2 == 0 or v2 != -v3:
-            raise DiagramMismatch(
-                f"type II values ({v1}:{v2}:{v3}) off the (0, 1, -1) pattern"
-            )
-        structure = f"{m1}-fold {n}-pyramid over C({2 * m2},{2 * m2 - 2})"
-    elif hull_type == "III":
-        if v3 != 0 or v1 == 0 or v1 != -v2:
-            raise DiagramMismatch(
-                f"type III values ({v1}:{v2}:{v3}) off the (1, -1, 0) pattern"
-            )
-        structure = f"{m3}-fold {n}-pyramid over C({2 * m2},{2 * m2 - 2})"
-    else:
-        if g.ambient != 2:
-            raise DiagramMismatch("type IV diagram must be 2-dimensional")
-        p1, p2, p3 = cls_points
-        if any(all(x == 0 for x in p) for p in cls_points):
-            raise DiagramMismatch("type IV admits no zero Gale point")
-        for a, b in combinations(cls_points, 2):
-            if _cross(a, b) == 0:
-                raise DiagramMismatch("type IV rays must be pairwise non-parallel")
-        if any(p1[r] + p2[r] + p3[r] != 0 for r in range(2)):
-            raise DiagramMismatch("type IV rays must sum to zero")
-        structure = f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over C({2 * m2},{2 * m2 - 2}))"
-
+    cyclic = f"C({2 * m2},{2 * m2 - 2})"
+    structure = {
+        "I": f"T^{n}_{m2 - 1}",
+        "II": f"{m1}-fold {n}-pyramid over {cyclic}",
+        "III": f"{m3}-fold {n}-pyramid over {cyclic}",
+        "IV": f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over {cyclic})",
+    }[hull_type]
     return TypeReport(
         hull_type=hull_type,
         sorted_sizes=(m1, m2, m3),
-        dim=hull_dimension(s),
-        k=k,
+        dim=n + 1 - g.ambient,
+        k=Fraction(m3 - m1, m2 - m1) if hull_type == "I" else None,
         structure=structure,
-        patterns=_class_patterns(s, g.ambient, hull_type, cls_points),
+        patterns=_class_patterns(s, g.ambient, hull_type, g.class_points),
     )
 
 
@@ -468,7 +427,7 @@ def grade_anchors(s: IncidenceSystem, t: TypeReport) -> None:
 def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
     """All faces of the hull, built one high half mask at a time.
 
-    classify checked that the diagram g is constant on classes, so a
+    The diagram g is constant on classes by construction, so a
     proper subset's face status and dimension depend only on its pattern
     in the table t.patterns, which grade_anchors cross-checks by exact
     rank. A subset holds a class when both halves of its mask, split at

@@ -166,7 +166,8 @@ def type_one_checks(analysis: Analysis, facets: Sequence[int]) -> dict:
             raise StructureMismatch(
                 f"middle-class vertex {v0} beyond {count} facets, expected {m2 - 1}"
             )
-    # classify() already pinned the (1-k, k, -1) value pattern exactly
+    # verify_polytope's RREF cross-check ran first: the Gale points, so the
+    # (1-k, k, -1) class values, equal the elimination's exactly
     return {
         "simplicial": True,
         "facesMatchOracle": True,
@@ -180,8 +181,9 @@ def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, facets: Sequence
     """Confirm the apex class of a type II/III hull: each apex vertex lies
     on every one of the oracle's facets except exactly one. The apex
     class's zero Gale points, and the nonzero ones of the other classes,
-    were pinned by classify, which checks the (0, v, -v) and (v, -v, 0)
-    class values exactly."""
+    are pinned by verify_polytope's RREF cross-check, which runs first:
+    the (0, v, -v) and (v, -v, 0) class values equal the elimination's
+    exactly."""
     if t.hull_type not in ("II", "III"):
         raise ValueError(f"pyramid structure applies to types II/III, not {t.hull_type}")
     apex_slot = 0 if t.hull_type == "II" else 2

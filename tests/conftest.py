@@ -95,6 +95,16 @@ def gluings(sizes_by_type):
 
 UP_TO_14 = _sizes_by_type(14)
 
+# past ANALYSIS_VERTEX_CAP: prisms and the analyze-large gluings, n = 24 to 70
+OVER_CAP = [
+    ("prism:24", lambda: catalog("prism", 24)),
+    ("prism:998", lambda: catalog("prism", 998)),
+    *(
+        (f"glued-{m1}.{m2}.{m3}", lambda m=(m1, m2, m3): validate(gen.glued(random.Random(1), m).faces))
+        for m1, m2, m3 in ((20, 22, 24), (20, 26, 26), (22, 22, 26), (24, 24, 24))
+    ),
+]
+
 
 def matvec(rows, v) -> tuple:
     """The exact product of a matrix, given as rows, and a vector."""

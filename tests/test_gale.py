@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import instances
 from conftest import (
+    OVER_CAP,
     UP_TO_14,
     byte_fold,
     enumerate_faces_by_mask_scan,
@@ -37,6 +38,7 @@ from galehull import (
     pattern_counts,
     relint_contains_zero,
     simpliciality_check,
+    summarize_polytope,
     three_color,
     validate,
     verify_polytope,
@@ -227,7 +229,14 @@ def _gale_instances():
 GALE_INSTANCES = list(_gale_instances())
 
 
-@pytest.mark.parametrize("name,p", GALE_INSTANCES, ids=[n for n, _ in GALE_INSTANCES])
+# past the verify cap, where only analyze reads the diagram, up to n = 70:
+# prism:24 and prism:64 are GALE_INSTANCES, and prism:998's elimination is cubic
+RREF_INSTANCES = GALE_INSTANCES + [
+    (name, build()) for name, build in OVER_CAP if name.startswith("glued-")
+]
+
+
+@pytest.mark.parametrize("name,p", RREF_INSTANCES, ids=[n for n, _ in RREF_INSTANCES])
 def test_closed_form_diagram_equals_rref_route(name, p):
     s = incidence_system(p, three_color(p))
     assert gale_transform(s).points == rref_gale_points(s)
@@ -358,20 +367,35 @@ def test_disagreeing_rref_route_fails_verify(monkeypatch, capsys):
     assert "Gale point 0" in doc["error"]["message"]
 
 
-def test_corrupted_basis_trips_the_residual_check(prism6_analysis):
+def test_type_four_neighborliness_off_m2_fails_verify(cube, monkeypatch):
+    import galehull.pipeline as pipeline_module
+
+    from galehull.errors import StructureMismatch
+
+    counted = pipeline_module.pattern_counts
+    # both neighborliness routes agree, on one more than the cube's m2 - 1 = 1
+    monkeypatch.setattr(pipeline_module, "pattern_counts", lambda t: (*counted(t)[:2], 2))
+    monkeypatch.setattr(pipeline_module, "neighborliness", lambda lattice: 2)
+    with pytest.raises(StructureMismatch, match=r"neighborliness 2 != m2-1 = 1"):
+        verify_polytope(cube)
+
+
+def test_corrupted_slots_trip_the_class_certificate(prism6_analysis):
     from dataclasses import replace
 
     s = replace(prism6_analysis.system)  # a fresh cache
     s.__dict__["slots"] = (1, *s.slots[1:])  # face 0 (a hexagon) moves off its class value
-    with pytest.raises(TheoremViolation, match="Gale vector 0 is no dependency at vertex 0"):
+    # hull_dimension runs first in gale_transform, and its certificate
+    # finds a vertex off one face of each class before any point is built
+    with pytest.raises(TheoremViolation, match="vertex 0 is not on one face of each class"):
         gale_transform(s)
 
 
-def test_wrong_classes_of_the_right_sizes_trip_the_residual_check(cube):
-    # classes {0,2}, {1,4}, {3,5}: sizes (2,2,2) and hull dimension 3 as for
-    # the true coloring, but faces 0 and 2 share an edge
+def test_wrong_classes_of_the_right_sizes_trip_the_class_certificate(cube):
+    # classes {0,2}, {1,4}, {3,5}: sizes (2,2,2) as for the true coloring,
+    # but faces 0 and 2 share an edge
     fake = IncidenceSystem(cube, coloring_from_assignment((1, 2, 1, 3, 2, 3)))
-    with pytest.raises(TheoremViolation, match="no dependency at vertex"):
+    with pytest.raises(TheoremViolation, match="is not on one face of each class"):
         gale_transform(fake)
 
 
@@ -538,46 +562,16 @@ def test_chain_family_above_equal_classes_big_apex(trunc_oct_analysis):
     assert containing == expected
 
 
-def test_classify_rejects_corrupted_diagram(prism6_analysis):
-    from dataclasses import replace
-
-    from galehull.errors import DiagramMismatch
-    from galehull.gale import GaleDiagram
-
-    g = prism6_analysis.diagram
-    pts = list(g.points)
-    hexagons = prism6_analysis.system.class_indices(0)
-    pts[hexagons[0]] = (Fraction(5),)  # zero-class point moved off zero
-    bad = GaleDiagram(
-        points=tuple(pts),
-        normalized=g.normalized,
-        colors=g.colors,
-        ambient=g.ambient,
-    )
-    with pytest.raises(DiagramMismatch):
-        classify(prism6_analysis.system, bad)
+# a whole class moves: the diagram holds one point per class, and the
+# table's relint-versus-criterion check names the first subset at fault
+FIRST_SUBSET_AT_FAULT = {
+    ("prism6_analysis", 0): "10101000",
+    ("prism6_analysis", 1): "0",
+    ("trunc_oct_analysis", 2): "10010110000000",
+    ("trunc_oct_analysis", 0): "0",
+}
 
 
-def test_enumerate_rejects_inconsistent_diagram(prism6_analysis):
-    from galehull.errors import DiagramMismatch
-    from galehull.gale import GaleDiagram
-
-    g = prism6_analysis.diagram
-    belts = prism6_analysis.system.class_indices(1)
-    pts = list(g.points)
-    pts[belts[0]] = (-pts[belts[0]][0],)  # one belt vertex flips sign
-    bad = GaleDiagram(
-        points=tuple(pts),
-        normalized=g.normalized,
-        colors=g.colors,
-        ambient=g.ambient,
-    )
-    # classify is the one constancy check; enumerate_faces reads its table
-    with pytest.raises(DiagramMismatch):
-        classify(prism6_analysis.system, bad)
-
-
-# a whole class moves, so every class stays constant
 @pytest.mark.parametrize("fixture,slot,value", [
     ("prism6_analysis", 0, Fraction(5)),      # type II apex off zero
     ("prism6_analysis", 1, Fraction(0)),      # type II belt class onto zero
@@ -587,15 +581,47 @@ def test_enumerate_rejects_inconsistent_diagram(prism6_analysis):
 def test_classify_pins_the_apex_gale_points(fixture, slot, value, request):
     from dataclasses import replace
 
-    from galehull.errors import DiagramMismatch
+    from galehull.errors import CriterionMismatch
 
     a = request.getfixturevalue(fixture)
-    pts = list(a.diagram.points)
-    for j in a.system.class_indices(slot):
-        pts[j] = (value,)
-    bad = replace(a.diagram, points=tuple(pts))
-    with pytest.raises(DiagramMismatch, match=f"type {a.report.hull_type} values"):
+    pts = list(a.diagram.class_points)
+    pts[slot] = (value,)
+    bad = replace(a.diagram, class_points=tuple(pts))
+    # the zero class moved off zero lets a non-face pass the relint test,
+    # a nonzero class moved onto zero makes the empty face fail it
+    subset, relint = FIRST_SUBSET_AT_FAULT[fixture, slot], value != 0
+    t = a.report.hull_type
+    with pytest.raises(
+        CriterionMismatch,
+        match=f"subset {subset}: relint says {relint}, type {t} criterion says {not relint}",
+    ):
         classify(a.system, bad)
+
+
+def test_gale_diagram_is_one_point_per_class(cube_analysis, prism6_analysis, trunc_oct_analysis):
+    for a in (cube_analysis, prism6_analysis, trunc_oct_analysis):
+        s, g = a.system, a.diagram
+        assert len(g.class_points) == 3 and g.slots == s.slots
+        for slot in range(3):
+            assert {g.points[j] for j in s.class_indices(slot)} == {g.class_points[slot]}
+        assert g.ambient == len(g.points[0]) == (2 if a.report.hull_type == "IV" else 1)
+
+
+def test_hull_dimension_runs_once_per_summary(monkeypatch):
+    import galehull.gale as gale_module
+
+    calls = []
+    exact = gale_module.hull_dimension
+
+    def counting(s):
+        calls.append(s)
+        return exact(s)
+
+    monkeypatch.setattr(gale_module, "hull_dimension", counting)
+    for p in (catalog("cube"), catalog("prism", 6), instances.type_one_polytope()):
+        calls.clear()
+        a = summarize_polytope(p)
+        assert calls == [a.system]
 
 
 def _grading_instances():
@@ -651,16 +677,11 @@ def test_exact_rank_runs_once_per_gale_support(name, p, monkeypatch):
 
 
 def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis, monkeypatch):
-    from dataclasses import replace
-
     import galehull.gale as gale_module
 
-    from galehull.errors import CriterionMismatch, DiagramMismatch
+    from galehull.errors import CriterionMismatch
 
     a = prism6_analysis
-    bad = replace(a.diagram, ambient=a.diagram.ambient + 1)
-    with pytest.raises(DiagramMismatch, match="type II diagram must be 1-dimensional"):
-        classify(a.system, bad)
     # the table grades as a wrong ambient would: one less Gale rank is one
     # more ambient dimension in -1 - ambient + rank, and the anchor trips
     exact = gale_module._rank
@@ -777,47 +798,28 @@ def test_pattern_counts_reads_the_table(name, monkeypatch):
     assert calls == []
 
 
-def test_enumerate_names_the_class_off_constancy(prism6_analysis):
-    from dataclasses import replace
-
-    from galehull.errors import DiagramMismatch
-
-    a = prism6_analysis
-    belts = a.system.class_indices(1)
-    pts = list(a.diagram.points)
-    pts[belts[-1]] = (-pts[belts[-1]][0],)  # the last belt vertex flips sign
-    bad = replace(a.diagram, points=tuple(pts))
-    # enumerate_faces reads classify's table, so classify names the class
-    with pytest.raises(DiagramMismatch, match="class 1 is not constant"):
-        classify(a.system, bad)
-
-
 def test_class_constant_diagram_off_the_criterion_raises(prism6_analysis, monkeypatch):
     from dataclasses import replace
 
     import galehull.gale as gale_module
 
-    from galehull.errors import CriterionMismatch, DiagramMismatch
+    from galehull.errors import CriterionMismatch
 
     a = prism6_analysis
-    pts = list(a.diagram.points)
-    for j in a.system.class_indices(0):  # the apex class, Gale value 0
-        pts[j] = (Fraction(5),)
-    bad = replace(a.diagram, points=tuple(pts))
-    with pytest.raises(DiagramMismatch, match="type II values"):
+    pts = list(a.diagram.class_points)
+    pts[0] = (Fraction(5),)  # the apex class, Gale value 0
+    bad = replace(a.diagram, class_points=tuple(pts))
+    message = r"subset 10101000: relint says True, type II criterion says False"
+    with pytest.raises(CriterionMismatch, match=message):
         classify(a.system, bad)
-    # past the value check, relint answers as on that diagram and the
-    # table's relint-versus-criterion check names the first subset at fault
+    # relint answering as on that diagram trips the same check
     exact = gale_module.relint_contains_zero
     monkeypatch.setattr(
         gale_module,
         "relint_contains_zero",
         lambda points: exact([(Fraction(5),) if p == (0,) else p for p in points]),
     )
-    with pytest.raises(
-        CriterionMismatch,
-        match=r"subset 10101000: relint says True, type II criterion says False",
-    ):
+    with pytest.raises(CriterionMismatch, match=message):
         classify(a.system, a.diagram)
 
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import UP_TO_14, enumerate_faces_by_mask_scan, gen, gluings
+from conftest import OVER_CAP, UP_TO_14, enumerate_faces_by_mask_scan, gen, gluings
 from galehull import (
     FaceLattice,
     PlanarPolytope,
@@ -259,9 +259,25 @@ def test_hamilton_cap_answers_as_the_search_did(capsys):
     assert main(["hamilton", "--catalog", "prism:14"]) == 0
 
 
-def test_catalog_dump_takes_no_face_cap(capsys):
+def test_catalog_dump_takes_its_own_face_cap(capsys, monkeypatch):
+    import galehull.cli as cli_module
+
+    from galehull.polytopes import CATALOG_FACE_CAP
+
+    # above INCIDENCE_FACE_CAP, a dump is still analyze-ready JSON
     assert main(["catalog", "prism:1000"]) == 0
     assert len(json.loads(capsys.readouterr().out)["faces"]) == 1002
+    # past its own cap it is refused from the face count, before any build
+    monkeypatch.setattr(cli_module, "catalog", lambda *args: pytest.fail("built the instance"))
+    for k in (CATALOG_FACE_CAP, 100000000):
+        assert main(["catalog", f"prism:{k}"]) == 4
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {
+                "code": "TooManyPoints",
+                "message": f"{k + 2} faces exceeds catalog cap {CATALOG_FACE_CAP}",
+                "source": "galehull.polytopes",
+            }
+        }
 
 
 def test_input_cap_sits_above_every_analysis(capsys):
@@ -370,17 +386,6 @@ def test_over_cap_analyze_refuses_before_the_anchors(monkeypatch, capsys):
     g = gale_transform(s)
     with pytest.raises(TooManyPoints, match=error["message"]):
         enumerate_faces(s, g, classify(s, g))
-
-
-# past ANALYSIS_VERTEX_CAP: prisms and the analyze-large gluings, n = 24 to 70
-OVER_CAP = [
-    ("prism:24", lambda: catalog("prism", 24)),
-    ("prism:998", lambda: catalog("prism", 998)),
-    *(
-        (f"glued-{m1}.{m2}.{m3}", lambda m=(m1, m2, m3): validate(gen.glued(random.Random(1), m).faces))
-        for m1, m2, m3 in ((20, 22, 24), (20, 26, 26), (22, 22, 26), (24, 24, 24))
-    ),
-]
 
 
 @pytest.mark.parametrize("name,build", OVER_CAP, ids=[n for n, _ in OVER_CAP])
