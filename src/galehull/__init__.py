@@ -6,25 +6,24 @@ from .errors import GalehullError
 from .gale import (
     FaceLattice,
     GaleDiagram,
+    HullModel,
     IncidenceSystem,
-    TypeReport,
-    classify,
     enumerate_faces,
     fvector,
     gale_transform,
     grade_anchors,
     hull_dimension,
+    hull_model,
     incidence_system,
     lattice_to_json,
     members,
     neighborliness,
-    pattern_counts,
     relint_contains_zero,
     simpliciality_check,
 )
 from .oracle import oracle_lattice
 from .pipeline import Analysis, Verification, analyze_polytope, summarize_polytope
-from .pipeline import verify_polytope, verify_pyramid_structure
+from .pipeline import verify_polytope
 from .polytopes import (
     FaceColoring,
     PlanarPolytope,
@@ -43,13 +42,12 @@ __all__ = [
     "FaceLattice",
     "GaleDiagram",
     "GalehullError",
+    "HullModel",
     "IncidenceSystem",
     "PlanarPolytope",
-    "TypeReport",
     "Verification",
     "analyze_polytope",
     "catalog",
-    "classify",
     "cyclic_facets",
     "enumerate_faces",
     "equivalence_witness",
@@ -59,18 +57,17 @@ __all__ = [
     "grade_anchors",
     "hamiltonian_cycle",
     "hull_dimension",
+    "hull_model",
     "incidence_system",
     "lattice_to_json",
     "members",
     "model_facets",
     "neighborliness",
     "oracle_lattice",
-    "pattern_counts",
     "relint_contains_zero",
     "simpliciality_check",
     "summarize_polytope",
     "three_color",
     "validate",
     "verify_polytope",
-    "verify_pyramid_structure",
 ]

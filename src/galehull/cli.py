@@ -105,7 +105,7 @@ def _hull_report(a: Analysis) -> dict:
     return {
         "dim": r.dim,
         "type": r.hull_type,
-        "m": list(r.sorted_sizes),
+        "m": list(r.sizes),
         "k": str(r.k) if r.k is not None else None,
         "galeDiagram": [
             {
@@ -116,9 +116,9 @@ def _hull_report(a: Analysis) -> dict:
             }
             for j in range(len(g.points))
         ],
-        "fvector": list(a.hull_fvector),
-        "simplicial": a.simplicial,
-        "neighborly": a.neighborly,
+        "fvector": list(r.fvector),
+        "simplicial": r.simplicial,
+        "neighborly": r.neighborly,
         "structure": r.structure,
     }
 
@@ -155,9 +155,9 @@ def cmd_compare(args) -> dict:
     pb = _resolve_spec(args.inputB)
     aa = summarize_polytope(pa)
     ab = summarize_polytope(pb)
-    mapping = equivalence_witness(aa.system, ab.system)
+    mapping = equivalence_witness(aa, ab)
     return {
-        "equivalentByTheorem": equivalent(aa.report, pa.fvector, ab.report, pb.fvector),
+        "equivalentByTheorem": equivalent(aa.report, ab.report),
         "equivalentByOracle": mapping is not None,
         "witnessBijection": [[i, j] for i, j in sorted(mapping.items())] if mapping else None,
     }

@@ -1,5 +1,5 @@
-"""Incidence vectors, hull dimension, Gale transform, type classification,
-face enumeration via the coface criterion, and face counts by class pattern.
+"""Incidence vectors, hull dimension, the hull model of the class sizes,
+the Gale transform and face enumeration via the coface criterion.
 
 The n+2 face-vertex indicator vectors of a 3-face-colorable simple
 3-polytope have rank n and span a hull of dimension n-1 (all color
@@ -9,15 +9,21 @@ one point per class, in one or two dimensions (GaleDiagram), and it
 pins the full face lattice: a vertex subset J is a proper face exactly
 when zero lies in the relative interior of the convex hull of the
 complementary Gale points, which depend only on the classes J holds in
-full. classify builds the table of these 7 class patterns once per
-hull, cross-checking each against the closed-form per-type criterion; a
-disagreement raises, it is never a tolerated outcome. Face enumeration
-and the face counts read that table. A subset holds a class when both
-halves of its vertex mask hold their parts of it, so enumeration tests
-no mask on its own: it joins one table row of low halves to each high
-half. subset_table folds a value per point over every subset of a half;
-the enumeration, the oracle and the witness check read all their masks
-through two such tables.
+full. So every fact of the hull but its class membership is a function of
+the sorted class sizes (m1, m2, m3), and hull_model builds them in one
+place (HullModel): the type, dimension and structure, the diagram in
+normal form, and the table of the 7 class patterns, each cross-checked
+against the closed-form per-type criterion; a disagreement raises, it is
+never a tolerated outcome. The f-vector, simpliciality and
+neighborliness are counted from that table. The polytope supplies the
+rest: the class membership, the face order that gale_transform scales
+the model's diagram to, and the certificates (the rank, and the anchors
+that grade_anchors checks by exact rank). A subset holds a class when
+both halves of its vertex mask hold their parts of it, so enumeration
+tests no mask on its own: it joins one table row of low halves to each
+high half. subset_table folds a value per point over every subset of a
+half; the enumeration, the oracle and the witness check read all their
+masks through two such tables.
 """
 
 from __future__ import annotations
@@ -28,9 +34,15 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .errors import CriterionMismatch, DimensionMismatch, TheoremViolation, TooManyPoints
+from .errors import (
+    BadParameters,
+    CriterionMismatch,
+    DimensionMismatch,
+    TheoremViolation,
+    TooManyPoints,
+)
 from .linalg import affine_dimension, dot, null_space_basis, primitive_vector
 from .polytopes import FaceColoring, PlanarPolytope
 
@@ -138,24 +150,71 @@ class GaleDiagram:
         return tuple(map(per_class.__getitem__, self.slots))
 
 
-class PatternTable(NamedTuple):
-    """The 7 class patterns of a proper vertex subset. Bit i of a pattern
-    is set when the subset holds sorted class i in full, so the classes of
-    sorted sizes m1, m2, m3 are the patterns 1, 2 and 4."""
+@dataclass(frozen=True)
+class HullModel:
+    """Every fact of the hull that depends only on the sorted class sizes
+    m1 <= m2 <= m3: what hull_model builds. The class points are the Gale
+    diagram in normal form, one per sorted class. A pattern is a set of
+    sorted classes, bit i set when a vertex subset holds class i in full,
+    so the classes of sizes m1, m2, m3 are the patterns 1, 2 and 4."""
 
-    least: tuple[int, ...]                  # pattern -> union of its held classes
-    support: tuple[frozenset[Point], ...]   # pattern -> Gale points off it
+    hull_type: str                          # "I" | "II" | "III" | "IV"
+    sizes: tuple[int, int, int]
+    dim: int
+    k: Optional[Fraction]                   # type I only
+    structure: str
+    class_points: tuple[Point, Point, Point]
+    support: tuple[frozenset[Point], ...]   # pattern -> class points off it
     offset: tuple[Optional[int], ...]       # pattern -> dim(J) - |J|, None off the faces
 
+    @property
+    def ambient(self) -> int:
+        return len(self.class_points[0])
 
-@dataclass(frozen=True)
-class TypeReport:
-    hull_type: str                       # "I" | "II" | "III" | "IV"
-    sorted_sizes: tuple[int, int, int]
-    dim: int
-    k: Optional[Fraction]                # type I only
-    structure: str
-    patterns: PatternTable
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], bool, int]:
+        """The f-vector, simpliciality and neighborliness, counted from the
+        pattern table on first read, with no pass over the faces.
+
+        The subsets of a pattern are counted by size by the product of one
+        _subsets_by_size polynomial per sorted class. Each subset of size
+        |J| of a face pattern with offset o is a face of dimension |J| + o,
+        so the hull is simplicial iff every face pattern that reaches
+        dimensions 0 .. d-1 has o = -1. Every k-subset is a face for k below
+        the smallest non-face, the least subset of a non-face pattern;
+        neighborliness is one less than that, and at most f0 - 1. Types I
+        and IV must be simplicial, II and III must not (TheoremViolation
+        otherwise).
+        """
+        counts = [0] * self.dim
+        simplicial = True
+        nonfaces = []
+        for held, o in enumerate(self.offset):
+            if o is None:
+                nonfaces.append(sum(m for i, m in enumerate(self.sizes) if held >> i & 1))
+                continue
+            by_size = reduce(
+                _times, (_subsets_by_size(m, held >> i & 1) for i, m in enumerate(self.sizes))
+            )
+            for size, count in enumerate(by_size):
+                if count and 0 <= size + o < self.dim:
+                    counts[size + o] += count
+                    simplicial = simplicial and o == -1
+        if simplicial != (self.hull_type in ("I", "IV")):
+            raise TheoremViolation(f"type {self.hull_type} hull has simpliciality {simplicial}")
+        return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
+
+    @property
+    def fvector(self) -> tuple[int, ...]:
+        return self.counts[0]
+
+    @property
+    def simplicial(self) -> bool:
+        return self.counts[1]
+
+    @property
+    def neighborly(self) -> int:
+        return self.counts[2]
 
 
 @dataclass(frozen=True)
@@ -210,7 +269,7 @@ def incidence_system(p: PlanarPolytope, c: FaceColoring) -> IncidenceSystem:
 
 
 def hull_dimension(s: IncidenceSystem) -> int:
-    """Affine dimension of the hull; must follow the class-size pattern.
+    """Affine dimension of the hull, certified by s.dependency_roots.
 
     The affine dependencies are the dependencies of coefficient sum zero,
     which weighs each component of s.dependency_roots by its size: a
@@ -218,42 +277,40 @@ def hull_dimension(s: IncidenceSystem) -> int:
     size. So the dimension is the incidence rank, less one in that case.
     """
     sizes = Counter(s.dependency_roots).values()
-    d = s.incidence_rank - (len(sizes) == 3 and len(set(sizes)) == 1)
-    m1, m2, m3 = s.coloring.class_sizes
-    expected = s.n - 1 if m1 == m2 == m3 else s.n
-    if d != expected:
-        raise TheoremViolation(
-            f"hull dimension {d} but class sizes {s.coloring.class_sizes} demand {expected}"
-        )
-    return d
+    return s.incidence_rank - (len(sizes) == 3 and len(set(sizes)) == 1)
 
 
-def gale_transform(s: IncidenceSystem) -> GaleDiagram:
-    """Canonical Gale diagram, built per class from the class sizes.
+def gale_transform(s: IncidenceSystem, model: HullModel) -> GaleDiagram:
+    """The model's Gale diagram, scaled to the face order of s.
 
-    hull_dimension runs first: its certificate (s.dependency_roots) puts
-    every vertex on one face of each class, so the class-constant
-    x = (y1, y2, y3) with y1 + y2 + y3 = 0 = m1 y1 + m2 y2 + m3 y3 are
-    affine dependencies of the hull vertices, and the certified dimension
-    proves they span the whole null space. The basis is the one
-    null_space_basis returns, whose free columns are the last faces of the
-    classes, latest first: a 1 at each free column, 0 at the other. The
-    diagram holds one point per class.
+    The certified dimension must be model.dim (TheoremViolation
+    otherwise). Its certificate (s.dependency_roots) puts every vertex on
+    one face of each class, so the class-constant x = (y1, y2, y3) with
+    y1 + y2 + y3 = 0 = m1 y1 + m2 y2 + m3 y3 are affine dependencies of
+    the hull vertices, and the dimension proves they span the whole null
+    space. The points are those of the basis null_space_basis returns,
+    whose free columns are the last faces of the classes, latest first: a
+    1 at each free column, 0 at the other. For unequal sizes that divides
+    the model's values by the value at the latest class whose value is not
+    zero; for equal sizes it places the model's three points in free-column
+    order. Either way the diagram is the model's under one invertible
+    linear map, which changes no relint answer and no Gale rank.
     """
-    hull_dimension(s)  # pins the null-space dimension to len(basis)
+    d = hull_dimension(s)  # pins the null-space dimension to the basis length
+    if d != model.dim:
+        raise TheoremViolation(
+            f"hull dimension {d} but class sizes {model.sizes} demand {model.dim}"
+        )
     last = {slot: j for j, slot in enumerate(s.slots)}
-    a, b, c = sorted(last, key=last.get, reverse=True)
-    m1, m2, m3 = s.coloring.class_sizes
-    if m1 == m2 == m3:  # basis vectors as (value per class, divisor)
-        basis = [({a: 0, b: 1, c: -1}, 1), ({a: 1, b: 0, c: -1}, 1)]
+    latest_first = sorted(last, key=last.get, reverse=True)
+    y = model.class_points
+    if model.ambient == 2:
+        placed = dict(zip(latest_first, y))
+        class_points = tuple(placed[slot] for slot in range(3))
     else:
-        y = dict(enumerate((m3 - m2, m1 - m3, m2 - m1)))
-        basis = [(y, next(y[slot] for slot in (a, b, c) if y[slot]))]
-    return GaleDiagram(
-        class_points=tuple(tuple(Fraction(y[slot], div) for y, div in basis) for slot in range(3)),
-        slots=s.slots,
-        colors=s.coloring.colors,
-    )
+        div = next(y[slot][0] for slot in latest_first if y[slot][0])
+        class_points = tuple((p / div,) for (p,) in y)
+    return GaleDiagram(class_points=class_points, slots=s.slots, colors=s.coloring.colors)
 
 
 def rref_gale_points(s: IncidenceSystem) -> tuple[Point, ...]:
@@ -309,34 +366,48 @@ def _both_signs(values: list[Fraction]) -> bool:
     return any(v > 0 for v in values) and any(v < 0 for v in values)
 
 
-def size_type(sizes: Sequence[int]) -> str:
-    """Hull type I-IV from the equality pattern of sorted class sizes."""
-    m1, m2, m3 = sizes
-    if m1 < m2 < m3:
-        return "I"
-    if m1 < m2:
-        return "II"
-    if m2 < m3:
-        return "III"
-    return "IV"
+def hull_model(sizes: Sequence[int]) -> HullModel:
+    """The hull model of sorted class sizes 2 <= m1 <= m2 <= m3
+    (BadParameters otherwise): type I-IV from the equality pattern of the
+    sizes, the Gale diagram in normal form, and the pattern table.
 
-
-def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
-    """Type I-IV from the equality pattern of sorted class sizes, and the
-    hull's one pattern table.
-
-    The diagram is constant on classes by construction, and its class
-    point values follow from the class sizes, so the one class-level check
-    is the table's: each class pattern's relint answer must match the
-    closed-form criterion (see _class_patterns). Enumeration and the face
-    counts read the report and check none of this again; verification
-    cross-checks the exact points by elimination (rref_gale_points).
-    The hull dimension is the Gale dual's, N - 1 - ambient for N hull
-    vertices, which gale_transform certified by hull_dimension.
+    The normal form is y = (m3 - m2, m1 - m3, m2 - m1), one value per
+    class, the paper's (1 - k, k, -1) times m1 - m2 for type I, or
+    (0, 1), (1, 0), (-1, -1) when all sizes are equal. Per
+    pattern, the relint coface route on the class points off it and the
+    closed-form per-type criterion must agree (CriterionMismatch names
+    the sizes and the pattern otherwise). A face pattern has offset
+    -1 - ambient + rank(points off J), from dim aff(J) = |J| - 1 - ambient
+    + rank(Gale points off J). The hull dimension is the Gale dual's,
+    N - 1 - ambient for N hull vertices. Every valid input has
+    m3 <= m1 + m2 - 2, but the model does not need it and does not ask.
     """
-    m1, m2, m3 = s.coloring.class_sizes
-    n = s.n
-    hull_type = size_type(s.coloring.class_sizes)
+    sizes = tuple(sizes)
+    if len(sizes) != 3 or not 2 <= sizes[0] <= sizes[1] <= sizes[2]:
+        raise BadParameters(
+            f"hull model needs sorted class sizes 2 <= m1 <= m2 <= m3, got {sizes}"
+        )
+    m1, m2, m3 = sizes
+    n = m1 + m2 + m3 - 2
+    if m1 == m2 == m3:
+        hull_type, values = "IV", ((0, 1), (1, 0), (-1, -1))
+    else:
+        hull_type = "I" if m1 < m2 < m3 else "II" if m1 < m2 else "III"
+        values = ((m3 - m2,), (m1 - m3,), (m2 - m1,))
+    points = tuple(tuple(map(Fraction, p)) for p in values)
+    ambient = len(points[0])
+    support, offset = [], []
+    for held in range(7):
+        off = [points[i] for i in range(3) if not held >> i & 1]
+        by_relint = relint_contains_zero(off)
+        by_formula = _closed_form(hull_type, held)
+        if by_relint != by_formula:
+            raise CriterionMismatch(
+                f"sizes {sizes}, pattern {held}: relint says {by_relint}, "
+                f"type {hull_type} criterion says {by_formula}"
+            )
+        support.append(frozenset(off))
+        offset.append(-1 - ambient + _rank(off) if by_formula else None)
     cyclic = f"C({2 * m2},{2 * m2 - 2})"
     structure = {
         "I": f"T^{n}_{m2 - 1}",
@@ -344,13 +415,15 @@ def classify(s: IncidenceSystem, g: GaleDiagram) -> TypeReport:
         "III": f"{m3}-fold {n}-pyramid over {cyclic}",
         "IV": f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over {cyclic})",
     }[hull_type]
-    return TypeReport(
+    return HullModel(
         hull_type=hull_type,
-        sorted_sizes=(m1, m2, m3),
-        dim=n + 1 - g.ambient,
+        sizes=sizes,
+        dim=n + 1 - ambient,
         k=Fraction(m3 - m1, m2 - m1) if hull_type == "I" else None,
         structure=structure,
-        patterns=_class_patterns(s, g.ambient, hull_type, g.class_points),
+        class_points=points,
+        support=tuple(support),
+        offset=tuple(offset),
     )
 
 
@@ -366,35 +439,6 @@ def _closed_form(hull_type: str, held: int) -> bool:
     return not (c1 or c2 or c3)
 
 
-def _class_patterns(
-    s: IncidenceSystem, ambient: int, hull_type: str, cls_points: Sequence[Point]
-) -> PatternTable:
-    """The pattern table of a diagram with one Gale point per sorted class.
-
-    Per pattern, in order of its least subset so that errors name the
-    first subset at fault, the relint coface route on the Gale points off
-    it and the closed-form per-type criterion must agree. A face pattern
-    has offset -1 - ambient + rank(Gale points off J), from
-    dim aff(J) = |J| - 1 - ambient + rank(Gale points off J).
-    """
-    smasks = [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
-    least = [sum(smasks[i] for i in range(3) if held >> i & 1) for held in range(7)]
-    off = [[cls_points[i] for i in range(3) if not held >> i & 1] for held in range(7)]
-
-    offset: list[Optional[int]] = [None] * 7
-    for held in sorted(range(7), key=least.__getitem__):
-        by_relint = relint_contains_zero(off[held])
-        by_formula = _closed_form(hull_type, held)
-        if by_relint != by_formula:
-            raise CriterionMismatch(
-                f"subset {least[held]:b}: relint says {by_relint}, "
-                f"type {hull_type} criterion says {by_formula}"
-            )
-        if by_formula:
-            offset[held] = -1 - ambient + _rank(off[held])
-    return PatternTable(tuple(least), tuple(map(frozenset, off)), tuple(offset))
-
-
 def _require_vertex_cap(s: IncidenceSystem) -> None:
     """Refuse a hull of more than ANALYSIS_VERTEX_CAP vertices."""
     npts = s.n + 2
@@ -402,36 +446,39 @@ def _require_vertex_cap(s: IncidenceSystem) -> None:
         raise TooManyPoints(f"{npts} hull vertices exceeds cap {ANALYSIS_VERTEX_CAP}")
 
 
-def grade_anchors(s: IncidenceSystem, t: TypeReport) -> None:
+def grade_anchors(s: IncidenceSystem, model: HullModel) -> None:
     """Grade the least face with each distinct Gale support (classes may
     share a point) by exact affine rank, which must equal its grade in the
-    table t.patterns. The analysis runs this once, after classify: for
-    analyze, ANALYSIS_VERTEX_CAP bounds only these exact ranks."""
+    model's pattern table. The least face of a pattern is the union of the
+    classes of s it holds. The analysis runs this once, after the Gale
+    transform: for analyze, ANALYSIS_VERTEX_CAP bounds only these exact
+    ranks."""
     _require_vertex_cap(s)
-    table = t.patterns
+    smasks = [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
+    least = [sum(smasks[i] for i in range(3) if held >> i & 1) for held in range(7)]
     anchored: set[frozenset[Point]] = set()
-    for held in sorted(range(7), key=table.least.__getitem__):
-        if table.offset[held] is None or table.support[held] in anchored:
+    for held in sorted(range(7), key=least.__getitem__):
+        if model.offset[held] is None or model.support[held] in anchored:
             continue
-        anchored.add(table.support[held])
-        mask = table.least[held]
-        dim = mask.bit_count() + table.offset[held]
+        anchored.add(model.support[held])
+        mask = least[held]
+        dim = mask.bit_count() + model.offset[held]
         exact = affine_dimension([s.vectors[j] for j in members(mask)])
         if exact != dim:
             raise CriterionMismatch(
-                f"subset {mask:b} of sizes {t.sorted_sizes}: Gale rank "
+                f"subset {mask:b} of sizes {model.sizes}: Gale rank "
                 f"grades it dim {dim}, exact affine rank says {exact}"
             )
 
 
-def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLattice:
+def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, model: HullModel) -> FaceLattice:
     """All faces of the hull, built one high half mask at a time.
 
-    The diagram g is constant on classes by construction, so a
-    proper subset's face status and dimension depend only on its pattern
-    in the table t.patterns, which grade_anchors cross-checks by exact
-    rank. A subset holds a class when both halves of its mask, split at
-    bit low = (n+2) // 2, hold their parts of it, so its pattern is the
+    The diagram g is the model's under a linear map, constant on classes,
+    so a proper subset's face status and dimension depend only on its
+    pattern in the model's table, which grade_anchors cross-checks by
+    exact rank. A subset holds a class when both halves of its mask, split
+    at bit low = (n+2) // 2, hold their parts of it, so its pattern is the
     AND of the patterns of its two halves. Per high half pattern one row
     lists the low halves that complete a face, with their dimensions; a
     high half adds its popcount to them and its bits to the keys, in
@@ -441,8 +488,6 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
     """
     _require_vertex_cap(s)  # bounds the 2^(n+2) face dict
     npts = s.n + 2
-    table = t.patterns
-    offset = table.offset
     full = (1 << npts) - 1
     low = npts // 2
     # a half mask h holds a class with no bit in the half's complement of h
@@ -451,7 +496,7 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
         [7 & ~t for t in reversed(subset_table(half, or_, 0))] for half in (bits[:low], bits[low:])
     )
     # pattern 7 holds every class, which only the full mask does: it comes last
-    by_pattern = (*offset, None)
+    by_pattern = (*model.offset, None)
     rows = {}  # high half pattern -> (low halves completing a face, their dims)
     for high in set(highs):
         keys = [lo for lo, pattern in enumerate(lows) if by_pattern[high & pattern] is not None]
@@ -470,9 +515,9 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, t: TypeReport) -> FaceLa
             keys = map(base.__or__, keys)
         faces.update(zip(keys, shifted[high, count]))
 
-    # hull_dimension's certificate (IncidenceSystem.dependency_roots) pinned t.dim
-    faces[full] = t.dim
-    return FaceLattice(dim=t.dim, top=full, faces=faces)
+    # gale_transform pinned model.dim to hull_dimension's certificate
+    faces[full] = model.dim
+    return FaceLattice(dim=model.dim, top=full, faces=faces)
 
 
 def _subsets_by_size(m: int, held: bool) -> list[int]:
@@ -487,38 +532,6 @@ def _times(p: list[int], q: list[int]) -> list[int]:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
-
-
-def pattern_counts(t: TypeReport) -> tuple[tuple[int, ...], bool, int]:
-    """The hull's f-vector, simpliciality and neighborliness, counted from
-    the pattern table t.patterns with no pass over the faces.
-
-    The subsets of a pattern are counted by size by the product of one
-    _subsets_by_size polynomial per sorted class. Each subset of size |J|
-    of a face pattern with offset o is a face of dimension |J| + o, so the
-    hull is simplicial iff every face pattern that reaches dimensions
-    0 .. d-1 has o = -1. Every k-subset is a face for k below the smallest
-    non-face, the least subset of a non-face pattern; neighborliness is
-    one less than that, and at most f0 - 1. Types I and IV must be
-    simplicial, II and III must not (TheoremViolation otherwise).
-    """
-    table = t.patterns
-    sizes = [table.least[1 << i].bit_count() for i in range(3)]
-    counts = [0] * t.dim
-    simplicial = True
-    nonfaces = []
-    for held, o in enumerate(table.offset):
-        if o is None:
-            nonfaces.append(table.least[held].bit_count())
-            continue
-        by_size = reduce(_times, (_subsets_by_size(m, held >> i & 1) for i, m in enumerate(sizes)))
-        for size, count in enumerate(by_size):
-            if count and 0 <= size + o < t.dim:
-                counts[size + o] += count
-                simplicial = simplicial and o == -1
-    if simplicial != (t.hull_type in ("I", "IV")):
-        raise TheoremViolation(f"type {t.hull_type} hull has simpliciality {simplicial}")
-    return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
 
 
 def fvector(lattice: FaceLattice) -> tuple[int, ...]:

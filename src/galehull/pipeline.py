@@ -1,4 +1,16 @@
-"""End-to-end analysis and verification pipelines shared by CLI and tests."""
+"""End-to-end analysis and verification pipelines shared by CLI and tests.
+
+An analysis builds the hull model of the sorted class sizes once
+(gale.hull_model) and adds only what varies per polytope: the coloring,
+the incidence system and its certificates, and the model's Gale diagram
+in the polytope's face order. The report reads the model. Verification
+adds the independent routes: the Gale points by elimination, the oracle
+lattice against the criterion's, the walks over it against the model's
+counts, and the class-block witness that carries the oracle's facets onto
+the model's. Once the witness holds, every structure fact of the model is
+a fact of the hull; only the type I beyond counts get a check of their
+own, by barycentric coordinates.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +22,16 @@ from .errors import CriterionMismatch, DiagramMismatch, StructureMismatch
 from .gale import (
     FaceLattice,
     GaleDiagram,
+    HullModel,
     IncidenceSystem,
-    TypeReport,
-    classify,
     enumerate_faces,
     fvector,
     gale_transform,
     grade_anchors,
+    hull_model,
     incidence_system,
     members,
     neighborliness,
-    pattern_counts,
     rref_gale_points,
     simpliciality_check,
 )
@@ -36,10 +47,7 @@ class Analysis:
     coloring: FaceColoring
     system: IncidenceSystem
     diagram: GaleDiagram
-    report: TypeReport
-    hull_fvector: tuple[int, ...]
-    simplicial: bool
-    neighborly: int
+    report: HullModel
 
     @cached_property
     def lattice(self) -> FaceLattice:
@@ -48,15 +56,16 @@ class Analysis:
 
 
 def summarize_polytope(p: PlanarPolytope) -> Analysis:
-    """Color, build incidence vectors, classify and grade the anchors. The
-    f-vector, simpliciality and neighborliness come from the class
-    patterns; nothing here enumerates the faces."""
+    """Color, build the incidence vectors and the hull model, scale its
+    Gale diagram to the face order and grade the anchors. The model counts
+    the f-vector, simpliciality and neighborliness when the report first
+    reads them; nothing here enumerates the faces."""
     c = three_color(p)
     s = incidence_system(p, c)
-    g = gale_transform(s)
-    report = classify(s, g)
-    grade_anchors(s, report)
-    return Analysis(p, c, s, g, report, *pattern_counts(report))
+    model = hull_model(c.class_sizes)
+    g = gale_transform(s, model)
+    grade_anchors(s, model)
+    return Analysis(p, c, s, g, model)
 
 
 def analyze_polytope(p: PlanarPolytope) -> Analysis:
@@ -106,25 +115,21 @@ def _simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]])
     return sum(1 for x in lam if x * mu < 0)
 
 
-def _facets_missing(facets: Sequence[int], v: int) -> int:
-    """Number of facets, as point masks, that miss point v."""
-    return sum(1 for f in facets if not f >> v & 1)
-
-
 def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
-    """The pattern counts of the analysis must equal the walks over the
-    oracle lattice: CriterionMismatch names the quantity otherwise, and for
-    the f-vector the first dimension where they differ."""
+    """The model's pattern counts must equal the walks over the oracle
+    lattice: CriterionMismatch names the quantity otherwise, and for the
+    f-vector the first dimension where they differ."""
+    model = analysis.report
     # equal lattice dims give f-vectors of equal length
-    for d, (counted, by_walk) in enumerate(zip(analysis.hull_fvector, fvector(oracle))):
+    for d, (counted, by_walk) in enumerate(zip(model.fvector, fvector(oracle))):
         if counted != by_walk:
             raise CriterionMismatch(
                 f"f-vector at dimension {d}: class patterns count {counted} "
                 f"faces, the oracle lattice {by_walk}"
             )
     for name, counted, by_walk in (
-        ("simpliciality", analysis.simplicial, simpliciality_check(oracle)),
-        ("neighborliness", analysis.neighborly, neighborliness(oracle)),
+        ("simpliciality", model.simplicial, simpliciality_check(oracle)),
+        ("neighborliness", model.neighborly, neighborliness(oracle)),
     ):
         if counted != by_walk:
             raise CriterionMismatch(
@@ -132,35 +137,30 @@ def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
             )
 
 
-def type_one_checks(analysis: Analysis, facets: Sequence[int]) -> dict:
+def type_one_checks(analysis: Analysis) -> dict:
     """Property suite that must hold for every hull with three distinct
     class sizes: every middle-class vertex beyond exactly m2-1 facets of
     the simplex spanned by the others.
 
     The counts come from barycentric coordinates, which also certify that
-    the other N-1 vertices span a simplex S. The oracle's facets recount
-    every middle-class vertex v and must agree: a facet of the hull misses
-    v exactly when it is a facet of S with v strictly beneath it, so v is
-    beyond N-1 less that many. A v on a facet hyperplane of S would have a
-    zero coordinate, and the counts would differ. Simpliciality
-    (pattern_counts) and equality with the oracle lattice (verify_polytope)
-    are checked before this runs, so the report states them without a
-    second check."""
+    the other N-1 vertices span a simplex S. A facet of the hull misses a
+    vertex v exactly when it is a facet of S with v strictly beneath it.
+    verify_polytope's witness carries the hull's facets onto those of
+    T^n_{m2-1} before this runs, and there each class-A vertex misses the
+    m1 + m3 facets that omit it: the facets put it beyond
+    N - 1 - (m1 + m3) = m2 - 1. The barycentric count must equal m2 - 1
+    too; it is the independent geometric check of that reading.
+    Simpliciality and equality with the oracle lattice are checked before
+    this runs, so the report states them without a second check."""
     report = analysis.report
     if report.hull_type != "I":
         raise ValueError("type I checks apply to type I hulls only")
-    m2 = report.sorted_sizes[1]
+    m2 = report.sizes[1]
     vectors = analysis.system.vectors
     beyond = {}
     for v0 in analysis.system.class_indices(1):
         rest = [vectors[j] for j in range(len(vectors)) if j != v0]
         count = _simplex_beyond_count(vectors[v0], rest)
-        by_facets = len(rest) - _facets_missing(facets, v0)
-        if by_facets != count:
-            raise StructureMismatch(
-                f"middle-class vertex {v0}: barycentric coordinates put it "
-                f"beyond {count} facets, the oracle's facets {by_facets}"
-            )
         beyond[v0] = count
         if count != m2 - 1:
             raise StructureMismatch(
@@ -174,33 +174,6 @@ def type_one_checks(analysis: Analysis, facets: Sequence[int]) -> dict:
         "beyondCounts": {str(v): c for v, c in sorted(beyond.items())},
         "expectedBeyond": m2 - 1,
         "kRatioVerified": True,
-    }
-
-
-def verify_pyramid_structure(s: IncidenceSystem, t: TypeReport, facets: Sequence[int]) -> dict:
-    """Confirm the apex class of a type II/III hull: each apex vertex lies
-    on every one of the oracle's facets except exactly one. The apex
-    class's zero Gale points, and the nonzero ones of the other classes,
-    are pinned by verify_polytope's RREF cross-check, which runs first:
-    the (0, v, -v) and (v, -v, 0) class values equal the elimination's
-    exactly."""
-    if t.hull_type not in ("II", "III"):
-        raise ValueError(f"pyramid structure applies to types II/III, not {t.hull_type}")
-    apex_slot = 0 if t.hull_type == "II" else 2
-    apexes = s.class_indices(apex_slot)
-    for j in apexes:
-        missing = _facets_missing(facets, j)
-        if missing != 1:
-            raise StructureMismatch(
-                f"apex vertex {j} is outside {missing} facets, expected 1"
-            )
-    return {
-        "apexSlot": apex_slot + 1,
-        "apexVertices": list(apexes),
-        "apexCount": len(apexes),
-        "zeroGalePoints": True,
-        "apexFacetSignature": True,
-        "facetCount": len(facets),
     }
 
 
@@ -218,7 +191,7 @@ class Verification:
 def verify_polytope(p: PlanarPolytope) -> Verification:
     """Analysis plus every oracle cross-check; raises on any mismatch."""
     analysis = analyze_polytope(p)
-    report = analysis.report
+    model = analysis.report
     oracle = oracle_lattice(analysis.system.vectors)
     # the oracle's point cap also bounds this cubic elimination
     by_rref, closed = rref_gale_points(analysis.system), analysis.diagram.points
@@ -236,29 +209,40 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
         )
     _require_walked_counts(analysis, oracle)
 
+    # the criterion lattice equals the oracle lattice (checked above), so
+    # mapping the oracle's facets onto the model's maps both lattices, and
+    # the model's structure below is the hull's
+    reference = model_facets(model)
+    order = block_order(analysis.system, model.hull_type)
+    witness = {v: i for i, v in enumerate(order)}
+    check_witness(oracle.facets, reference, witness, f"witness onto {model.structure}")
+
     pyramid_report = None
-    if report.hull_type in ("II", "III"):
-        pyramid_report = verify_pyramid_structure(analysis.system, report, oracle.facets)
+    if model.hull_type in ("II", "III"):
+        # in the model, apex j misses only the facet that joins the base
+        # with the other apexes; the RREF cross-check pinned their zero points
+        apex_slot = 0 if model.hull_type == "II" else 2
+        apexes = analysis.system.class_indices(apex_slot)
+        pyramid_report = {
+            "apexSlot": apex_slot + 1,
+            "apexVertices": list(apexes),
+            "apexCount": len(apexes),
+            "zeroGalePoints": True,
+            "apexFacetSignature": True,
+            "facetCount": len(reference),
+        }
 
     neighborliness_matches = None
-    if report.hull_type == "IV":
-        neighborliness_matches = analysis.neighborly == report.sorted_sizes[1] - 1
+    if model.hull_type == "IV":
+        neighborliness_matches = model.neighborly == model.sizes[1] - 1
         if not neighborliness_matches:
             raise StructureMismatch(
-                f"neighborliness {analysis.neighborly} != m2-1 = "
-                f"{report.sorted_sizes[1] - 1}"
+                f"neighborliness {model.neighborly} != m2-1 = {model.sizes[1] - 1}"
             )
 
     type_one_report = None
-    if report.hull_type == "I":
-        type_one_report = type_one_checks(analysis, oracle.facets)
-
-    # the criterion lattice equals the oracle lattice (checked above), so
-    # mapping the oracle's facets onto the model's maps both lattices
-    reference = model_facets(report.hull_type, report.sorted_sizes)
-    order = block_order(analysis.system, report.hull_type)
-    witness = {v: i for i, v in enumerate(order)}
-    check_witness(oracle.facets, reference, witness, f"witness onto {report.structure}")
+    if model.hull_type == "I":
+        type_one_report = type_one_checks(analysis)
 
     return Verification(
         analysis=analysis,

@@ -25,7 +25,7 @@ from operator import or_
 from typing import Sequence
 
 from .errors import BadParameters, StructureMismatch
-from .gale import IncidenceSystem, members, subset_table
+from .gale import HullModel, IncidenceSystem, members, subset_table
 
 
 def gale_evenness(subset: int, v: int) -> bool:
@@ -48,29 +48,26 @@ def cyclic_facets(v: int, d: int) -> list[int]:
     return [f for f in subsets if gale_evenness(f, v)]
 
 
-def model_facets(hull_type: str, sorted_sizes: tuple[int, int, int]) -> tuple[int, ...]:
-    """The facets of the model of a hull of the given type and sorted class
-    sizes m1 <= m2 <= m3, as vertex masks in block_order's layout:
-    type I is T^n_{m2-1} with class A (vertices 0..m2-1) then class B,
-    and a facet misses one vertex of each; type IV has class i at the
-    block i*m .. (i+1)*m - 1, and a facet misses one vertex of each
+def model_facets(model: HullModel) -> tuple[int, ...]:
+    """The facets of the model of a hull, as vertex masks in block_order's
+    layout: type I is T^n_{m2-1} with class A (vertices 0..m2-1) then
+    class B, and a facet misses one vertex of each; type IV has class i at
+    the block i*m .. (i+1)*m - 1, and a facet misses one vertex of each
     class; types II and III are the m1- and m3-fold pyramids over
     C(2 m2, 2 m2 - 2), the apexes after the base vertices."""
-    m1, m2, m3 = sorted_sizes
-    if hull_type == "I":
+    m1, m2, m3 = model.sizes
+    if model.hull_type == "I":
         npts = m1 + m2 + m3
         top = (1 << npts) - 1
         return tuple(top ^ (1 << a | 1 << b) for a in range(m2) for b in range(m2, npts))
-    if hull_type == "IV":
+    if model.hull_type == "IV":
         top = (1 << 3 * m2) - 1
         return tuple(
             top ^ (1 << a | 1 << (m2 + b) | 1 << (2 * m2 + c))
             for a, b, c in product(range(m2), repeat=3)
         )
-    if hull_type not in ("II", "III"):
-        raise BadParameters(f"no model for hull type {hull_type!r}")
     base = 2 * m2
-    apexes = ((1 << (m1 if hull_type == "II" else m3)) - 1) << base
+    apexes = ((1 << (m1 if model.hull_type == "II" else m3)) - 1) << base
     return tuple(f | apexes for f in cyclic_facets(base, base - 2)) + tuple(
         (1 << base) - 1 | (apexes ^ 1 << j) for j in members(apexes)
     )

@@ -22,7 +22,7 @@ from galehull.errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, TypeReport, members, subset_table
+from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, HullModel, members, subset_table
 from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
 from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
 from galehull.reference import gale_evenness
@@ -217,7 +217,7 @@ def enumerate_faces_by_subset(s, g, t) -> FaceLattice:
                 exact = affine_dimension(on_face)
                 if exact != dim:
                     raise CriterionMismatch(
-                        f"subset {mask:b} of sizes {t.sorted_sizes}: Gale rank "
+                        f"subset {mask:b} of sizes {t.sizes}: Gale rank "
                         f"grades it dim {dim}, exact affine rank says {exact}"
                     )
             faces[mask] = dim
@@ -226,13 +226,18 @@ def enumerate_faces_by_subset(s, g, t) -> FaceLattice:
     return FaceLattice(dim=t.dim, top=full, faces=faces)
 
 
+def class_masks(s) -> list[int]:
+    """The vertex mask of each sorted class of an IncidenceSystem."""
+    return [sum(1 << j for j in s.class_indices(slot)) for slot in range(3)]
+
+
 def enumerate_faces_by_mask_scan(s, g, t) -> FaceLattice:
     """The class pattern of every mask tested in turn, one table lookup
     each: the scan that the half-mask rows of gale.enumerate_faces
     replaced, kept as its reference. It runs no exact-rank anchor."""
     full = (1 << (s.n + 2)) - 1
-    offset = t.patterns.offset
-    s1, s2, s3 = t.patterns.least[1], t.patterns.least[2], t.patterns.least[4]
+    offset = t.offset
+    s1, s2, s3 = class_masks(s)
     faces = {}
     for mask in range(full):
         o = offset[(mask & s1 == s1) | (mask & s2 == s2) << 1 | (mask & s3 == s3) << 2]
@@ -535,9 +540,9 @@ def type4_model(m: int) -> FaceLattice:
     return FaceLattice(dim=3 * m - 3, top=top, faces=faces)
 
 
-def reference_model(report: TypeReport, n: int) -> FaceLattice:
-    """The predicted lattice for a classified hull."""
-    m1, m2, m3 = report.sorted_sizes
+def reference_model(report: HullModel, n: int) -> FaceLattice:
+    """The predicted lattice for a hull model."""
+    m1, m2, m3 = report.sizes
     if report.hull_type == "I":
         return tkn_model(n, m2 - 1)
     if report.hull_type == "II":

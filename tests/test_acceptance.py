@@ -63,7 +63,7 @@ def test_criterion_1_cube_end_to_end():
 
         oracle = oracle_lattice(a.system.vectors)
         assert a.lattice.faces == oracle.faces
-        assert a.hull_fvector == (6, 12, 8)
+        assert a.report.fvector == (6, 12, 8)
         assert lattice_isomorphic(a.lattice, oracle_lattice(OCTAHEDRON)) is not None
         assert lattice_isomorphic(a.lattice, type4_model(2)) is not None
         elapsed = perf_counter() - start
@@ -148,24 +148,20 @@ def test_criterion_5_equivalence_cross_validation():
         }
         names = sorted(systems)
         for x, y in combinations(names, 2):
-            px, ax = systems[x]
-            py, ay = systems[y]
-            by_theorem = equivalent(ax.report, px.fvector, ay.report, py.fvector)
+            _, ax = systems[x]
+            _, ay = systems[y]
+            by_theorem = equivalent(ax.report, ay.report)
             by_oracle = lattice_isomorphic(lattices[x], lattices[y]) is not None
             assert by_theorem == by_oracle, f"{x} vs {y}: {by_theorem} != {by_oracle}"
         for name in originals:
-            px, ax = systems[name]
-            py, ay = systems[name + "/relabeled"]
-            assert equivalent(ax.report, px.fvector, ay.report, py.fvector)
+            _, ax = systems[name]
+            _, ay = systems[name + "/relabeled"]
+            assert equivalent(ax.report, ay.report)
             assert lattice_isomorphic(lattices[name], lattices[name + "/relabeled"])
 
         # the op itself (rescanning facets) on representative pairs
-        assert equivalence_witness(
-            systems["cube"][1].system, systems["cube/relabeled"][1].system
-        ) is not None
-        assert equivalence_witness(
-            systems["cube"][1].system, systems["prism:6"][1].system
-        ) is None
+        assert equivalence_witness(systems["cube"][1], systems["cube/relabeled"][1]) is not None
+        assert equivalence_witness(systems["cube"][1], systems["prism:6"][1]) is None
 
 def _mask(indices):
     return sum(1 << i for i in indices)
@@ -234,7 +230,7 @@ def test_criterion_6_invariant_suite():
             simplicial = simpliciality_check(a.lattice)
             assert simplicial == (a.report.hull_type in ("I", "IV"))
             if a.report.hull_type == "IV":
-                assert a.neighborly == a.report.sorted_sizes[1] - 1
+                assert a.report.neighborly == a.report.sizes[1] - 1
 
 def test_criterion_7_distinct_sizes_property_suite():
     with criterion(7, "distinct-class-sizes suite on a live instance"):
@@ -252,7 +248,7 @@ def test_criterion_7_distinct_sizes_property_suite():
         assert report is not None
         assert report["simplicial"] and report["facesMatchOracle"]
         assert report["kRatioVerified"]
-        m2 = v.analysis.report.sorted_sizes[1]
+        m2 = v.analysis.report.sizes[1]
         assert len(report["beyondCounts"]) == m2
         assert all(c == m2 - 1 for c in report["beyondCounts"].values())
         assert v.analysis.lattice.faces == v.oracle.faces

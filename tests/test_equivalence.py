@@ -14,13 +14,13 @@ from galehull import (
     catalog,
     equivalence_witness,
     equivalent,
+    hull_model,
     model_facets,
     summarize_polytope,
     validate,
 )
 from galehull.equivalence import facet_invariant
 from galehull.errors import CriterionMismatch
-from galehull.gale import TypeReport, size_type
 from galehull.oracle import POINT_CAP, oracle_facets
 
 ORACLE_CASES = [
@@ -31,65 +31,48 @@ ORACLE_CASES = [
 ]
 
 
-def _report(hull_type, sizes, dim):
-    return TypeReport(
-        hull_type=hull_type,
-        sorted_sizes=sizes,
-        dim=dim,
-        k=None,
-        structure="",
-        patterns=None,  # equivalent reads the type, sizes and dimension only
-    )
-
-
-def test_equivalent_relabeled_prism(prism6, prism6_analysis, relabeled):
+def test_equivalent_relabeled_prism(prism6_analysis, relabeled):
     other = relabeled["prism:6"]
     oa = analyze_polytope(other)
-    assert equivalent(
-        prism6_analysis.report, prism6.fvector, oa.report, other.fvector
-    )
-    assert equivalence_witness(prism6_analysis.system, oa.system) is not None
+    assert equivalent(prism6_analysis.report, oa.report)
+    assert equivalence_witness(prism6_analysis, oa) is not None
 
 
-def test_equivalent_rejects_different_face_count(cube, cube_analysis, prism6, prism6_analysis):
-    assert not equivalent(
-        prism6_analysis.report, prism6.fvector, cube_analysis.report, cube.fvector
-    )
+def test_equivalent_rejects_different_face_count(cube_analysis, prism6_analysis):
+    assert not equivalent(prism6_analysis.report, cube_analysis.report)
 
 
 def test_equivalent_rejects_different_type():
-    a = _report("II", (2, 3, 3), 6)
-    b = _report("III", (3, 3, 2 + 3 + 3 - 6), 6)  # same f2 = 8, same m2 = 3
-    fvec = (12, 18, 8)
-    assert not equivalent(a, fvec, b, fvec)
+    a, b = hull_model((3, 4, 5)), hull_model((4, 4, 4))   # 12 faces, m2 = 4
+    assert (a.hull_type, b.hull_type) == ("I", "IV")
+    assert not equivalent(a, b)
 
 
 def test_equivalent_rejects_different_m2():
-    a = _report("II", (2, 3, 3), 6)
-    b = _report("II", (2, 4, 2), 6)
-    fvec = (12, 18, 8)
-    assert not equivalent(a, fvec, b, fvec)
+    # 18 and 20 faces, all type I; the second pair shares m1 and differs in m2
+    for a, b in (((4, 6, 8), (3, 7, 8)), ((5, 6, 9), (5, 7, 8))):
+        a, b = hull_model(a), hull_model(b)
+        assert a.hull_type == b.hull_type == "I"
+        assert not equivalent(a, b)
 
 
-def test_equivalent_is_reflexive_and_symmetric(cube, cube_analysis, prism6, prism6_analysis):
-    pairs = [(cube_analysis, cube.fvector), (prism6_analysis, prism6.fvector)]
-    for a, fa in pairs:
-        assert equivalent(a.report, fa, a.report, fa)
-    for a, fa in pairs:
-        for b, fb in pairs:
-            assert equivalent(a.report, fa, b.report, fb) == equivalent(
-                b.report, fb, a.report, fa
-            )
+def test_equivalent_is_reflexive_and_symmetric(cube_analysis, prism6_analysis):
+    models = [cube_analysis.report, prism6_analysis.report]
+    for a in models:
+        assert equivalent(a, a)
+    for a in models:
+        for b in models:
+            assert equivalent(a, b) == equivalent(b, a)
 
 
 def test_oracle_equivalence_cube_vs_prism(cube_analysis, prism6_analysis):
     # hull dimensions 3 vs 6 differ
-    assert equivalence_witness(cube_analysis.system, prism6_analysis.system) is None
+    assert equivalence_witness(cube_analysis, prism6_analysis) is None
 
 
 def test_oracle_witness_for_relabeled_cube(cube_analysis, relabeled):
     oa = analyze_polytope(relabeled["cube"])
-    phi = equivalence_witness(cube_analysis.system, oa.system)
+    phi = equivalence_witness(cube_analysis, oa)
     assert phi is not None
     assert sorted(phi) == list(range(6)) and sorted(phi.values()) == list(range(6))
 
@@ -134,7 +117,7 @@ def _type_of(sizes) -> str:
 def test_closed_fvector_equals_the_analysis(cube, prism6, prism8, trunc_oct):
     for p in (cube, prism6, prism8, trunc_oct, *(b() for b in instances.INSTANCE_BUILDERS)):
         a = analyze_polytope(p)
-        assert _closed_fvector(a.report.sorted_sizes) == a.hull_fvector
+        assert _closed_fvector(a.report.sizes) == a.report.fvector
 
 
 def _by_class(invariant) -> dict[tuple, set]:
@@ -150,7 +133,7 @@ def _by_class(invariant) -> dict[tuple, set]:
 
 
 def _model_invariant(sizes):
-    return facet_invariant(model_facets(_type_of(sizes), sizes))
+    return facet_invariant(model_facets(hull_model(sizes)))
 
 
 def test_fvectors_certify_every_inequivalence_up_to_the_point_cap():
@@ -180,7 +163,7 @@ def test_facet_sizes_certify_every_inequivalence_up_to_the_point_cap():
 def test_oracle_facet_invariant_is_the_models(name, build):
     a = summarize_polytope(build())
     _, facets = oracle_facets(a.system.vectors)
-    assert facet_invariant(facets) == _model_invariant(a.report.sorted_sizes)
+    assert facet_invariant(facets) == _model_invariant(a.report.sizes)
 
 
 def test_equivalence_witness_builds_no_lattice(monkeypatch):
@@ -199,11 +182,11 @@ def test_equivalence_witness_builds_no_lattice(monkeypatch):
         instances.type_one_polytope,
         lambda: validate([list(f) for f in gen.glued(random.Random(1), (4, 5, 6)).faces]),
     )
-    systems = [summarize_polytope(build()).system for build in builds]
-    keys = [(s.n, size_type(s.coloring.class_sizes), s.coloring.class_sizes[1]) for s in systems]
+    analyses = [summarize_polytope(build()) for build in builds]
+    keys = [(a.system.n, a.report.hull_type, a.report.sizes[1]) for a in analyses]
     assert sorted({k[1] for k in keys}) == ["I", "II", "III", "IV"]
-    for a, key_a in zip(systems, keys):
-        for b, key_b in zip(systems, keys):
+    for a, key_a in zip(analyses, keys):
+        for b, key_b in zip(analyses, keys):
             assert (equivalence_witness(a, b) is not None) == (key_a == key_b)
 
 
@@ -216,4 +199,4 @@ def test_equal_facet_invariants_on_inequivalent_hulls_raise(
         match=r"^hulls of sizes \(2, 2, 2\) and \(2, 3, 3\) differ in n, type or m2 "
         r"but their oracle facets share the invariant \(6, \(4, 4\)\)$",
     ):
-        equivalence_witness(cube_analysis.system, prism6_analysis.system)
+        equivalence_witness(cube_analysis, prism6_analysis)

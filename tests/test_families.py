@@ -47,8 +47,8 @@ def test_all_equal_glued_instance():
     assert a.coloring.class_sizes == (3, 3, 3)
     assert a.report.hull_type == "IV"
     assert a.report.dim == 6
-    assert a.neighborly == 2
-    assert a.simplicial
+    assert a.report.neighborly == 2
+    assert a.report.simplicial
     assert lattice_isomorphic(a.lattice, type4_model(3)) is not None
 
 
@@ -62,7 +62,7 @@ def test_smallest_distinct_glued_instance():
     assert a.report.dim == 11
     assert a.report.structure == "3-fold 11-pyramid over C(10,8)"
     assert v.pyramid_report["apexCount"] == 3
-    assert not a.simplicial
+    assert not a.report.simplicial
 
 
 def test_largest_distinct_glued_instance():
@@ -75,7 +75,7 @@ def test_largest_distinct_glued_instance():
     assert a.report.dim == 11
     assert a.report.structure == "5-fold 11-pyramid over C(8,6)"
     assert v.pyramid_report["apexCount"] == 5
-    assert not a.simplicial
+    assert not a.report.simplicial
 
 
 def test_type_one_mirror_instance():
@@ -90,37 +90,34 @@ def test_type_one_mirror_instance():
 def test_equivalent_hulls_from_different_gluings():
     # same face count, same type, same middle class: the hulls must be
     # combinatorially equivalent even though the inputs differ
-    pa, pb = type_one_polytope(), type_one_polytope_mirror()
-    aa, ab = analyze_polytope(pa), analyze_polytope(pb)
-    assert equivalent(aa.report, pa.fvector, ab.report, pb.fvector)
-    witness = equivalence_witness(aa.system, ab.system)
+    aa, ab = analyze_polytope(type_one_polytope()), analyze_polytope(type_one_polytope_mirror())
+    assert equivalent(aa.report, ab.report)
+    witness = equivalence_witness(aa, ab)
     assert witness is not None
 
 
 def test_inequivalent_same_type_same_m2():
     # largest_distinct vs truncated octahedron: both type III with m2 = 4,
     # but 13 vs 14 faces
-    pa, pb = largest_distinct_polytope(), catalog("truncated-octahedron")
-    aa, ab = analyze_polytope(pa), analyze_polytope(pb)
+    aa = analyze_polytope(largest_distinct_polytope())
+    ab = analyze_polytope(catalog("truncated-octahedron"))
     assert aa.report.hull_type == ab.report.hull_type == "III"
-    assert aa.report.sorted_sizes[1] == ab.report.sorted_sizes[1] == 4
-    assert not equivalent(aa.report, pa.fvector, ab.report, pb.fvector)
-    assert equivalence_witness(aa.system, ab.system) is None
+    assert aa.report.sizes[1] == ab.report.sizes[1] == 4
+    assert not equivalent(aa.report, ab.report)
+    assert equivalence_witness(aa, ab) is None
 
 
 def test_inequivalent_same_type_same_m2_prism():
     # smallest_distinct vs prism:10: both type II with m2 = 5, 13 vs 12 faces
-    pa, pb = smallest_distinct_polytope(), catalog("prism", 10)
-    aa, ab = analyze_polytope(pa), analyze_polytope(pb)
+    aa, ab = analyze_polytope(smallest_distinct_polytope()), analyze_polytope(catalog("prism", 10))
     assert aa.report.hull_type == ab.report.hull_type == "II"
-    assert aa.report.sorted_sizes[1] == ab.report.sorted_sizes[1] == 5
-    assert not equivalent(aa.report, pa.fvector, ab.report, pb.fvector)
-    assert equivalence_witness(aa.system, ab.system) is None
+    assert aa.report.sizes[1] == ab.report.sizes[1] == 5
+    assert not equivalent(aa.report, ab.report)
+    assert equivalence_witness(aa, ab) is None
 
 
 def test_all_equal_vs_cube_inequivalent():
-    pa, pb = all_equal_polytope(), catalog("cube")
-    aa, ab = analyze_polytope(pa), analyze_polytope(pb)
+    aa, ab = analyze_polytope(all_equal_polytope()), analyze_polytope(catalog("cube"))
     assert aa.report.hull_type == ab.report.hull_type == "IV"
-    assert not equivalent(aa.report, pa.fvector, ab.report, pb.fvector)
-    assert equivalence_witness(aa.system, ab.system) is None
+    assert not equivalent(aa.report, ab.report)
+    assert equivalence_witness(aa, ab) is None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
@@ -15,6 +16,7 @@ from conftest import (
     OVER_CAP,
     UP_TO_14,
     byte_fold,
+    class_masks,
     enumerate_faces_by_mask_scan,
     enumerate_faces_by_subset,
     gluings,
@@ -25,17 +27,16 @@ from conftest import (
 from galehull import (
     analyze_polytope,
     catalog,
-    classify,
     enumerate_faces,
     fvector,
     gale_transform,
     grade_anchors,
     hull_dimension,
+    hull_model,
     incidence_system,
     members,
     neighborliness,
     oracle_lattice,
-    pattern_counts,
     relint_contains_zero,
     simpliciality_check,
     summarize_polytope,
@@ -54,6 +55,15 @@ F = Fraction
 
 def _mask(indices):
     return sum(1 << i for i in indices)
+
+
+def _model(s):
+    return hull_model(s.coloring.class_sizes)
+
+
+def _gale(s):
+    """The Gale diagram of an IncidenceSystem, from the model of its sizes."""
+    return gale_transform(s, _model(s))
 
 
 def test_incidence_vector_of_cube_top_face(cube_analysis):
@@ -134,8 +144,9 @@ def test_hull_dimension_check_still_fires(cube, monkeypatch):
 
     _patch_roots(monkeypatch, move_face_zero)
     s = incidence_system(cube, three_color(cube))
+    assert hull_dimension(s) == 4   # the certificate alone holds no size rule
     with pytest.raises(TheoremViolation, match=r"hull dimension 4 but class sizes \(2, 2, 2\)"):
-        hull_dimension(s)
+        _gale(s)
 
 
 def test_certificate_rejects_a_vertex_without_a_face_of_each_class(cube):
@@ -161,8 +172,7 @@ def test_the_certificate_and_the_diagram_run_no_elimination(monkeypatch):
 
     monkeypatch.setattr(linalg_module, "_eliminate", eliminating)
     for name, p in GALE_INSTANCES:
-        s = incidence_system(p, three_color(p))
-        classify(s, gale_transform(s))
+        _gale(incidence_system(p, three_color(p)))
     monkeypatch.setattr(pipeline_module, "grade_anchors", entering)
     for name, param in (("cube", None), ("prism", 6), ("truncated-octahedron", None)):
         anchoring.clear()
@@ -181,11 +191,12 @@ def test_type_four_relint_runs_on_the_three_class_points(cube_analysis, monkeypa
         return exact(points)
 
     monkeypatch.setattr(gale_module, "relint_contains_zero", counting)
-    s, g = cube_analysis.system, cube_analysis.diagram
-    report = classify(s, g)
-    assert report.hull_type == "IV" and len(calls) == 7
+    model = hull_model(cube_analysis.report.sizes)
+    assert model.hull_type == "IV" and len(calls) == 7
     # pattern 0, the empty subset: every class point lies off it
-    assert calls[0] == [g.points[s.class_indices(slot)[0]] for slot in range(3)]
+    assert calls[0] == list(model.class_points)
+    # the analysis places the same three points in its face order
+    assert set(cube_analysis.diagram.class_points) == set(model.class_points)
 
 
 def test_type_four_relint_off_the_criterion_raises(cube_analysis, monkeypatch):
@@ -195,9 +206,10 @@ def test_type_four_relint_off_the_criterion_raises(cube_analysis, monkeypatch):
 
     monkeypatch.setattr(gale_module, "relint_contains_zero", lambda points: len(points) < 3)
     with pytest.raises(
-        CriterionMismatch, match="subset 0: relint says False, type IV criterion says True"
+        CriterionMismatch,
+        match=r"^sizes \(2, 2, 2\), pattern 0: relint says False, type IV criterion says True$",
     ):
-        classify(cube_analysis.system, cube_analysis.diagram)
+        hull_model(cube_analysis.report.sizes)
 
 
 def test_simpliciality_check_makes_no_proper_faces_copy(cube_analysis, monkeypatch):
@@ -239,7 +251,7 @@ RREF_INSTANCES = GALE_INSTANCES + [
 @pytest.mark.parametrize("name,p", RREF_INSTANCES, ids=[n for n, _ in RREF_INSTANCES])
 def test_closed_form_diagram_equals_rref_route(name, p):
     s = incidence_system(p, three_color(p))
-    assert gale_transform(s).points == rref_gale_points(s)
+    assert _gale(s).points == rref_gale_points(s)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -250,7 +262,7 @@ def test_closed_form_diagram_equals_rref_route_relabelled(data):
     labels = data.draw(st.permutations(range(p.num_vertices)))
     q = validate([[labels[v] for v in f] for f in faces])
     s = incidence_system(q, three_color(q))
-    assert gale_transform(s).points == rref_gale_points(s)
+    assert _gale(s).points == rref_gale_points(s)
 
 
 def _incidences_equal_the_eager_build(p):
@@ -295,7 +307,7 @@ HULL_INSTANCES = GALE_INSTANCES + [
 def test_homogenized_rank_is_the_affine_dimension(name, p):
     s = _certificate_equals_elimination(p)
     if name == "two cubes":   # not 3-connected, yet a type III hull
-        assert s.coloring.class_sizes == (3, 3, 4) and classify(s, gale_transform(s)).hull_type == "III"
+        assert s.coloring.class_sizes == (3, 3, 4) and _model(s).hull_type == "III"
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -324,7 +336,7 @@ def test_gale_transform_takes_no_affine_dimension(monkeypatch):
 
     monkeypatch.setattr(gale_module, "affine_dimension", counting)
     for name, p in GALE_INSTANCES:
-        gale_transform(incidence_system(p, three_color(p)))
+        _gale(incidence_system(p, three_color(p)))
     assert calls == []
 
 
@@ -372,9 +384,15 @@ def test_type_four_neighborliness_off_m2_fails_verify(cube, monkeypatch):
 
     from galehull.errors import StructureMismatch
 
-    counted = pipeline_module.pattern_counts
+    exact = pipeline_module.hull_model
+
+    def miscounting(sizes):
+        model = exact(sizes)
+        model.__dict__["counts"] = (*model.counts[:2], 2)
+        return model
+
     # both neighborliness routes agree, on one more than the cube's m2 - 1 = 1
-    monkeypatch.setattr(pipeline_module, "pattern_counts", lambda t: (*counted(t)[:2], 2))
+    monkeypatch.setattr(pipeline_module, "hull_model", miscounting)
     monkeypatch.setattr(pipeline_module, "neighborliness", lambda lattice: 2)
     with pytest.raises(StructureMismatch, match=r"neighborliness 2 != m2-1 = 1"):
         verify_polytope(cube)
@@ -388,7 +406,7 @@ def test_corrupted_slots_trip_the_class_certificate(prism6_analysis):
     # hull_dimension runs first in gale_transform, and its certificate
     # finds a vertex off one face of each class before any point is built
     with pytest.raises(TheoremViolation, match="vertex 0 is not on one face of each class"):
-        gale_transform(s)
+        _gale(s)
 
 
 def test_wrong_classes_of_the_right_sizes_trip_the_class_certificate(cube):
@@ -396,7 +414,7 @@ def test_wrong_classes_of_the_right_sizes_trip_the_class_certificate(cube):
     # but faces 0 and 2 share an edge
     fake = IncidenceSystem(cube, coloring_from_assignment((1, 2, 1, 3, 2, 3)))
     with pytest.raises(TheoremViolation, match="is not on one face of each class"):
-        gale_transform(fake)
+        _gale(fake)
 
 
 def test_gale_diagram_cube(cube_analysis):
@@ -426,7 +444,7 @@ def test_classify_structures(prism6_analysis, prism8_analysis, trunc_oct_analysi
     assert prism6_analysis.report.hull_type == "II"
     assert prism6_analysis.report.structure == "2-fold 6-pyramid over C(6,4)"
     assert prism8_analysis.report.hull_type == "II"
-    assert prism8_analysis.report.sorted_sizes == (2, 4, 4)
+    assert prism8_analysis.report.sizes == (2, 4, 4)
     assert trunc_oct_analysis.report.hull_type == "III"
     assert trunc_oct_analysis.report.structure == "6-fold 12-pyramid over C(8,6)"
 
@@ -434,7 +452,7 @@ def test_classify_structures(prism6_analysis, prism8_analysis, trunc_oct_analysi
 def test_classify_cube_type_four(cube_analysis):
     r = cube_analysis.report
     assert r.hull_type == "IV" and r.dim == 3 and r.k is None
-    assert cube_analysis.neighborly == r.sorted_sizes[1] - 1 == 1
+    assert r.neighborly == r.sizes[1] - 1 == 1
 
 
 def test_classify_stable_under_permuting_tied_classes(cube):
@@ -443,9 +461,9 @@ def test_classify_stable_under_permuting_tied_classes(cube):
     swap = {1: 2, 2: 1, 3: 3}
     swapped = coloring_from_assignment(tuple(swap[c] for c in base.colors))
     s = incidence_system(cube, swapped)
-    g = gale_transform(s)
-    r = classify(s, g)
-    assert r.hull_type == "IV" and r.sorted_sizes == (2, 2, 2)
+    r = _model(s)
+    g = gale_transform(s, r)
+    assert r.hull_type == "IV" and r.sizes == (2, 2, 2)
     lattice = enumerate_faces(s, g, r)
     assert fvector(lattice) == (6, 12, 8)
 
@@ -562,13 +580,29 @@ def test_chain_family_above_equal_classes_big_apex(trunc_oct_analysis):
     assert containing == expected
 
 
-# a whole class moves: the diagram holds one point per class, and the
-# table's relint-versus-criterion check names the first subset at fault
-FIRST_SUBSET_AT_FAULT = {
-    ("prism6_analysis", 0): "10101000",
-    ("prism6_analysis", 1): "0",
-    ("trunc_oct_analysis", 2): "10010110000000",
-    ("trunc_oct_analysis", 0): "0",
+def _moving_in_the_model(monkeypatch, sizes, slot, value):
+    """relint answering as if the model's class point of the given slot
+    were (value,): the point moves in the model's own check."""
+    import galehull.gale as gale_module
+
+    exact = gale_module.relint_contains_zero
+    points = hull_model(sizes).class_points
+    old = points[slot]
+    assert points.count(old) == 1   # no other class moves with it
+    monkeypatch.setattr(
+        gale_module,
+        "relint_contains_zero",
+        lambda points: exact([(value,) if p == old else p for p in points]),
+    )
+
+
+# a whole class moves: the model holds one point per class, and its
+# relint-versus-criterion check names the first pattern at fault
+FIRST_PATTERN_AT_FAULT = {
+    ("prism6_analysis", 0): 4,
+    ("prism6_analysis", 1): 0,
+    ("trunc_oct_analysis", 2): 1,
+    ("trunc_oct_analysis", 0): 0,
 }
 
 
@@ -578,24 +612,21 @@ FIRST_SUBSET_AT_FAULT = {
     ("trunc_oct_analysis", 2, Fraction(5)),   # type III apex off zero
     ("trunc_oct_analysis", 0, Fraction(0)),   # type III base class onto zero
 ])
-def test_classify_pins_the_apex_gale_points(fixture, slot, value, request):
-    from dataclasses import replace
-
+def test_classify_pins_the_apex_gale_points(fixture, slot, value, request, monkeypatch):
     from galehull.errors import CriterionMismatch
 
     a = request.getfixturevalue(fixture)
-    pts = list(a.diagram.class_points)
-    pts[slot] = (value,)
-    bad = replace(a.diagram, class_points=tuple(pts))
+    sizes, t = a.report.sizes, a.report.hull_type
+    _moving_in_the_model(monkeypatch, sizes, slot, value)
     # the zero class moved off zero lets a non-face pass the relint test,
     # a nonzero class moved onto zero makes the empty face fail it
-    subset, relint = FIRST_SUBSET_AT_FAULT[fixture, slot], value != 0
-    t = a.report.hull_type
-    with pytest.raises(
-        CriterionMismatch,
-        match=f"subset {subset}: relint says {relint}, type {t} criterion says {not relint}",
-    ):
-        classify(a.system, bad)
+    pattern, relint = FIRST_PATTERN_AT_FAULT[fixture, slot], value != 0
+    message = (
+        f"sizes {sizes}, pattern {pattern}: relint says {relint}, "
+        f"type {t} criterion says {not relint}"
+    )
+    with pytest.raises(CriterionMismatch, match=f"^{re.escape(message)}$"):
+        hull_model(sizes)
 
 
 def test_gale_diagram_is_one_point_per_class(cube_analysis, prism6_analysis, trunc_oct_analysis):
@@ -638,8 +669,8 @@ GRADING_INSTANCES = list(_grading_instances())
 
 def _analyzed(p):
     s = incidence_system(p, three_color(p))
-    g = gale_transform(s)
-    return s, g, classify(s, g)
+    t = _model(s)
+    return s, gale_transform(s, t), t
 
 
 @pytest.mark.parametrize("name,p", GRADING_INSTANCES, ids=[n for n, _ in GRADING_INSTANCES])
@@ -686,7 +717,7 @@ def test_wrong_ambient_trips_the_grading_anchor(prism6_analysis, monkeypatch):
     # more ambient dimension in -1 - ambient + rank, and the anchor trips
     exact = gale_module._rank
     monkeypatch.setattr(gale_module, "_rank", lambda points: exact(points) - 1)
-    t = classify(a.system, a.diagram)
+    t = hull_model(a.report.sizes)
     with pytest.raises(CriterionMismatch, match=r"sizes \(2, 3, 3\).*dim -2.*says -1"):
         grade_anchors(a.system, t)
 
@@ -737,7 +768,7 @@ def test_half_mask_rows_equal_the_per_mask_scan(name, relabeled):
     s, g, t = _enumeration_case(name, relabeled)
     if name.endswith(" by class"):
         low_bits = (1 << (s.n + 2) // 2) - 1
-        smallest, _, largest = (t.patterns.least[1 << i] for i in range(3))
+        smallest, _, largest = class_masks(s)
         assert smallest & low_bits == smallest and largest & low_bits == 0
     lattice = enumerate_faces(s, g, t)
     reference = enumerate_faces_by_mask_scan(s, g, t)
@@ -781,7 +812,7 @@ def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
     p = _enumeration_polytope(name, relabeled)
     calls = _counting_relint(monkeypatch)
     analyze_polytope(p)
-    # one table per analysis, built in classify
+    # one table per analysis, built in hull_model
     assert len(calls) == 7
 
 
@@ -789,45 +820,47 @@ def test_relint_runs_once_per_class_pattern(name, relabeled, monkeypatch):
 def test_pattern_counts_reads_the_table(name, monkeypatch):
     import galehull.gale as gale_module
 
-    from galehull import pattern_counts
-
     t = _analyzed(ENUMERATION_INSTANCES[name])[2]
     calls = _counting_relint(monkeypatch)
     monkeypatch.setattr(gale_module, "_rank", lambda points: calls.append("rank"))
-    pattern_counts(t)
+    t.counts
     assert calls == []
 
 
-def test_class_constant_diagram_off_the_criterion_raises(prism6_analysis, monkeypatch):
+def test_class_constant_diagram_off_the_criterion_raises(prism6, prism6_analysis, monkeypatch):
     from dataclasses import replace
 
-    import galehull.gale as gale_module
+    import galehull.pipeline as pipeline_module
 
-    from galehull.errors import CriterionMismatch
+    from galehull.errors import CriterionMismatch, DiagramMismatch
 
-    a = prism6_analysis
-    pts = list(a.diagram.class_points)
-    pts[0] = (Fraction(5),)  # the apex class, Gale value 0
-    bad = replace(a.diagram, class_points=tuple(pts))
-    message = r"subset 10101000: relint says True, type II criterion says False"
+    # the apex class, Gale value 0, moved to 5 in the analysis's diagram:
+    # the enumeration reads the model, and the RREF cross-check names the point
+    exact = pipeline_module.gale_transform
+
+    def moving(s, model):
+        g = exact(s, model)
+        pts = list(g.class_points)
+        pts[0] = (Fraction(5),)
+        return replace(g, class_points=tuple(pts))
+
+    monkeypatch.setattr(pipeline_module, "gale_transform", moving)
+    first = prism6_analysis.system.class_indices(0)[0]
+    with pytest.raises(DiagramMismatch, match=rf"^Gale point {first}: class sizes give \['5'\], "):
+        verify_polytope(prism6)
+    # the same point moved in the model's check trips the criterion
+    monkeypatch.undo()
+    _moving_in_the_model(monkeypatch, (2, 3, 3), 0, Fraction(5))
+    message = r"^sizes \(2, 3, 3\), pattern 4: relint says True, type II criterion says False$"
     with pytest.raises(CriterionMismatch, match=message):
-        classify(a.system, bad)
-    # relint answering as on that diagram trips the same check
-    exact = gale_module.relint_contains_zero
-    monkeypatch.setattr(
-        gale_module,
-        "relint_contains_zero",
-        lambda points: exact([(Fraction(5),) if p == (0,) else p for p in points]),
-    )
-    with pytest.raises(CriterionMismatch, match=message):
-        classify(a.system, a.diagram)
+        hull_model((2, 3, 3))
 
 
 def test_type_one_k_two_shares_one_gale_support(monkeypatch):
     import galehull.gale as gale_module
 
     s, g, t = _analyzed(instances.type_one_polytope())
-    assert t.sorted_sizes == (4, 5, 6) and t.k == 2
+    assert t.sizes == (4, 5, 6) and t.k == 2
     first, _, last = ({g.points[j] for j in s.class_indices(i)} for i in range(3))
     assert first == last and len(first) == 1
     calls = []
@@ -859,7 +892,7 @@ def test_simpliciality(cube_analysis, prism6_analysis):
 
     mismatched = replace(prism6_analysis.report, hull_type=cube_analysis.report.hull_type)
     with pytest.raises(TheoremViolation, match="type IV hull has simpliciality False"):
-        pattern_counts(mismatched)
+        mismatched.counts
 
 
 def test_neighborliness_known_values(cube_analysis):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 from math import comb
@@ -29,7 +30,7 @@ from galehull import (
     oracle_lattice,
     three_color,
     validate,
-    verify_pyramid_structure,
+    verify_polytope,
 )
 from galehull.errors import (
     DegenerateInput,
@@ -449,37 +450,54 @@ def test_oracle_caps_and_degenerate():
         oracle_lattice([(0, 0), (1, 0, 0)])
 
 
-def test_verify_pyramid_structure_prism(prism6_analysis, prism8_analysis):
-    for analysis in (prism6_analysis, prism8_analysis):
-        oracle = oracle_lattice(analysis.system.vectors)
-        report = verify_pyramid_structure(analysis.system, analysis.report, oracle.facets)
-        apexes = set(analysis.system.class_indices(0))
+def test_verify_pyramid_structure_prism(prism6, prism8):
+    """verify reads the pyramid report off the model once the witness
+    holds; on the oracle's facets each apex misses exactly one, as in the
+    model."""
+    for p in (prism6, prism8):
+        v = verify_polytope(p)
+        report = v.pyramid_report
+        apexes = set(v.analysis.system.class_indices(0))
         assert set(report["apexVertices"]) == apexes
         assert report["apexCount"] == 2
         assert report["zeroGalePoints"] and report["apexFacetSignature"]
+        assert report["facetCount"] == len(v.oracle.facets)
+        for j in apexes:
+            assert sum(1 for f in v.oracle.facets if not f >> j & 1) == 1
 
 
-def test_verify_pyramid_structure_rejects_type_four(cube_analysis):
-    with pytest.raises(ValueError):
-        verify_pyramid_structure(
-            cube_analysis.system, cube_analysis.report, cube_analysis.lattice.facets
-        )
+def test_verify_pyramid_structure_rejects_type_four(cube):
+    assert verify_polytope(cube).pyramid_report is None
 
 
 @pytest.mark.parametrize(
     "fixture,hull_type,slot",
     [("prism6_analysis", "II", 0), ("trunc_oct_analysis", "III", 2)],
 )
-def test_a_dropped_facet_puts_an_apex_outside_none(fixture, hull_type, slot, request):
+def test_a_dropped_facet_puts_an_apex_outside_none(
+    fixture, hull_type, slot, request, monkeypatch
+):
     """Each apex vertex misses exactly one facet; dropping that facet from
-    the oracle's list leaves the apex on every facet, and the check names
-    it with a count of 0."""
+    the oracle's list leaves the apex on every facet. The facets do not
+    take part in lattice equality, so the witness onto the model, which
+    runs before the pyramid report is read, is what catches it."""
+    import galehull.pipeline as pipeline_module
+
     analysis = request.getfixturevalue(fixture)
     assert analysis.report.hull_type == hull_type
-    facets = list(oracle_lattice(analysis.system.vectors).facets)
     apex = analysis.system.class_indices(slot)[-1]
-    (k,) = [k for k, f in enumerate(facets) if not f >> apex & 1]
+    exact = pipeline_module.oracle_lattice
+
+    def dropping(points):
+        lattice = exact(points)
+        kept = tuple(f for f in lattice.facets if f >> apex & 1)
+        assert len(kept) == len(lattice.facets) - 1
+        return replace(lattice, facets=kept)
+
+    monkeypatch.setattr(pipeline_module, "oracle_lattice", dropping)
+    count = analysis.report.fvector[-1]
     with pytest.raises(
-        StructureMismatch, match=rf"^apex vertex {apex} is outside 0 facets, expected 1$"
+        StructureMismatch,
+        match=rf"^witness onto .*: {count - 1} facets against {count} in the image$",
     ):
-        verify_pyramid_structure(analysis.system, analysis.report, facets[:k] + facets[k + 1:])
+        verify_polytope(analysis.polytope)

@@ -20,13 +20,12 @@ from galehull import (
     PlanarPolytope,
     analyze_polytope,
     catalog,
-    classify,
     enumerate_faces,
     fvector,
     gale_transform,
+    hull_model,
     incidence_system,
     neighborliness,
-    pattern_counts,
     simpliciality_check,
     summarize_polytope,
     three_color,
@@ -43,7 +42,7 @@ def _walked(lattice):
 
 
 def _counted(a):
-    return a.hull_fvector, a.simplicial, a.neighborly
+    return a.report.fvector, a.report.simplicial, a.report.neighborly
 
 
 FIXED = [
@@ -69,7 +68,7 @@ def test_generated_sizes_cover_all_four_types():
 @given(gluings(UP_TO_14))
 def test_generated_pattern_counts_equal_the_walks(inst):
     a = analyze_polytope(validate([list(f) for f in inst.faces]))
-    assert a.report.sorted_sizes == inst.sizes
+    assert a.report.sizes == inst.sizes
     assert _counted(a) == _walked(a.lattice)
 
 
@@ -82,8 +81,8 @@ def test_generated_half_mask_scan_equals_the_per_mask_scan(inst, shuffle_seed):
     random.Random(shuffle_seed).shuffle(faces)
     p = validate(faces)
     s = incidence_system(p, three_color(p))
-    g = gale_transform(s)
-    t = classify(s, g)
+    t = hull_model(s.coloring.class_sizes)
+    g = gale_transform(s, t)
     lattice = enumerate_faces(s, g, t)
     assert list(lattice.faces.items()) == list(enumerate_faces_by_mask_scan(s, g, t).faces.items())
 
@@ -124,18 +123,20 @@ def no_walks(monkeypatch):
 @pytest.mark.parametrize("spec", [("cube",), ("prism", 6)])
 def test_analyze_makes_no_pass_over_the_faces(spec, no_walks):
     a = analyze_polytope(catalog(*spec))
-    assert a.simplicial == (spec == ("cube",))
+    assert a.report.simplicial == (spec == ("cube",))
 
 
 def _perturbing(monkeypatch, change):
     import galehull.pipeline as pipeline_module
 
-    exact = pipeline_module.pattern_counts
+    exact = pipeline_module.hull_model
 
-    def perturbed(*args):
-        return change(*exact(*args))
+    def perturbed(sizes):
+        model = exact(sizes)
+        model.__dict__["counts"] = change(*model.counts)
+        return model
 
-    monkeypatch.setattr(pipeline_module, "pattern_counts", perturbed)
+    monkeypatch.setattr(pipeline_module, "hull_model", perturbed)
 
 
 def test_verify_names_the_first_differing_dimension(prism6, monkeypatch):
@@ -161,15 +162,14 @@ def test_pattern_simpliciality_is_checked_against_the_type(cube, monkeypatch):
     import galehull.gale as gale_module
 
     exact = gale_module._rank
-    # classify builds the table, so the rank it grades by is patched first.
+    # hull_model builds the table, so the rank it grades by is patched first.
     # For type I this is the one simpliciality check: verify's type I
     # suite reports it without checking it again.
     monkeypatch.setattr(gale_module, "_rank", lambda points: exact(points) + 1)
     for p, hull_type in ((cube, "IV"), (instances.type_one_polytope(), "I")):
-        s = incidence_system(p, three_color(p))
-        t = classify(s, gale_transform(s))
+        t = hull_model(three_color(p).class_sizes)
         with pytest.raises(TheoremViolation, match=f"type {hull_type} hull has simpliciality False"):
-            pattern_counts(t)
+            t.counts
 
 
 def test_input_cap_refuses_before_the_incidence_vectors(monkeypatch):
@@ -319,11 +319,11 @@ SUMMARIZED = [
 def test_analyze_and_compare_never_enumerate(name, build, never_enumerating, tmp_path, capsys):
     p = build()
     a = summarize_polytope(p)
-    assert len(a.hull_fvector) == a.report.dim
+    assert len(a.report.fvector) == a.report.dim
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"faces": [list(f) for f in p.faces]}))
     assert main(["analyze", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["hull"]["fvector"] == list(a.hull_fvector)
+    assert json.loads(capsys.readouterr().out)["hull"]["fvector"] == list(a.report.fvector)
     # the oracle route scans the facets of each hull once and builds no lattice
     assert main(["compare", str(path), "catalog:cube"]) == 0
     like_the_cube = (p.n, a.report.hull_type) == (4, "IV")
@@ -383,9 +383,10 @@ def test_over_cap_analyze_refuses_before_the_anchors(monkeypatch, capsys):
     # enumerate_faces keeps its own check, with the same message
     p = catalog("prism", 24)
     s = incidence_system(p, three_color(p))
-    g = gale_transform(s)
+    t = hull_model(s.coloring.class_sizes)
+    g = gale_transform(s, t)
     with pytest.raises(TooManyPoints, match=error["message"]):
-        enumerate_faces(s, g, classify(s, g))
+        enumerate_faces(s, g, t)
 
 
 @pytest.mark.parametrize("name,build", OVER_CAP, ids=[n for n, _ in OVER_CAP])

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from itertools import combinations
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from galehull import (
     fvector,
+    hull_model,
     members,
     neighborliness,
     oracle_lattice,
@@ -26,7 +26,7 @@ from conftest import (
 )
 from galehull import reference
 from galehull.errors import BadParameters
-from galehull.gale import FaceLattice, size_type
+from galehull.gale import FaceLattice
 
 
 def _mask(indices):
@@ -338,13 +338,13 @@ SIZES_UP_TO_16 = list(_sorted_sizes(16))
 
 
 @pytest.mark.parametrize(
-    "sizes", SIZES_UP_TO_16, ids=[f"{size_type(s)}-{s}" for s in SIZES_UP_TO_16]
+    "sizes", SIZES_UP_TO_16, ids=[f"{hull_model(s).hull_type}-{s}" for s in SIZES_UP_TO_16]
 )
 def test_model_facets_are_the_facets_of_the_lattice_models(sizes):
-    hull_type = size_type(sizes)
+    report = hull_model(sizes)
+    hull_type = report.hull_type
     m1, m2, m3 = sizes
-    facets = reference.model_facets(hull_type, sizes)
-    report = SimpleNamespace(hull_type=hull_type, sorted_sizes=sizes)
+    facets = reference.model_facets(report)
     model = reference_model(report, sum(sizes) - 2)
     assert len(set(facets)) == len(facets)
     assert set(facets) == set(_facets(model))
@@ -359,5 +359,3 @@ def test_cyclic_facets_are_the_facets_of_the_cyclic_lattices():
         assert facets == sorted(_facets(cyclic_facets(v, d)), key=members)
     with pytest.raises(BadParameters):
         reference.cyclic_facets(4, 4)
-    with pytest.raises(BadParameters):
-        reference.model_facets("V", (2, 2, 2))

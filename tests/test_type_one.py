@@ -77,7 +77,7 @@ def test_classified_with_distinct_sizes(verification):
 
 
 def test_simplicial(verification):
-    assert verification.analysis.simplicial
+    assert verification.analysis.report.simplicial
 
 
 def test_faces_match_oracle(verification):
@@ -194,18 +194,27 @@ def test_barycentric_count_on_a_triangle():
         assert _simplex_beyond_count(point, triangle) == count
 
 
-def test_a_dropped_facet_fails_the_recount(verification):
-    facets = verification.oracle.facets
-    # facet 0 misses one middle-class vertex, which then looks beyond one
-    # facet more than its barycentric coordinates say
+def test_a_dropped_facet_fails_the_recount(type_one, verification, monkeypatch):
+    """Facet 0 misses one middle-class vertex, which then looks beyond one
+    facet more than its barycentric coordinates say. The facets do not take
+    part in lattice equality, so the witness onto T^13_4 catches the drop
+    before the type I suite runs."""
     middle = set(verification.analysis.system.class_indices(1))
-    (v0,) = [v for v in middle if not facets[0] >> v & 1]
+    assert [v for v in middle if not verification.oracle.facets[0] >> v & 1]
+    exact = galehull.pipeline.oracle_lattice
+
+    def dropping_facet_zero(points):
+        lattice = exact(points)
+        return replace(lattice, facets=lattice.facets[1:])
+
+    suites = []
+    monkeypatch.setattr(galehull.pipeline, "oracle_lattice", dropping_facet_zero)
+    monkeypatch.setattr(galehull.pipeline, "type_one_checks", suites.append)
     with pytest.raises(
-        StructureMismatch,
-        match=rf"^middle-class vertex {v0}: barycentric coordinates put it "
-        r"beyond 4 facets, the oracle's facets 5$",
+        StructureMismatch, match=r"^witness onto T\^13_4: 49 facets against 50 in the image$"
     ):
-        type_one_checks(verification.analysis, facets[1:])
+        verify_polytope(type_one)
+    assert suites == []
 
 
 @pytest.mark.parametrize(
@@ -237,7 +246,7 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
     counted(galehull.oracle, "_facet_supports")
     counted(galehull.linalg, "rref")
     counted(galehull.linalg, "null_space_basis")
-    report = type_one_checks(verification.analysis, verification.oracle.facets)
+    report = type_one_checks(verification.analysis)
     assert report == verification.type_one_report
     assert calls == {"_facet_supports": 0, "rref": 0, "null_space_basis": 0}
     oracle_lattice(verification.analysis.system.vectors)
@@ -248,6 +257,6 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
         calls["_facet_supports"] = 0
         verify_polytope(p)
         assert calls["_facet_supports"] == 1
-        s = analyze_polytope(p).system
-        equivalence_witness(s, s)
+        a = analyze_polytope(p)
+        equivalence_witness(a, a)
         assert calls["_facet_supports"] == 3

@@ -6,6 +6,7 @@ face-by-face check in conftest is the reference for the verdicts."""
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -83,18 +84,20 @@ def shared_oracle():
 @pytest.mark.parametrize("name,build", BASE, ids=[n for n, _ in BASE])
 def test_equivalence_witness_is_a_face_bijection(name, build, shared_oracle):
     p = build()
-    a = analyze_polytope(p).system
+    a = analyze_polytope(p)
     for other in (validate(relabel_faces(p, mult=5)), _shuffled(p, 1)):
-        b = analyze_polytope(other).system
+        b = analyze_polytope(other)
         phi = equivalence_witness(a, b)
-        assert _maps_faces_onto(shared_oracle(a.vectors), shared_oracle(b.vectors), phi)
+        assert _maps_faces_onto(
+            shared_oracle(a.system.vectors), shared_oracle(b.system.vectors), phi
+        )
 
 
 def test_equivalence_witness_between_distinct_gluings_of_one_size(shared_oracle):
-    a = analyze_polytope(instances.type_one_polytope()).system
-    b = analyze_polytope(instances.type_one_polytope_mirror()).system
+    a = analyze_polytope(instances.type_one_polytope())
+    b = analyze_polytope(instances.type_one_polytope_mirror())
     phi = equivalence_witness(a, b)
-    assert _maps_faces_onto(shared_oracle(a.vectors), shared_oracle(b.vectors), phi)
+    assert _maps_faces_onto(shared_oracle(a.system.vectors), shared_oracle(b.system.vectors), phi)
 
 
 def _swap_across_classes(order, system):
@@ -129,19 +132,50 @@ def test_a_witness_swapped_across_classes_names_a_face(hull_type, build, monkeyp
         verify_polytope(build())
 
 
+DROPPED_FACET_CASES = [
+    ("prism:6", lambda: catalog("prism", 6)),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+    ("type_one_polytope", instances.type_one_polytope),
+    ("cube", lambda: catalog("cube")),
+]
+
+
+@pytest.mark.parametrize("name,build", DROPPED_FACET_CASES, ids=[n for n, _ in DROPPED_FACET_CASES])
+def test_a_dropped_facet_fails_the_witness(name, build, monkeypatch):
+    """The oracle's faces with one entry gone from its facets: the facets
+    take no part in lattice equality, so the equality check and the walks
+    pass, and the witness onto the model is what refuses it."""
+    exact = pipeline_module.oracle_lattice
+
+    def dropping(points):
+        lattice = exact(points)
+        return replace(lattice, facets=lattice.facets[1:])
+
+    monkeypatch.setattr(pipeline_module, "oracle_lattice", dropping)
+    p = build()
+    count = analyze_polytope(p).report.fvector[-1]
+    with pytest.raises(
+        StructureMismatch,
+        match=rf"^witness onto .*: {count - 1} facets against {count} in the image$",
+    ):
+        verify_polytope(p)
+
+
 @pytest.mark.parametrize("hull_type,build", ONE_PER_TYPE, ids=[t for t, _ in ONE_PER_TYPE])
 def test_compare_catches_a_witness_swapped_across_classes(hull_type, build, monkeypatch):
     """The second hull's block order swapped across classes: the composed
     witness maps some facet of the first oracle to no facet of the second."""
     p = build()
-    a = analyze_polytope(p).system
-    b = analyze_polytope(_shuffled(p, 3)).system
+    a = analyze_polytope(p)
+    b = analyze_polytope(_shuffled(p, 3))
     exact = equivalence_module.block_order
     monkeypatch.setattr(
         equivalence_module,
         "block_order",
         lambda system, t: (
-            _swap_across_classes(exact(system, t), system) if system is b else exact(system, t)
+            _swap_across_classes(exact(system, t), system)
+            if system is b.system
+            else exact(system, t)
         ),
     )
     with pytest.raises(StructureMismatch, match=r"^equivalence witness: facet \[[\d, ]*\] maps to "):
@@ -149,14 +183,14 @@ def test_compare_catches_a_witness_swapped_across_classes(hull_type, build, monk
 
 
 def test_a_swapped_equivalence_witness_names_a_face(prism6):
-    a = analyze_polytope(prism6).system
-    b = analyze_polytope(_shuffled(prism6, 2)).system
+    a = analyze_polytope(prism6)
+    b = analyze_polytope(_shuffled(prism6, 2))
     phi = equivalence_witness(a, b)
-    u, w = a.class_indices(0)[0], a.class_indices(1)[0]
+    u, w = a.system.class_indices(0)[0], a.system.class_indices(1)[0]
     phi[u], phi[w] = phi[w], phi[u]
     with pytest.raises(StructureMismatch, match=r"^equivalence witness: facet \["):
-        check_witness(oracle_lattice(a.vectors).facets, oracle_lattice(b.vectors).facets, phi,
-                      "equivalence witness")
+        check_witness(oracle_lattice(a.system.vectors).facets,
+                      oracle_lattice(b.system.vectors).facets, phi, "equivalence witness")
 
 
 def test_check_witness_wants_a_vertex_bijection_and_equal_face_counts(prism6_analysis):
@@ -193,8 +227,7 @@ def _same_verdict(analysis, model, phi) -> str | None:
     check_witness on the hull's facets and the closed-form model facets
     must pass or fail with it."""
     verdict = _face_verdict(analysis.lattice, model, phi)
-    report = analysis.report
-    facets = model_facets(report.hull_type, report.sorted_sizes)
+    facets = model_facets(analysis.report)
     by_facets = _verdict(check_witness, _facets(analysis.lattice), facets, phi)
     assert (by_facets is None) == (verdict is None)
     return verdict
