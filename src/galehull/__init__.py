@@ -32,7 +32,7 @@ from .polytopes import (
     three_color,
     validate,
 )
-from .reference import cyclic_facets, model_facets
+from .reference import model_facets
 
 __version__ = "1.0.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "Verification",
     "analyze_polytope",
     "catalog",
-    "cyclic_facets",
     "enumerate_faces",
     "equivalence_witness",
     "equivalent",

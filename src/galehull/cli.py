@@ -15,7 +15,7 @@ import sys
 from typing import Callable, Optional, Sequence
 
 from .equivalence import equivalence_witness, equivalent
-from .errors import BadInput, GalehullError
+from .errors import BadInput, GalehullError, ResourceLimitError
 from .gale import require_face_cap
 from .pipeline import Analysis, summarize_polytope, verify_polytope
 from .polytopes import (
@@ -50,7 +50,7 @@ def _load_faces(path: str) -> list[list[int]]:
     return doc["faces"]
 
 
-def _parse_catalog_spec(spec: str, cap: Optional[Callable[[int], None]] = None) -> PlanarPolytope:
+def _parse_catalog_spec(spec: str, cap: Callable[[int], None]) -> PlanarPolytope:
     name, _, param = spec.partition(":")
     if param:
         try:
@@ -59,14 +59,24 @@ def _parse_catalog_spec(spec: str, cap: Optional[Callable[[int], None]] = None) 
             raise BadInput(f"catalog parameter {param!r} is not an integer")
     else:
         parameter = None
-    if cap is not None and name == "prism" and parameter is not None:
+    if name == "prism" and parameter is not None:
         cap(parameter + 2)  # two k-gons and k squares
     return catalog(name, parameter)
 
 
 def _validate_faces(faces, cap: Callable[[int], None]) -> PlanarPolytope:
+    """The polytope of a parsed face list, refused by cap first from its
+    face count and then from its vertex slots: a valid map of F faces has
+    exactly 6(F - 2), so long faces cannot slip past the cap."""
     if isinstance(faces, list):
         cap(len(faces))
+        slots = sum(len(face) for face in faces if isinstance(face, list))
+        try:
+            cap(-(-slots // 6) + 2)
+        except ResourceLimitError as exc:
+            raise type(exc)(
+                f"{slots} vertex slots exceed the cap: a valid map of F faces has 6(F - 2)"
+            ) from None
     return validate(faces)
 
 

@@ -48,8 +48,8 @@ def equivalence_witness(a: Analysis, b: Analysis) -> Optional[dict[int, int]]:
                 f"but their oracle facets share the invariant {shared}"
             )
         return None
-    order_a = block_order(a.system, a.report.hull_type)
-    order_b = block_order(b.system, b.report.hull_type)
+    order_a = block_order(a.system, a.report)
+    order_b = block_order(b.system, b.report)
     witness = dict(zip(order_a, order_b))
     check_witness(facets_a, facets_b, witness, "equivalence witness")
     return witness

@@ -11,11 +11,12 @@ when zero lies in the relative interior of the convex hull of the
 complementary Gale points, which depend only on the classes J holds in
 full. So every fact of the hull but its class membership is a function of
 the sorted class sizes (m1, m2, m3), and hull_model builds them in one
-place (HullModel): the type, dimension and structure, the diagram in
-normal form, and the table of the 7 class patterns, each cross-checked
-against the closed-form per-type criterion; a disagreement raises, it is
-never a tolerated outcome. The f-vector, simpliciality and
-neighborliness are counted from that table. The polytope supplies the
+place (HullModel): the type, dimension and structure, the free sum of
+simplices the hull is a pyramid over, the diagram in normal form, and
+the table of the 7 class patterns, each cross-checked against the free
+sum's face criterion; a disagreement raises, it is never a tolerated
+outcome. The f-vector, simpliciality and neighborliness are counted
+from that table, with no pass over the faces. The polytope supplies the
 rest: the class membership, the face order that gale_transform scales
 the model's diagram to, and the certificates (the rank, and the anchors
 that grade_anchors checks by exact rank). A subset holds a class when
@@ -156,13 +157,18 @@ class HullModel:
     m1 <= m2 <= m3: what hull_model builds. The class points are the Gale
     diagram in normal form, one per sorted class. A pattern is a set of
     sorted classes, bit i set when a vertex subset holds class i in full,
-    so the classes of sizes m1, m2, m3 are the patterns 1, 2 and 4."""
+    so the classes of sizes m1, m2, m3 are the patterns 1, 2 and 4. The
+    hull is a pyramid over a free sum of simplices (Gruenbaum, Convex
+    Polytopes, 6.1 and 6.3): one simplex on the classes of each pattern in
+    summands, and one apex per vertex of the classes of apexes."""
 
     hull_type: str                          # "I" | "II" | "III" | "IV"
     sizes: tuple[int, int, int]
     dim: int
     k: Optional[Fraction]                   # type I only
     structure: str
+    summands: tuple[int, ...]               # the free sum's simplices, as patterns
+    apexes: int                             # the pyramid's apexes, as a pattern
     class_points: tuple[Point, Point, Point]
     support: tuple[frozenset[Point], ...]   # pattern -> class points off it
     offset: tuple[Optional[int], ...]       # pattern -> dim(J) - |J|, None off the faces
@@ -182,8 +188,8 @@ class HullModel:
         so the hull is simplicial iff every face pattern that reaches
         dimensions 0 .. d-1 has o = -1. Every k-subset is a face for k below
         the smallest non-face, the least subset of a non-face pattern;
-        neighborliness is one less than that, and at most f0 - 1. Types I
-        and IV must be simplicial, II and III must not (TheoremViolation
+        neighborliness is one less than that, and at most f0 - 1. The hull
+        must be simplicial exactly when it is no pyramid (TheoremViolation
         otherwise).
         """
         counts = [0] * self.dim
@@ -200,7 +206,7 @@ class HullModel:
                 if count and 0 <= size + o < self.dim:
                     counts[size + o] += count
                     simplicial = simplicial and o == -1
-        if simplicial != (self.hull_type in ("I", "IV")):
+        if simplicial != (not self.apexes):
             raise TheoremViolation(f"type {self.hull_type} hull has simpliciality {simplicial}")
         return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
 
@@ -369,14 +375,20 @@ def _both_signs(values: list[Fraction]) -> bool:
 def hull_model(sizes: Sequence[int]) -> HullModel:
     """The hull model of sorted class sizes 2 <= m1 <= m2 <= m3
     (BadParameters otherwise): type I-IV from the equality pattern of the
-    sizes, the Gale diagram in normal form, and the pattern table.
+    sizes, its free sum and apexes, the Gale diagram in normal form, and
+    the pattern table.
 
+    Each type is one row: type I is T^n_{m2-1}, the free sum of a simplex
+    on class 2 and one on classes 1 and 3; types II and III are the m1- and
+    m3-fold pyramids over C(2 m2, 2 m2 - 2), the free sum of two
+    (m2 - 1)-simplices; type IV is the free sum of three (m - 1)-simplices.
     The normal form is y = (m3 - m2, m1 - m3, m2 - m1), one value per
     class, the paper's (1 - k, k, -1) times m1 - m2 for type I, or
-    (0, 1), (1, 0), (-1, -1) when all sizes are equal. Per
-    pattern, the relint coface route on the class points off it and the
-    closed-form per-type criterion must agree (CriterionMismatch names
-    the sizes and the pattern otherwise). A face pattern has offset
+    (0, 1), (1, 0), (-1, -1) when all sizes are equal. Per pattern, the
+    relint coface route on the class points off it and the free sum must
+    agree: a proper pattern is a face iff it holds no summand in full or
+    every summand in full (CriterionMismatch names the sizes and the
+    pattern otherwise). A face pattern has offset
     -1 - ambient + rank(points off J), from dim aff(J) = |J| - 1 - ambient
     + rank(Gale points off J). The hull dimension is the Gale dual's,
     N - 1 - ambient for N hull vertices. Every valid input has
@@ -394,49 +406,42 @@ def hull_model(sizes: Sequence[int]) -> HullModel:
     else:
         hull_type = "I" if m1 < m2 < m3 else "II" if m1 < m2 else "III"
         values = ((m3 - m2,), (m1 - m3,), (m2 - m1,))
+    cyclic = f"C({2 * m2},{2 * m2 - 2})"
+    summands, apexes, structure = {
+        "I": ((0b010, 0b101), 0, f"T^{n}_{m2 - 1}"),
+        "II": ((0b010, 0b100), 0b001, f"{m1}-fold {n}-pyramid over {cyclic}"),
+        "III": ((0b001, 0b010), 0b100, f"{m3}-fold {n}-pyramid over {cyclic}"),
+        "IV": (
+            (0b001, 0b010, 0b100), 0, f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over {cyclic})"
+        ),
+    }[hull_type]
     points = tuple(tuple(map(Fraction, p)) for p in values)
     ambient = len(points[0])
     support, offset = [], []
     for held in range(7):
         off = [points[i] for i in range(3) if not held >> i & 1]
         by_relint = relint_contains_zero(off)
-        by_formula = _closed_form(hull_type, held)
-        if by_relint != by_formula:
+        full = [held & s == s for s in summands]
+        by_free_sum = not any(full) or all(full)
+        if by_relint != by_free_sum:
             raise CriterionMismatch(
                 f"sizes {sizes}, pattern {held}: relint says {by_relint}, "
-                f"type {hull_type} criterion says {by_formula}"
+                f"type {hull_type} criterion says {by_free_sum}"
             )
         support.append(frozenset(off))
-        offset.append(-1 - ambient + _rank(off) if by_formula else None)
-    cyclic = f"C({2 * m2},{2 * m2 - 2})"
-    structure = {
-        "I": f"T^{n}_{m2 - 1}",
-        "II": f"{m1}-fold {n}-pyramid over {cyclic}",
-        "III": f"{m3}-fold {n}-pyramid over {cyclic}",
-        "IV": f"conv(w, {m2 - 1}-fold {n - 1}-pyramid over {cyclic})",
-    }[hull_type]
+        offset.append(-1 - ambient + _rank(off) if by_free_sum else None)
     return HullModel(
         hull_type=hull_type,
         sizes=sizes,
         dim=n + 1 - ambient,
         k=Fraction(m3 - m1, m2 - m1) if hull_type == "I" else None,
         structure=structure,
+        summands=summands,
+        apexes=apexes,
         class_points=points,
         support=tuple(support),
         offset=tuple(offset),
     )
-
-
-def _closed_form(hull_type: str, held: int) -> bool:
-    """Per-type face criterion on a proper subset's class pattern."""
-    c1, c2, c3 = (bool(held >> i & 1) for i in range(3))
-    if hull_type == "I":
-        return not c2 and not (c1 and c3)
-    if hull_type == "II":
-        return c2 == c3
-    if hull_type == "III":
-        return c1 == c2
-    return not (c1 or c2 or c3)
 
 
 def _require_vertex_cap(s: IncidenceSystem) -> None:

@@ -213,15 +213,15 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     # mapping the oracle's facets onto the model's maps both lattices, and
     # the model's structure below is the hull's
     reference = model_facets(model)
-    order = block_order(analysis.system, model.hull_type)
+    order = block_order(analysis.system, model)
     witness = {v: i for i, v in enumerate(order)}
     check_witness(oracle.facets, reference, witness, f"witness onto {model.structure}")
 
     pyramid_report = None
-    if model.hull_type in ("II", "III"):
+    if model.apexes:
         # in the model, apex j misses only the facet that joins the base
         # with the other apexes; the RREF cross-check pinned their zero points
-        apex_slot = 0 if model.hull_type == "II" else 2
+        apex_slot = model.apexes.bit_length() - 1
         apexes = analysis.system.class_indices(apex_slot)
         pyramid_report = {
             "apexSlot": apex_slot + 1,

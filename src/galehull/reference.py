@@ -1,12 +1,10 @@
 """Closed-form model facets and class-block witnesses onto them.
 
-Every type's model is a named polytope with few facets, built here as
-vertex masks: T^n_{m2-1} (the complements of one vertex of each of its
-two classes), the three-equal-class hull (the complements of the
-transversals), and the pyramids over the cyclic polytope C(2 m2, 2 m2 - 2)
-(its evenness facets, each with every apex, and the base with every apex
-but one). Everything is coordinate-free; the hull oracle checks the
-geometry where coordinates exist.
+Every hull is a pyramid over a free sum of simplices (HullModel.summands
+and HullModel.apexes), and its model is built here as facet masks: a
+facet misses one vertex of every summand, or exactly one apex.
+Everything is coordinate-free; the hull oracle checks the geometry where
+coordinates exist.
 
 The Gale diagram is constant on color classes, so a hull maps onto its
 model class by class: block_order reads the map off the sorted classes
@@ -20,76 +18,59 @@ a face lattice isomorphism. Nothing is searched for.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, product
+from itertools import accumulate, chain, product
 from operator import or_
 from typing import Sequence
 
-from .errors import BadParameters, StructureMismatch
+from .errors import StructureMismatch
 from .gale import HullModel, IncidenceSystem, members, subset_table
 
 
-def gale_evenness(subset: int, v: int) -> bool:
-    """Evenness condition on positions 0..v-1 of a vertex bitmask: any two
-    positions outside the subset are separated by an even number of subset
-    members."""
-    outside = [i for i in range(v) if not subset >> i & 1]
-    for a, b in combinations(outside, 2):
-        if sum(1 for x in range(a + 1, b) if subset >> x & 1) % 2:
-            return False
-    return True
+def _layout(model: HullModel) -> tuple[list[range], range]:
+    """The model's vertex positions of each summand, in table order, and
+    of the apexes after them. Summands sit in blocks, but a pyramid's two
+    equal summands alternate: that is the vertex order of
+    C(2 m2, 2 m2 - 2), whose parity classes are its summands, and the
+    verify report's witnessBijection lists it."""
+    def size(pattern: int) -> int:
+        return sum(m for i, m in enumerate(model.sizes) if pattern >> i & 1)
 
-
-def cyclic_facets(v: int, d: int) -> list[int]:
-    """The facets of the cyclic polytope C(v, d) on vertices 0..v-1, as
-    vertex masks in ascending order of their index tuples."""
-    if not v > d >= 2:
-        raise BadParameters(f"cyclic polytope needs v > d >= 2, got v={v} d={d}")
-    subsets = (sum(1 << i for i in c) for c in combinations(range(v), d))
-    return [f for f in subsets if gale_evenness(f, v)]
+    sizes = list(map(size, model.summands))
+    base = sum(sizes)
+    if model.apexes:
+        blocks = [range(i, base, len(sizes)) for i in range(len(sizes))]
+    else:
+        ends = list(accumulate(sizes))
+        blocks = [range(end - m, end) for m, end in zip(sizes, ends)]
+    return blocks, range(base, base + size(model.apexes))
 
 
 def model_facets(model: HullModel) -> tuple[int, ...]:
-    """The facets of the model of a hull, as vertex masks in block_order's
-    layout: type I is T^n_{m2-1} with class A (vertices 0..m2-1) then
-    class B, and a facet misses one vertex of each; type IV has class i at
-    the block i*m .. (i+1)*m - 1, and a facet misses one vertex of each
-    class; types II and III are the m1- and m3-fold pyramids over
-    C(2 m2, 2 m2 - 2), the apexes after the base vertices."""
-    m1, m2, m3 = model.sizes
-    if model.hull_type == "I":
-        npts = m1 + m2 + m3
-        top = (1 << npts) - 1
-        return tuple(top ^ (1 << a | 1 << b) for a in range(m2) for b in range(m2, npts))
-    if model.hull_type == "IV":
-        top = (1 << 3 * m2) - 1
-        return tuple(
-            top ^ (1 << a | 1 << (m2 + b) | 1 << (2 * m2 + c))
-            for a, b, c in product(range(m2), repeat=3)
-        )
-    base = 2 * m2
-    apexes = ((1 << (m1 if model.hull_type == "II" else m3)) - 1) << base
-    return tuple(f | apexes for f in cyclic_facets(base, base - 2)) + tuple(
-        (1 << base) - 1 | (apexes ^ 1 << j) for j in members(apexes)
+    """The facets of the model of a hull, as vertex masks in _layout's
+    positions: a facet of the free sum with every apex, which misses one
+    vertex of every summand (in product order), or the free sum with
+    every apex but one."""
+    blocks, apexes = _layout(model)
+    top = (1 << apexes.stop) - 1
+    return tuple(top ^ sum(1 << v for v in missed) for missed in product(*blocks)) + tuple(
+        top ^ 1 << a for a in apexes
     )
 
 
 # --- class-block witnesses -------------------------------------------------
 
-def block_order(system: IncidenceSystem, hull_type: str) -> list[int]:
-    """The hull vertices in the vertex order of the type's model, read off
-    the sorted classes c1, c2, c3 (ascending inside a class): type I
-    c2 then c1 and c3 merged; type II c2 and c3 interleaved then c1 as the
-    apexes; type III c1 and c2 interleaved then c3; type IV c1, c2, c3.
-    Interleaving puts the two classes on the two parity classes of the
-    cyclic base, whose Gale values alternate."""
-    c1, c2, c3 = (system.class_indices(slot) for slot in range(3))
-    if hull_type == "I":
-        return [*c2, *sorted(c1 + c3)]
-    if hull_type == "II":
-        return [v for pair in zip(c2, c3) for v in pair] + [*c1]
-    if hull_type == "III":
-        return [v for pair in zip(c1, c2) for v in pair] + [*c3]
-    return [*c1, *c2, *c3]
+def block_order(system: IncidenceSystem, model: HullModel) -> list[int]:
+    """The hull vertices in the vertex order of the model: at the
+    positions of each summand, and then of the apexes, the sorted classes
+    of its pattern merged in ascending order."""
+    blocks, apexes = _layout(model)
+    classes = [system.class_indices(slot) for slot in range(3)]
+    merged = [
+        sorted(v for i, c in enumerate(classes) if pattern >> i & 1 for v in c)
+        for pattern in (*model.summands, model.apexes)
+    ]
+    positions = chain(*blocks, apexes)
+    return [v for _, v in sorted(zip(positions, chain(*merged)))]
 
 
 def check_witness(

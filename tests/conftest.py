@@ -25,7 +25,6 @@ from galehull.errors import (
 from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, HullModel, members, subset_table
 from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
 from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
-from galehull.reference import gale_evenness
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
@@ -473,6 +472,17 @@ def _simplicial_lattice(num_vertices: int, facets: list[int], dim: int) -> FaceL
     top = (1 << num_vertices) - 1
     faces[top] = dim
     return FaceLattice(dim=dim, top=top, faces=faces)
+
+
+def gale_evenness(subset: int, v: int) -> bool:
+    """Evenness condition on positions 0..v-1 of a vertex bitmask: any two
+    positions outside the subset are separated by an even number of subset
+    members."""
+    outside = [i for i in range(v) if not subset >> i & 1]
+    for a, b in combinations(outside, 2):
+        if sum(1 for x in range(a + 1, b) if subset >> x & 1) % 2:
+            return False
+    return True
 
 
 def cyclic_facets(v: int, d: int) -> FaceLattice:

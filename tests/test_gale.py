@@ -890,7 +890,9 @@ def test_simpliciality(cube_analysis, prism6_analysis):
     # non-simplicial table under the cube's type IV raises
     from dataclasses import replace
 
-    mismatched = replace(prism6_analysis.report, hull_type=cube_analysis.report.hull_type)
+    mismatched = replace(
+        prism6_analysis.report, hull_type=cube_analysis.report.hull_type, apexes=0
+    )
     with pytest.raises(TheoremViolation, match="type IV hull has simpliciality False"):
         mismatched.counts
 

@@ -280,6 +280,43 @@ def test_catalog_dump_takes_its_own_face_cap(capsys, monkeypatch):
         }
 
 
+def test_long_faces_are_refused_from_their_vertex_slots(tmp_path, capsys, monkeypatch):
+    """A valid map of F faces has 6(F - 2) vertex slots, so a file of few
+    faces and many slots needs more faces than the cap allows: it is
+    refused before validation, by analyze, hamilton and compare alike."""
+    import galehull.cli as cli_module
+    from galehull.gale import INCIDENCE_FACE_CAP
+    from galehull.polytopes import HAMILTON_VERTEX_CAP
+
+    monkeypatch.setattr(cli_module, "validate", lambda faces: pytest.fail("validated the input"))
+
+    def three_faces(slots, name):
+        path = tmp_path / name
+        third = slots // 3
+        faces = [list(range(third))] * 2 + [list(range(slots - 2 * third))]
+        path.write_text(json.dumps({"faces": faces}))
+        return str(path)
+
+    most = 6 * (INCIDENCE_FACE_CAP - 2)
+    for argv in (["analyze"], ["compare", "catalog:cube"]):
+        with pytest.raises(pytest.fail.Exception, match="validated the input"):
+            main([*argv, three_faces(most, "most.json")])
+        assert main([*argv, three_faces(most + 1, "over.json")]) == 4
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "code": "TooManyPoints",
+            "message": f"{most + 1} vertex slots exceed the cap: "
+            "a valid map of F faces has 6(F - 2)",
+            "source": "galehull.cli",
+        }
+    # a cubic map of F faces has 2(F - 2) vertices, a third of its slots
+    most = 3 * HAMILTON_VERTEX_CAP
+    with pytest.raises(pytest.fail.Exception, match="validated the input"):
+        main(["hamilton", three_faces(most, "most.json")])
+    assert main(["hamilton", three_faces(most + 1, "over.json")]) == 4
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "TooLarge"
+    capsys.readouterr()
+
+
 def test_input_cap_sits_above_every_analysis(capsys):
     from galehull.gale import ANALYSIS_VERTEX_CAP, INCIDENCE_FACE_CAP
 

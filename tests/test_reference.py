@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from galehull import (
     fvector,
     hull_model,
     members,
+    model_facets,
     neighborliness,
     oracle_lattice,
     simpliciality_check,
@@ -353,9 +356,28 @@ def test_model_facets_are_the_facets_of_the_lattice_models(sizes):
     assert len(facets) == expected[hull_type]
 
 
-def test_cyclic_facets_are_the_facets_of_the_cyclic_lattices():
-    for v, d in ((4, 2), (5, 2), (5, 3), (6, 2), (6, 4), (7, 4), (8, 6), (9, 4)):
-        facets = reference.cyclic_facets(v, d)
-        assert facets == sorted(_facets(cyclic_facets(v, d)), key=members)
-    with pytest.raises(BadParameters):
-        reference.cyclic_facets(4, 4)
+
+def _pattern_size(sizes, pattern):
+    return sum(m for i, m in enumerate(sizes) if pattern >> i & 1)
+
+
+def test_every_model_is_a_pyramid_over_a_free_sum_of_simplices():
+    """Per type, the summand sizes and the apex count the classification
+    names, the dimension of a pyramid over a free sum of simplices, and
+    its facet count: one per choice of a missed vertex in every summand,
+    plus one per apex."""
+    triples = list(_sorted_sizes(26))
+    assert len(triples) == 358
+    for sizes in triples:
+        m1, m2, m3 = sizes
+        model = hull_model(sizes)
+        summands = sorted(_pattern_size(sizes, s) for s in model.summands)
+        apexes = _pattern_size(sizes, model.apexes)
+        assert (summands, apexes) == {
+            "I": (sorted((m2, m1 + m3)), 0),
+            "II": ([m2, m2], m1),
+            "III": ([m2, m2], m3),
+            "IV": ([m2] * 3, 0),
+        }[model.hull_type], sizes
+        assert model.dim == sum(m - 1 for m in summands) + apexes, sizes
+        assert len(model_facets(model)) == reduce(mul, summands) + apexes, sizes

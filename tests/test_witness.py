@@ -238,7 +238,7 @@ def _block_witness(p):
     them."""
     analysis = analyze_polytope(p)
     report = analysis.report
-    order = block_order(analysis.system, report.hull_type)
+    order = block_order(analysis.system, report)
     model = reference_model(report, p.n)
     return analysis, model, {v: i for i, v in enumerate(order)}
 
