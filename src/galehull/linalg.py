@@ -2,7 +2,7 @@
 
 Matrices are plain sequences of rows; entries may be int or Fraction and
 are never floats. Rank, pivot columns, one-dimensional null spaces and
-spanning hyperplanes run fraction-free: each row is scaled to integers,
+barycentric coordinates run fraction-free: each row is scaled to integers,
 then eliminated by integer cross-multiplication with per-row gcd
 stripping (after Bareiss, Math. Comp. 1968), so integer inputs never
 build a Fraction. The RREF is eliminated the same way and divides each
@@ -156,35 +156,21 @@ def primitive_vector(vec: Sequence[Fraction | int]) -> tuple[int, ...]:
     return tuple(_strip_gcd(_to_int_rows([vec])[0]))
 
 
-def spanning_hyperplane(
-    points: Sequence[Sequence[Fraction | int]], ambient_dim: int
-) -> Optional[tuple[tuple[int, ...], Fraction | int]]:
-    """Normal and offset of the hyperplane affinely spanned by the points.
+def affine_coordinates(
+    points: Sequence[Sequence[Fraction | int]],
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """A base of affinely independent points and every point's barycentric
+    coordinates in it, times one positive common multiple, as ints.
 
-    Returns None unless the points span exactly a hyperplane of the ambient
-    space. The normal is a primitive integer vector with positive leading
-    nonzero entry; normal . p == offset for every input point, and the
-    offset is an int when the points are. The hyperplane is the one null
-    vector of the rows [p | -1], found fraction-free.
+    One fraction-free Gauss-Jordan pass over the matrix whose columns are
+    the points (q, 1): its pivot columns are the base, and reduced column
+    j divided by the pivots is point j's coordinates. The base spans the
+    affine hull of the points, so it has one point more than its dimension.
     """
-    if not points:
-        return None
-    for p in points:
-        if len(p) != ambient_dim:
-            raise DimensionMismatch(
-                f"point of length {len(p)} in ambient dimension {ambient_dim}"
-            )
-    vec = null_vector([list(p) + [-1] for p in points])
-    if vec is None:
-        return None
-    g = gcd(*vec[:ambient_dim])
-    if g == 0:
-        return None
-    lead = next(x for x in vec if x != 0)
-    normal = tuple(x // g for x in vec[:ambient_dim])
-    if lead < 0:
-        normal = tuple(-x for x in normal)
-    return normal, dot(normal, points[0])
+    m, base = _eliminate([*zip(*points), [1] * len(points)], reduce=True)
+    pivots = [row[c] for row, c in zip(m, base)]
+    scale = [lcm(*pivots) // p for p in pivots]
+    return base, [tuple(row[j] * s for row, s in zip(m, scale)) for j in range(len(points))]
 
 
 def dot(u: Sequence[Fraction | int], v: Sequence[Fraction | int]) -> Fraction | int:

@@ -3,21 +3,22 @@
 This is the ground truth the Gale machinery is validated against, so it
 is pure geometry and shares nothing with the coface criterion.
 oracle_facets finds the facets by scanning the d-subsets for spanning
-hyperplanes with all points on one closed side, skipping the subsets
-that lie on a hyperplane already found. Only d affinely independent
-points span a plane, so the scan certifies each facet's dimension, and
-no facet is ranked again. oracle_lattice reads
-the rest of the lattice off the point-facet incidences: a face is the
-largest point subset that has its facet set, read for every subset off
-per-half tables, and each face is graded one above a face that is one
-point smaller, or by its exact affine rank when there is none. verify's
-and compare's facet-level checks read the scanned facets, so each hull
-is scanned once. The arithmetic is fraction-free: hull coordinates are
-pivot columns and each hyperplane is an integer null vector, both found
-by integer elimination, so on integer points (every incidence vector)
-the scan evaluates normal . q - offset in ints. Desk scale only (at most
-26 points), and oracle_lattice reads all 2^N point subsets whatever the
-face count: 26 points of a convex polygon, 54 faces, take about 3.2 s.
+hyperplanes with all points on one closed side. One elimination fixes a
+base simplex of d + 1 points and every point's barycentric coordinates
+in it; a subset's plane then solves one row per subset point off the
+base, at most N - d - 1 rows. Only d affinely independent points span a
+plane, so the scan certifies each facet's dimension, and no facet is
+ranked again. oracle_lattice reads the rest of the lattice off the
+point-facet incidences: a face is the largest point subset that has its
+facet set, read for every subset off per-half tables, and each face is
+graded one above a face that is one point smaller, or by its exact
+affine rank when there is none. verify's and compare's facet-level
+checks read the scanned facets, so each hull is scanned once. The
+arithmetic is fraction-free: hull coordinates are pivot columns and the
+base coordinates come from integer elimination, so every plane is
+evaluated in ints. Desk scale only (at most 26 points), and
+oracle_lattice reads all 2^N point subsets whatever the face count: 26
+points of a convex polygon, 54 faces, take about 3.2 s.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     TooManyPoints,
 )
 from .gale import FaceLattice, members, subset_table
-from .linalg import affine_dimension, dot, pivot_columns, spanning_hyperplane
+from .linalg import affine_coordinates, affine_dimension, null_vector, pivot_columns
 
 POINT_CAP = 26
 
@@ -67,21 +68,34 @@ def _project_to_hull_coordinates(pts: list[tuple]) -> tuple[list[tuple], int]:
 def _facet_supports(qpts: list[tuple], d: int) -> list[int]:
     """The facets of full-dimensional conv(qpts) in R^d, as masks with bit
     i set when qpts[i] lies on the facet, in the order the scan finds them."""
+    base, table = affine_coordinates(qpts)
+    if len(base) != d + 1:
+        raise StructureMismatch(f"{len(base)} affinely independent points in dimension {d}")
     n = len(qpts)
-    # d points on a known hyperplane span it again or span nothing
-    planes: list[int] = []
+    slot = dict(zip(base, range(d + 1)))
+    outside = [j for j in range(n) if j not in slot]
+    full = (1 << n) - 1
+    seen: set[int] = set()
     out = []
-    for subset in combinations(range(n), d):
-        bits = sum(1 << i for i in subset)
-        if any(bits & p == bits for p in planes):
+    # The d-subsets in combinations order are the complements of the
+    # (n - d)-subsets in reverse order. An affine functional's values y at
+    # the base fix its value at point j, proportional to table[j] . y. On a
+    # subset's plane, y is 0 at its base points, so only the others are
+    # free, and solves one row per subset point off the base: a line of
+    # solutions exactly when the subset spans a plane. Only the free base
+    # points and the points off the base can lie off that plane.
+    for missing in reversed(list(combinations(range(n), n - d))):
+        free = [slot[i] for i in missing if i in slot]
+        rows = [[table[j][k] for k in free] for j in outside if j not in missing]
+        y = null_vector(rows) if rows else (1,)
+        if y is None:
             continue
-        hp = spanning_hyperplane([qpts[i] for i in subset], d)
-        if hp is None:
+        others = [base[k] for k in free] + outside
+        values = [sum(y[t] * table[j][k] for t, k in enumerate(free)) for j in others]
+        mask = full ^ sum(1 << j for j, v in zip(others, values) if v)
+        if mask in seen:
             continue
-        normal, offset = hp
-        values = [dot(normal, q) - offset for q in qpts]
-        mask = sum(1 << i for i, v in enumerate(values) if v == 0)
-        planes.append(mask)
+        seen.add(mask)
         if all(v <= 0 for v in values) or all(v >= 0 for v in values):
             out.append(mask)
     return out
@@ -91,9 +105,9 @@ def oracle_facets(points: Sequence[Sequence[Fraction | int]]) -> tuple[list[tupl
     """The points in coordinates of their affine hull R^d, and the facets
     of conv(points) as masks over the points, which need not be vertices,
     in the order the scan finds them. Each facet has affine dimension
-    d - 1 by construction: spanning_hyperplane gives a plane only when the
-    rows [q | -1] of its d points have rank d, that is when the points are
-    affinely independent, and the facet's mask holds those d points."""
+    d - 1 by construction: the scan takes a plane only when the values at
+    the base that vanish on its d points form a line, that is when the
+    points are affinely independent, and the facet's mask holds them."""
     qpts, d = _project_to_hull_coordinates(_check_points(points))
     if d == 0:
         raise DegenerateInput("all points coincide")

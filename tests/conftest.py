@@ -19,11 +19,12 @@ from galehull.errors import (
     BadParameters,
     CriterionMismatch,
     DegenerateInput,
+    DimensionMismatch,
     StructureMismatch,
     TooManyPoints,
 )
 from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, HullModel, members, subset_table
-from galehull.linalg import affine_dimension, dot, pivot_columns, rank, spanning_hyperplane
+from galehull.linalg import affine_dimension, dot, null_vector, pivot_columns, rank
 from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -322,10 +323,44 @@ def primitive_vector_by_fractions(vec) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
+def spanning_hyperplane(
+    points: Sequence[Sequence[Fraction | int]], ambient_dim: int
+) -> Optional[tuple[tuple[int, ...], Fraction | int]]:
+    """Normal and offset of the hyperplane affinely spanned by the points.
+
+    Returns None unless the points span exactly a hyperplane of the ambient
+    space. The normal is a primitive integer vector with positive leading
+    nonzero entry; normal . p == offset for every input point, and the
+    offset is an int when the points are. The hyperplane is the one null
+    vector of the rows [p | -1], found fraction-free: the per-subset
+    elimination that oracle._facet_supports replaced by one shared base
+    table, kept for its reference scan.
+    """
+    if not points:
+        return None
+    for p in points:
+        if len(p) != ambient_dim:
+            raise DimensionMismatch(
+                f"point of length {len(p)} in ambient dimension {ambient_dim}"
+            )
+    vec = null_vector([list(p) + [-1] for p in points])
+    if vec is None:
+        return None
+    g = gcd(*vec[:ambient_dim])
+    if g == 0:
+        return None
+    lead = next(x for x in vec if x != 0)
+    normal = tuple(x // g for x in vec[:ambient_dim])
+    if lead < 0:
+        normal = tuple(-x for x in normal)
+    return normal, dot(normal, points[0])
+
+
 def facet_supports_by_keys(qpts: list[tuple], d: int):
-    """The facet masks, with every d-subset spanned and its hyperplane
-    deduplicated by key: the scan that oracle._facet_supports replaced by
-    skipping subsets on known hyperplanes, kept as its reference."""
+    """The facet masks, with every d-subset spanned by its own elimination
+    and its hyperplane deduplicated by key: the scan that
+    oracle._facet_supports replaced by one shared base table, kept as its
+    reference."""
     n = len(qpts)
     seen: set[tuple] = set()
     out = []

@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import matvec, primitive_vector_by_fractions, rref_by_fractions
+from conftest import matvec, primitive_vector_by_fractions, rref_by_fractions, spanning_hyperplane
 from galehull import incidence_system, three_color
 from galehull.errors import DimensionMismatch
 from galehull.linalg import (
+    affine_coordinates,
     affine_dimension,
     dot,
     null_space_basis,
@@ -21,7 +22,6 @@ from galehull.linalg import (
     primitive_vector,
     rank,
     rref,
-    spanning_hyperplane,
 )
 from galehull.oracle import _project_to_hull_coordinates
 
@@ -203,6 +203,38 @@ def test_spanning_hyperplane_matches_fraction_reference(data):
         st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=d + 1)
     )
     _assert_matches_reference(points, d)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_affine_coordinates_are_scaled_barycentric_coordinates(data):
+    """Each point is the table's combination of the base points, divided
+    by one positive scale, and the base is affinely independent and spans
+    the affine hull of the points."""
+    d = data.draw(st.integers(1, 4))
+    coordinate = data.draw(st.sampled_from([st.integers(-3, 3), _coordinate]))
+    points = data.draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=8))
+    base, table = affine_coordinates(points)
+    assert len(base) == affine_dimension(points) + 1
+    assert affine_dimension([points[b] for b in base]) == len(base) - 1
+    assert all(type(x) is int for row in table for x in row)
+    scale = table[base[0]][0]
+    assert scale > 0
+    for j, row in enumerate(table):
+        assert sum(row) == scale
+        for c in range(d):
+            assert sum(x * points[b][c] for x, b in zip(row, base)) == scale * points[j][c]
+    assert [table[b] for b in base] == [
+        tuple(scale * (i == k) for k in range(len(base))) for i in range(len(base))
+    ]
+
+
+def test_affine_coordinates_take_the_first_independent_points():
+    base, table = affine_coordinates([(0, 0), (2, 2), (1, 1), (0, 2), (1, 2)])
+    assert base == [0, 1, 3]
+    assert table[2] == (1, 1, 0) and table[4] == (0, 1, 1)
+    points = [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    assert affine_coordinates(points)[0] == [0, 1, 4, 5]
 
 
 def test_affine_dimension_conventions():

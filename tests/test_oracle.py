@@ -14,17 +14,21 @@ from hypothesis import strategies as st
 import instances
 from conftest import (
     facet_supports_by_keys,
+    gen,
     join_grading_by_fold,
     lattice_isomorphic,
     neighborliness_by_combinations,
     oracle_lattice_by_joins,
     relabel_faces,
+    spanning_hyperplane,
 )
 from galehull import (
     analyze_polytope,
     catalog,
     fvector,
+    hull_model,
     incidence_system,
+    model_facets,
     members,
     neighborliness,
     oracle_lattice,
@@ -38,8 +42,14 @@ from galehull.errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from galehull.linalg import affine_dimension, dot, spanning_hyperplane
-from galehull.oracle import _facet_supports, _project_to_hull_coordinates, oracle_facets
+from galehull.linalg import affine_dimension, dot
+from galehull.oracle import (
+    POINT_CAP,
+    _facet_supports,
+    _project_to_hull_coordinates,
+    oracle_facets,
+)
+from galehull.reference import block_order, check_witness
 
 F = Fraction
 
@@ -195,8 +205,31 @@ def _assert_oracle_equals_the_references(pts):
     assert (lat.dim, lat.faces) == (d, join_grading_by_fold(facets, len(pts)))
 
 
+# off the incidence vectors: Fraction coordinates, repeated points, and
+# points whose first d + 1 are affinely dependent, so that the scan's base
+# is no prefix of them
+SCAN_POINTS = [
+    (
+        "fractions",
+        [(F(1, 2), 0, 0), (-1, F(2, 3), 0), (0, 1, 0), (0, -1, F(1, 7)), (0, 0, 1),
+         (0, 0, -1), (F(1, 3), F(1, 3), F(1, 5))],
+    ),
+    ("octahedron/3", [tuple(F(x, 3) + F(1, 2) for x in p) for p in OCTAHEDRON]),
+    ("repeated-square", [(0, 0), (2, 0), (0, 0), (2, 2), (0, 2), (2, 2), (1, 1)]),
+    ("repeated-octahedron", OCTAHEDRON + OCTAHEDRON[::2]),
+    (
+        "dependent-prefix",
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+    ),
+    ("dependent-prefix-2d", [(0, 0), (0, 0), (1, 1), (2, 2), (3, 0), (0, 3)]),
+]
+
+
+REFERENCE_POINTS = POSET_RANK_POINTS + SCAN_POINTS
+
+
 @pytest.mark.parametrize(
-    "name,pts", POSET_RANK_POINTS, ids=[n for n, _ in POSET_RANK_POINTS]
+    "name,pts", REFERENCE_POINTS, ids=[n for n, _ in REFERENCE_POINTS]
 )
 def test_oracle_equals_the_reference_scan_and_grading(name, pts):
     _assert_oracle_equals_the_references(pts)
@@ -212,37 +245,101 @@ def test_oracle_equals_the_references_on_relabeled_copies(name, build):
     _assert_oracle_equals_the_references(_vectors(build()))
 
 
-# spanning_hyperplane calls of the facet scan against the C(N, d) d-subsets
-# the reference spans: type I hyperplanes hold exactly d points each, so
-# that hull is the one where no subset can be skipped. On the cube (the
-# octahedron) the skips come from hyperplanes that support no facet.
-SCAN_CALLS = [
-    ("cube", lambda: catalog("cube"), 11, comb(6, 3)),
-    ("prism:6", lambda: catalog("prism", 6), 17, comb(8, 6)),
-    ("truncated-octahedron", lambda: catalog("truncated-octahedron"), 34, comb(14, 12)),
-    ("type_one_polytope", instances.type_one_polytope, 105, comb(15, 13)),
+# 24 points, at ANALYSIS_VERTEX_CAP, where the lattice is out of reach of a
+# test but the two scans are not; 17 is prime to both vertex counts, 44
+RELABELED_24 = [
+    ("prism:22", lambda: catalog("prism", 22)),
+    ("glued-8.8.8", lambda: validate(gen.glued(random.Random(1), (8, 8, 8)).faces)),
 ]
 
 
-@pytest.mark.parametrize(
-    "name,build,calls,subsets", SCAN_CALLS, ids=[c[0] for c in SCAN_CALLS]
+@pytest.mark.parametrize("name,build", RELABELED_24, ids=[n for n, _ in RELABELED_24])
+def test_scan_equals_the_reference_scan_on_relabeled_24_point_hulls(name, build):
+    qpts, d = _project_to_hull_coordinates(list(_vectors(validate(relabel_faces(build(), 17)))))
+    assert len(qpts) == 24
+    assert _facet_supports(qpts, d) == facet_supports_by_keys(qpts, d)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda dim: st.lists(st.tuples(*[st.integers(-2, 2)] * dim), min_size=2, max_size=9)
+    )
 )
-def test_facet_scan_skips_subsets_on_known_hyperplanes(
-    name, build, calls, subsets, monkeypatch
-):
-    import galehull.oracle as oracle_module
+def test_scan_equals_the_reference_scan_on_small_point_sets(pts):
+    qpts, d = _project_to_hull_coordinates(pts)
+    if d:
+        assert _facet_supports(qpts, d) == facet_supports_by_keys(qpts, d)
 
-    spans = []
-    exact = oracle_module.spanning_hyperplane
 
-    def counting(points, ambient_dim):
-        spans.append(len(points))
-        return exact(points, ambient_dim)
+# past POINT_CAP, where oracle_facets refuses: the scan alone, read
+# through the class-block witness onto the model's facets
+PAST_THE_CAP = [
+    ("prism:34", lambda: catalog("prism", 34)),
+    ("prism:46", lambda: catalog("prism", 46)),
+    ("glued-10.12.14", lambda: validate(gen.glued(random.Random(1), (10, 12, 14)).faces)),
+    ("glued-12.12.12", lambda: validate(gen.glued(random.Random(1), (12, 12, 12)).faces)),
+]
 
-    monkeypatch.setattr(oracle_module, "spanning_hyperplane", counting)
-    lat = oracle_lattice(_vectors(build()))
-    assert comb(lat.top.bit_length(), lat.dim) == subsets
-    assert len(spans) == calls
+
+@pytest.mark.parametrize("name,build", PAST_THE_CAP, ids=[n for n, _ in PAST_THE_CAP])
+def test_facet_scan_past_the_point_cap_equals_the_model(name, build):
+    p = build()
+    coloring = three_color(p)
+    system = incidence_system(p, coloring)
+    qpts, d = _project_to_hull_coordinates(list(system.vectors))
+    assert len(qpts) > POINT_CAP
+    facets = _facet_supports(qpts, d)
+    model = hull_model(coloring.class_sizes)
+    witness = {v: i for i, v in enumerate(block_order(system, model))}
+    images = sorted(sum(1 << witness[v] for v in members(f)) for f in facets)
+    assert images == sorted(model_facets(model))
+    if len(qpts) <= 36:
+        # check_witness reads an OR table of 2^(N/2) entries per half,
+        # 2^24 of them at 48 points
+        check_witness(facets, model_facets(model), witness, name)
+
+
+def test_oracle_facets_refuse_past_the_point_cap():
+    assert POINT_CAP == 26
+    assert len(oracle_facets([(i,) for i in range(26)])[1]) == 2
+    with pytest.raises(TooManyPoints):
+        oracle_facets([(i,) for i in range(27)])
+
+
+# the hulls of the scan's cost shape: every type, and the cube and a
+# (3, 3, 3) gluing of type IV, whose hulls leave two points off a base
+SCAN_HULLS = [
+    ("cube", lambda: catalog("cube")),
+    ("prism:6", lambda: catalog("prism", 6)),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+    ("type_one_polytope", instances.type_one_polytope),
+    ("glued-3.3.3", lambda: validate(gen.glued(random.Random(1), (3, 3, 3)).faces)),
+]
+
+
+@pytest.mark.parametrize("name,build", SCAN_HULLS, ids=[n for n, _ in SCAN_HULLS])
+def test_facet_scan_eliminates_once_per_hull(name, build, monkeypatch):
+    """One elimination of d + 1 rows per scan, the base table, and then
+    per d-subset at most one system with a row per point of it outside the
+    base: at most N - d - 1 rows, 1 on types I-III and 2 on type IV."""
+    import galehull.linalg as linalg_module
+
+    qpts, d = _project_to_hull_coordinates(list(_vectors(build())))
+    n = len(qpts)
+    exact = linalg_module._eliminate
+    rows_per_call = []
+
+    def counting(rows, reduce):
+        rows_per_call.append(len(rows))
+        return exact(rows, reduce)
+
+    monkeypatch.setattr(linalg_module, "_eliminate", counting)
+    _facet_supports(qpts, d)
+    assert n - d - 1 == (2 if name in ("cube", "glued-3.3.3") else 1)
+    assert rows_per_call[0] == d + 1
+    assert all(0 < k <= n - d - 1 for k in rows_per_call[1:])
+    assert len(rows_per_call) - 1 <= comb(n, d)
 
 
 # the apex comes last, so the top is a pyramid only over the face without
