@@ -23,8 +23,8 @@ that grade_anchors checks by exact rank). A subset holds a class when
 both halves of its vertex mask hold their parts of it, so enumeration
 tests no mask on its own: it joins one table row of low halves to each
 high half. subset_table folds a value per point over every subset of a
-half; the enumeration, the oracle and the witness check read all their
-masks through two such tables.
+half; the enumeration and the oracle read all their masks through two
+such tables.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ from .polytopes import FaceColoring, PlanarPolytope
 ANALYSIS_VERTEX_CAP = 24  # hull vertices (= faces of the input polytope)
 # Faces of the input, for validation, coloring and the rank and Gale
 # certificates, all linear in the vertices: at 1000 faces (prism:998),
-# analyze refuses at the vertex cap after 0.14-0.17 s and 19 MB, against
-# 0.12-0.16 s and 16.5 MB for the cube (5 fresh processes, peak RSS through
+# analyze refuses at the vertex cap after 0.093-0.105 s and 17.7 MB, against
+# 0.087-0.096 s and 16.5 MB for the cube (9 fresh processes, peak RSS through
 # os.wait4; 2-vCPU Xeon, Python 3.11.7).
 INCIDENCE_FACE_CAP = 1000
 
@@ -104,10 +104,14 @@ class IncidenceSystem:
         is n + 3 - c: it is n iff the components are the three classes.
         """
         slots = self.slots
-        by_slot = [sorted(faces, key=slots.__getitem__) for faces in self.polytope.vertex_faces]
-        for v, faces in enumerate(by_slot):
-            if [slots[j] for j in faces] != [0, 1, 2]:
+        columns: list[list[int]] = [[], [], []]  # slot -> per vertex, its face of the slot
+        for v, (a, b, c) in enumerate(self.polytope.vertex_faces):
+            sa, sb, sc = slots[a], slots[b], slots[c]
+            if sa == sb or sa == sc or sb == sc:
                 raise TheoremViolation(f"vertex {v} is not on one face of each class")
+            columns[sa].append(a)
+            columns[sb].append(b)
+            columns[sc].append(c)
         parent = list(range(self.n + 2))
 
         def root(j: int) -> int:
@@ -117,8 +121,10 @@ class IncidenceSystem:
 
         for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
             third: dict[tuple[int, int], int] = {}
-            for faces in by_slot:
-                parent[root(third.setdefault((faces[i], faces[j]), faces[k]))] = root(faces[k])
+            for pair, face in zip(zip(columns[i], columns[j]), columns[k]):
+                f = third.setdefault(pair, face)
+                if f != face:
+                    parent[root(f)] = root(face)
         return tuple(map(root, range(len(parent))))
 
     @property
@@ -340,7 +346,7 @@ def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:
     all the points. No nonzero point means True; no point means False.
     Points of dimension above 2 raise DimensionMismatch.
     """
-    pts = [tuple(Fraction(x) for x in p) for p in points]
+    pts = [tuple(x if isinstance(x, int) else Fraction(x) for x in p) for p in points]
     if not pts:
         return False
     D = len(pts[0])
@@ -357,14 +363,14 @@ def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:
     return all(_both_signs([_cross(p, q) for q in nonzero]) for p in nonzero)
 
 
-def _rank(points: Sequence[Point]) -> int:
+def _rank(points: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank of points of dimension 1 or 2, with no elimination."""
     if any(len(p) == 2 and _cross(p, q) for p in points for q in points):
         return 2
     return int(any(map(any, points)))
 
 
-def _cross(p: Point, q: Point) -> Fraction:
+def _cross(p: Sequence[Fraction | int], q: Sequence[Fraction | int]) -> Fraction | int:
     return p[0] * q[1] - p[1] * q[0]
 
 
@@ -419,8 +425,9 @@ def hull_model(sizes: Sequence[int]) -> HullModel:
     ambient = len(points[0])
     support, offset = [], []
     for held in range(7):
-        off = [points[i] for i in range(3) if not held >> i & 1]
-        by_relint = relint_contains_zero(off)
+        off = [i for i in range(3) if not held >> i & 1]
+        ints = [values[i] for i in off]  # relint and _rank read the int values
+        by_relint = relint_contains_zero(ints)
         full = [held & s == s for s in summands]
         by_free_sum = not any(full) or all(full)
         if by_relint != by_free_sum:
@@ -428,8 +435,8 @@ def hull_model(sizes: Sequence[int]) -> HullModel:
                 f"sizes {sizes}, pattern {held}: relint says {by_relint}, "
                 f"type {hull_type} criterion says {by_free_sum}"
             )
-        support.append(frozenset(off))
-        offset.append(-1 - ambient + _rank(off) if by_free_sum else None)
+        support.append(frozenset(points[i] for i in off))
+        offset.append(-1 - ambient + _rank(ints) if by_free_sum else None)
     return HullModel(
         hull_type=hull_type,
         sizes=sizes,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import CriterionMismatch, DiagramMismatch, StructureMismatch
 from .gale import (
@@ -96,25 +96,6 @@ def _face_diff(a: FaceLattice, b: FaceLattice) -> str:
     return "; ".join(parts) or "identical"
 
 
-def _simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]]) -> int:
-    """Number of facets of the simplex conv(others) strictly separating
-    the point: its negative barycentric coordinates, read off the one null
-    vector (lam, mu) of [[others | -point], [1 ... 1 | -1]] as lam / mu.
-
-    A one-dimensional null space with mu != 0 certifies that the others
-    are affinely independent and that the point lies in their affine hull;
-    anything else raises StructureMismatch.
-    """
-    rows = [[o[r] for o in others] + [-point[r]] for r in range(len(point))]
-    vec = null_vector(rows + [[1] * len(others) + [-1]])
-    if vec is None or vec[-1] == 0:
-        raise StructureMismatch(
-            "the other points are no simplex whose affine hull holds the point"
-        )
-    *lam, mu = vec
-    return sum(1 for x in lam if x * mu < 0)
-
-
 def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
     """The model's pattern counts must equal the walks over the oracle
     lattice: CriterionMismatch names the quantity otherwise, and for the
@@ -142,13 +123,16 @@ def type_one_checks(analysis: Analysis) -> dict:
     class sizes: every middle-class vertex beyond exactly m2-1 facets of
     the simplex spanned by the others.
 
-    The counts come from barycentric coordinates, which also certify that
-    the other N-1 vertices span a simplex S. A facet of the hull misses a
-    vertex v exactly when it is a facet of S with v strictly beneath it.
-    verify_polytope's witness carries the hull's facets onto those of
-    T^n_{m2-1} before this runs, and there each class-A vertex misses the
-    m1 + m3 facets that omit it: the facets put it beyond
-    N - 1 - (m1 + m3) = m2 - 1. The barycentric count must equal m2 - 1
+    The counts come from the one affine dependency lam of the N = n + 2
+    vertices, which spans the null space of their homogenized matrix on a
+    type I hull. lam[v] != 0 certifies that the other N-1 vertices span a
+    simplex S whose affine hull holds v, at barycentric coordinates
+    -lam[j] / lam[v]: v is beyond the facet of S opposite j iff
+    lam[j] lam[v] > 0. A facet of the hull misses a vertex v exactly when
+    it is a facet of S with v strictly beneath it. verify_polytope's
+    witness carries the hull's facets onto those of T^n_{m2-1} before this
+    runs, and there each class-A vertex misses the m1 + m3 facets that
+    omit it: the facets put it beyond N - 1 - (m1 + m3) = m2 - 1. The barycentric count must equal m2 - 1
     too; it is the independent geometric check of that reading.
     Simpliciality and equality with the oracle lattice are checked before
     this runs, so the report states them without a second check."""
@@ -157,10 +141,14 @@ def type_one_checks(analysis: Analysis) -> dict:
         raise ValueError("type I checks apply to type I hulls only")
     m2 = report.sizes[1]
     vectors = analysis.system.vectors
+    lam = null_vector([[1] * len(vectors), *map(list, zip(*vectors))])
     beyond = {}
     for v0 in analysis.system.class_indices(1):
-        rest = [vectors[j] for j in range(len(vectors)) if j != v0]
-        count = _simplex_beyond_count(vectors[v0], rest)
+        if lam is None or lam[v0] == 0:
+            raise StructureMismatch(
+                "the other points are no simplex whose affine hull holds the point"
+            )
+        count = sum(1 for x in lam if x * lam[v0] > 0) - 1  # j = v0 is one of them
         beyond[v0] = count
         if count != m2 - 1:
             raise StructureMismatch(

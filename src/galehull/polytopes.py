@@ -9,9 +9,11 @@ polytopal maps of the 2-sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import ClassVar, Iterable, Optional, Sequence
+from itertools import chain, repeat
+from typing import ClassVar, Optional, Sequence
 
 from .errors import (
     BadEdge,
@@ -37,9 +39,9 @@ class PlanarPolytope:
 
     faces: tuple[Face, ...]
     n: int
-    edges: frozenset[frozenset[int]]
     vertex_faces: tuple[tuple[int, ...], ...]   # vertex id -> sorted face indices
-    adjacency: tuple[frozenset[int], ...]       # face index -> adjacent face indices
+    # vertex id -> its neighbors, sorted: the 1-skeleton, built once by validate
+    skeleton: dict[int, list[int]] = field(compare=False, repr=False)
 
     @property
     def num_vertices(self) -> int:
@@ -50,13 +52,16 @@ class PlanarPolytope:
         return (2 * self.n, 3 * self.n, self.n + 2)
 
     @cached_property
-    def skeleton(self) -> dict[int, list[int]]:
-        """Adjacency lists of the 1-skeleton, neighbor lists sorted."""
-        nbrs: dict[int, list[int]] = {v: [] for v in range(self.num_vertices)}
-        for u, v in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return {v: sorted(s) for v, s in nbrs.items()}
+    def edges(self) -> frozenset[frozenset[int]]:
+        """The edges as vertex pairs, built on first read."""
+        return frozenset(frozenset((u, v)) for u, vs in self.skeleton.items() for v in vs if u < v)
+
+    @cached_property
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        """Face index -> the faces it shares an edge with, built on first
+        read: on a validated map, the faces it shares a vertex with."""
+        at = self.vertex_faces.__getitem__
+        return tuple(frozenset(chain(*map(at, f))) - {i} for i, f in enumerate(self.faces))
 
 
 @dataclass(frozen=True)
@@ -79,102 +84,100 @@ class FaceColoring:
         return tuple(i for i, c in enumerate(self.colors) if c == label)
 
 
-def _face_edges(face: Face) -> Iterable[frozenset[int]]:
-    for i, v in enumerate(face):
-        yield frozenset((v, face[(i + 1) % len(face)]))
-
-
 def validate(raw: Sequence[Sequence[int]]) -> PlanarPolytope:
-    """Check the polyhedral-map axioms and build derived structures."""
+    """Check the polyhedral-map axioms and build derived structures, in
+    time linear in the vertex slots on valid input: faces are checked one
+    by one, and bad edges ordered, only to name the first fault."""
     if not isinstance(raw, (list, tuple)):
         raise BadInput("faces must be a list of vertex-id lists")
     if not raw:
         raise DegenerateFace("no faces given")
-    faces: list[Face] = []
-    for idx, cycle in enumerate(raw):
-        if not isinstance(cycle, (list, tuple)):
-            raise BadInput(f"face {idx} is not a list of vertex ids")
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in cycle):
-            raise BadInput(f"face {idx} has a vertex id that is not an integer")
-        cyc = tuple(cycle)
-        if len(cyc) < 3:
-            raise DegenerateFace(f"face {idx} has fewer than 3 vertices")
-        if len(set(cyc)) != len(cyc):
-            raise DegenerateFace(f"face {idx} repeats a vertex")
-        if any(v < 0 for v in cyc):
-            raise DegenerateFace(f"face {idx} has a negative vertex id")
-        faces.append(cyc)
+    faces = [tuple(c) if isinstance(c, (list, tuple)) else () for c in raw]
+    ids = list(chain.from_iterable(faces))
+    plain = set(map(type, ids)) == {int} and min(map(len, faces)) > 2 and min(ids) >= 0
+    if not plain or list(map(len, map(set, faces))) != list(map(len, faces)):
+        for idx, cycle in enumerate(raw):  # name the first fault
+            if not isinstance(cycle, (list, tuple)):
+                raise BadInput(f"face {idx} is not a list of vertex ids")
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in cycle):
+                raise BadInput(f"face {idx} has a vertex id that is not an integer")
+            if len(cycle) < 3:
+                raise DegenerateFace(f"face {idx} has fewer than 3 vertices")
+            if len(set(cycle)) != len(cycle):
+                raise DegenerateFace(f"face {idx} repeats a vertex")
+            if min(cycle) < 0:
+                raise DegenerateFace(f"face {idx} has a negative vertex id")
 
-    num_vertices = max(max(f) for f in faces) + 1
-    incidences = sum(len(f) for f in faces)
-    if num_vertices > incidences:
+    V = max(ids) + 1
+    if V > len(ids):
         # checked before any per-vertex table is sized by the largest id
         raise NotCubic(
-            f"vertex ids run to {num_vertices - 1}, but the faces have only "
-            f"{incidences} vertex slots, so some vertex lies on no face"
+            f"vertex ids run to {V - 1}, but the faces have only "
+            f"{len(ids)} vertex slots, so some vertex lies on no face"
         )
-    edge_faces: dict[frozenset[int], list[int]] = {}
-    for i, f in enumerate(faces):
-        for e in _face_edges(f):
-            edge_faces.setdefault(e, []).append(i)
-    for e, owners in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
-        if len(owners) != 2 or owners[0] == owners[1]:
-            u, v = sorted(e)
-            raise BadEdge(f"edge ({u},{v}) lies in faces {owners}, expected exactly 2")
+    owners = list(chain.from_iterable(map(repeat, range(len(faces)), map(len, faces))))
+    # edge {u, v} with u < v is keyed u * V + v, so key order is (u, v) order
+    after = chain.from_iterable(f[1:] + f[:1] for f in faces)
+    keys = [a * V + b if a < b else b * V + a for a, b in zip(ids, after)]
+    edge_count = Counter(keys)
+    if set(edge_count.values()) != {2}:
+        # a face repeats no vertex, so it holds each edge at most once
+        e = min(k for k, c in edge_count.items() if c != 2)
+        u, v = divmod(e, V)
+        on = [i for k, i in zip(keys, owners) if k == e]
+        raise BadEdge(f"edge ({u},{v}) lies in faces {on}, expected exactly 2")
 
-    vertex_faces: list[list[int]] = [[] for _ in range(num_vertices)]
-    for i, f in enumerate(faces):
-        for v in f:
-            vertex_faces[v].append(i)
-    for v, owners in enumerate(vertex_faces):
-        if len(owners) != 3:
-            raise NotCubic(f"vertex {v} lies on {len(owners)} faces, expected 3")
+    vertex_faces: list[list[int]] = [[] for _ in range(V)]
+    for v, i in zip(ids, owners):
+        vertex_faces[v].append(i)
+    for v, on in enumerate(vertex_faces):
+        if len(on) != 3:
+            raise NotCubic(f"vertex {v} lies on {len(on)} faces, expected 3")
 
-    V, E, F = num_vertices, len(edge_faces), len(faces)
+    E, F = len(edge_count), len(faces)
     if V - E + F != 2 or 2 * E != 3 * V:
         raise EulerViolation(f"V={V} E={E} F={F}: V-E+F={V - E + F}, 2E-3V={2 * E - 3 * V}")
     n = V // 2
     if F != n + 2 or n < 2:
         raise EulerViolation(f"face count {F} differs from n+2={n + 2}")
 
-    adjacency = [set() for _ in range(F)]
-    for a, b in edge_faces.values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    p = PlanarPolytope(
-        faces=tuple(faces),
-        n=n,
-        edges=frozenset(edge_faces),
-        vertex_faces=tuple(tuple(sorted(o)) for o in vertex_faces),
-        adjacency=tuple(frozenset(a) for a in adjacency),
-    )
-
+    nbrs: list[list[int]] = [[] for _ in range(V)]
+    # in (u, v) order, so every list comes out sorted
+    for u, v in map(divmod, sorted(edge_count), repeat(V)):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     seen, stack = {0}, [0]
     while stack:
-        for w in p.skeleton[stack.pop()]:
+        for w in nbrs[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
     if len(seen) != V:
         raise Disconnected(f"1-skeleton has {V - len(seen)} unreachable vertices")
-    return p
+    return PlanarPolytope(
+        faces=tuple(faces),
+        n=n,
+        vertex_faces=tuple(map(tuple, vertex_faces)),
+        skeleton=dict(enumerate(nbrs)),
+    )
 
 
 def three_color(p: PlanarPolytope) -> FaceColoring:
     """The proper face 3-coloring, by propagation.
 
     The three faces at a vertex pairwise share an edge, so two colored
-    faces at a vertex force the third. Walking the connected 1-skeleton
-    from the faces at one vertex therefore fixes every color (Heawood):
-    the coloring is unique up to permuting colors. Labels are assigned in
-    order of first appearance (face 0 gets 1), which gives the
+    faces at a vertex force the third, and the coloring is proper iff
+    the three faces at every vertex differ. Walking the connected
+    1-skeleton from the faces at one vertex therefore fixes every color
+    (Heawood): the coloring is unique up to permuting colors. Labels are
+    assigned in order of first appearance (face 0 gets 1), which gives the
     lexicographically first proper coloring.
     """
     colors = [0] * len(p.faces)
     start = p.faces[0][0]
     for label, f in enumerate(p.vertex_faces[start], 1):
         colors[f] = label
-    nbrs = p.skeleton
+    nbrs, vertex_faces = p.skeleton, p.vertex_faces
     seen, stack = {start}, [start]
     while stack:
         for w in nbrs[stack.pop()]:
@@ -182,19 +185,19 @@ def three_color(p: PlanarPolytope) -> FaceColoring:
                 continue
             seen.add(w)
             stack.append(w)
-            # the edge just walked lies on two faces at w, both colored
-            blank = [f for f in p.vertex_faces[w] if not colors[f]]
-            if blank:
-                missing = {1, 2, 3} - {colors[f] for f in p.vertex_faces[w]}
-                if len(missing) != 1:
-                    raise NotThreeColorable("faces admit no proper 3-coloring")
-                colors[blank[0]] = missing.pop()
-    first_seen = list(dict.fromkeys(colors))
-    colors = [first_seen.index(c) + 1 for c in colors]
-    if any(colors[a] == colors[b] for a, adj in enumerate(p.adjacency) for b in adj):
-        raise NotThreeColorable("faces admit no proper 3-coloring")
-
-    coloring = coloring_from_assignment(colors)
+            # the edge just walked lies on two faces at w, both colored, so
+            # at most one is blank; two distinct colors leave it 6 - their sum
+            a, b, c = vertex_faces[w]
+            if not colors[a]:
+                colors[a] = 6 - colors[b] - colors[c]
+            elif not colors[b]:
+                colors[b] = 6 - colors[a] - colors[c]
+            elif not colors[c]:
+                colors[c] = 6 - colors[a] - colors[b]
+            if len({colors[a], colors[b], colors[c]}) != 3:
+                raise NotThreeColorable("faces admit no proper 3-coloring")
+    relabel = {c: label for label, c in enumerate(dict.fromkeys(colors), 1)}
+    coloring = coloring_from_assignment(list(map(relabel.__getitem__, colors)))
     if coloring.class_sizes[0] < 2:
         raise NotThreeColorable(
             f"color class of size {coloring.class_sizes[0]} cannot cover all vertices"
@@ -205,7 +208,7 @@ def three_color(p: PlanarPolytope) -> FaceColoring:
 def coloring_from_assignment(colors: Sequence[int]) -> FaceColoring:
     """Wrap an already-proper color assignment as a FaceColoring."""
     chosen = tuple(int(c) for c in colors)
-    sizes = {label: sum(1 for c in chosen if c == label) for label in (1, 2, 3)}
+    sizes = {label: chosen.count(label) for label in (1, 2, 3)}
     order = sorted((1, 2, 3), key=lambda label: (sizes[label], label))
     return FaceColoring(
         colors=chosen,
@@ -269,7 +272,7 @@ def _truncated_octahedron_faces() -> list[list[int]]:
 
 CATALOG_NAMES = ("prism", "cube", "truncated-octahedron")
 # Faces of a catalog dump, from the commands' budget of half a second and
-# 64 MB: `catalog prism:9998` takes 0.16-0.17 s and 50 MB (3 fresh
+# 64 MB: `catalog prism:9998` takes 0.16-0.18 s and 36 MB (9 fresh
 # processes, peak RSS through os.wait4; 2-vCPU Xeon, Python 3.11.7).
 CATALOG_FACE_CAP = 10000
 

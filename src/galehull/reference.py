@@ -23,7 +23,7 @@ from operator import or_
 from typing import Sequence
 
 from .errors import StructureMismatch
-from .gale import HullModel, IncidenceSystem, members, subset_table
+from .gale import HullModel, IncidenceSystem, members
 
 
 def _layout(model: HullModel) -> tuple[list[range], range]:
@@ -78,8 +78,10 @@ def check_witness(
 ) -> None:
     """Require the vertex bijection `witness` to map the facets a of one
     polytope onto the facets b of another, both free of repeats: equal
-    facet counts, and the image of every facet, read through one OR
-    subset_table per half of its mask, a facet of b. Then it is a face
+    facet counts, and the image of every facet a facet of b. A facet's
+    image is that of all the vertices less that of the vertices it
+    misses, mapped one by one: at most F x N steps for F facets on N
+    vertices, and no table over the subsets. Then the witness is a face
     lattice isomorphism. The vertices are the union of the facets, as on
     every polytope of dimension 1 or more. StructureMismatch names the
     stage and the first facet that fails, with its image."""
@@ -88,15 +90,14 @@ def check_witness(
         raise StructureMismatch(f"{stage}: the witness is no bijection of the vertices")
     if len(a) != len(b):
         raise StructureMismatch(f"{stage}: {len(a)} facets against {len(b)} in the image")
-    images = [0] * vertices_a.bit_length()
-    for v, w in witness.items():
-        images[v] = 1 << w
-    low = len(images) // 2
-    keep = (1 << low) - 1
-    lows, highs = subset_table(images[:low], or_, 0), subset_table(images[low:], or_, 0)
+    image_of = {1 << v: 1 << w for v, w in witness.items()}
     facets = set(b)
     for f in a:
-        image = highs[f >> low] | lows[f & keep]
+        image, missed = vertices_b, vertices_a ^ f
+        while missed:
+            v = missed & -missed
+            image ^= image_of[v]
+            missed ^= v
         if image not in facets:
             raise StructureMismatch(
                 f"{stage}: facet {members(f)} maps to {members(image)}, no facet of the image"

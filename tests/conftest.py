@@ -9,6 +9,7 @@ from itertools import combinations, compress, islice, repeat
 from math import gcd, lcm
 from operator import add, and_, getitem, ne, or_, rshift
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Optional, Sequence, TypeVar
 
 import pytest
@@ -16,16 +17,25 @@ from hypothesis import strategies as st
 
 from galehull import analyze_polytope, catalog, relint_contains_zero, validate
 from galehull.errors import (
+    BadEdge,
+    BadInput,
     BadParameters,
     CriterionMismatch,
+    DegenerateFace,
     DegenerateInput,
     DimensionMismatch,
+    Disconnected,
+    EulerViolation,
+    NotCubic,
+    NotThreeColorable,
     StructureMismatch,
+    TheoremViolation,
     TooManyPoints,
 )
 from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, HullModel, members, subset_table
 from galehull.linalg import affine_dimension, dot, null_vector, pivot_columns, rank
 from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
+from galehull.polytopes import FaceColoring
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import gen  # noqa: E402
@@ -104,6 +114,155 @@ OVER_CAP = [
         for m1, m2, m3 in ((20, 22, 24), (20, 26, 26), (22, 22, 26), (24, 24, 24))
     ),
 ]
+
+
+# The front end as it was before validate counted edges by int key and
+# three_color checked the colors per vertex, kept verbatim as the reference
+# of the differential test in test_polytopes.py. validate_by_sorted_edges
+# returns a namespace with the fields and views that PlanarPolytope has.
+
+def validate_by_sorted_edges(raw: Sequence[Sequence[int]]) -> SimpleNamespace:
+    """Check the polyhedral-map axioms and build derived structures."""
+    if not isinstance(raw, (list, tuple)):
+        raise BadInput("faces must be a list of vertex-id lists")
+    if not raw:
+        raise DegenerateFace("no faces given")
+    faces = []
+    for idx, cycle in enumerate(raw):
+        if not isinstance(cycle, (list, tuple)):
+            raise BadInput(f"face {idx} is not a list of vertex ids")
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in cycle):
+            raise BadInput(f"face {idx} has a vertex id that is not an integer")
+        cyc = tuple(cycle)
+        if len(cyc) < 3:
+            raise DegenerateFace(f"face {idx} has fewer than 3 vertices")
+        if len(set(cyc)) != len(cyc):
+            raise DegenerateFace(f"face {idx} repeats a vertex")
+        if any(v < 0 for v in cyc):
+            raise DegenerateFace(f"face {idx} has a negative vertex id")
+        faces.append(cyc)
+
+    num_vertices = max(max(f) for f in faces) + 1
+    incidences = sum(len(f) for f in faces)
+    if num_vertices > incidences:
+        raise NotCubic(
+            f"vertex ids run to {num_vertices - 1}, but the faces have only "
+            f"{incidences} vertex slots, so some vertex lies on no face"
+        )
+    edge_faces: dict[frozenset[int], list[int]] = {}
+    for i, f in enumerate(faces):
+        for j, v in enumerate(f):
+            edge_faces.setdefault(frozenset((v, f[(j + 1) % len(f)])), []).append(i)
+    for e, owners in sorted(edge_faces.items(), key=lambda kv: sorted(kv[0])):
+        if len(owners) != 2 or owners[0] == owners[1]:
+            u, v = sorted(e)
+            raise BadEdge(f"edge ({u},{v}) lies in faces {owners}, expected exactly 2")
+
+    vertex_faces: list[list[int]] = [[] for _ in range(num_vertices)]
+    for i, f in enumerate(faces):
+        for v in f:
+            vertex_faces[v].append(i)
+    for v, owners in enumerate(vertex_faces):
+        if len(owners) != 3:
+            raise NotCubic(f"vertex {v} lies on {len(owners)} faces, expected 3")
+
+    V, E, F = num_vertices, len(edge_faces), len(faces)
+    if V - E + F != 2 or 2 * E != 3 * V:
+        raise EulerViolation(f"V={V} E={E} F={F}: V-E+F={V - E + F}, 2E-3V={2 * E - 3 * V}")
+    n = V // 2
+    if F != n + 2 or n < 2:
+        raise EulerViolation(f"face count {F} differs from n+2={n + 2}")
+
+    adjacency = [set() for _ in range(F)]
+    for a, b in edge_faces.values():
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    nbrs: dict[int, list[int]] = {v: [] for v in range(V)}
+    for u, v in edge_faces:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    p = SimpleNamespace(
+        faces=tuple(faces),
+        n=n,
+        num_vertices=V,
+        edges=frozenset(edge_faces),
+        vertex_faces=tuple(tuple(sorted(o)) for o in vertex_faces),
+        adjacency=tuple(frozenset(a) for a in adjacency),
+        skeleton={v: sorted(s) for v, s in nbrs.items()},
+    )
+
+    seen, stack = {0}, [0]
+    while stack:
+        for w in p.skeleton[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    if len(seen) != V:
+        raise Disconnected(f"1-skeleton has {V - len(seen)} unreachable vertices")
+    return p
+
+
+def three_color_by_adjacency(p) -> FaceColoring:
+    """The proper face 3-coloring by propagation, checked over every pair
+    of adjacent faces at the end."""
+    colors = [0] * len(p.faces)
+    start = p.faces[0][0]
+    for label, f in enumerate(p.vertex_faces[start], 1):
+        colors[f] = label
+    nbrs = p.skeleton
+    seen, stack = {start}, [start]
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if w in seen:
+                continue
+            seen.add(w)
+            stack.append(w)
+            blank = [f for f in p.vertex_faces[w] if not colors[f]]
+            if blank:
+                missing = {1, 2, 3} - {colors[f] for f in p.vertex_faces[w]}
+                if len(missing) != 1:
+                    raise NotThreeColorable("faces admit no proper 3-coloring")
+                colors[blank[0]] = missing.pop()
+    first_seen = list(dict.fromkeys(colors))
+    colors = [first_seen.index(c) + 1 for c in colors]
+    if any(colors[a] == colors[b] for a, adj in enumerate(p.adjacency) for b in adj):
+        raise NotThreeColorable("faces admit no proper 3-coloring")
+
+    chosen = tuple(int(c) for c in colors)
+    sizes = {label: sum(1 for c in chosen if c == label) for label in (1, 2, 3)}
+    order = sorted((1, 2, 3), key=lambda label: (sizes[label], label))
+    coloring = FaceColoring(
+        colors=chosen,
+        class_sizes=tuple(sizes[label] for label in order),
+        slot_colors=tuple(order),
+    )
+    if coloring.class_sizes[0] < 2:
+        raise NotThreeColorable(
+            f"color class of size {coloring.class_sizes[0]} cannot cover all vertices"
+        )
+    return coloring
+
+
+def dependency_roots_by_sorting(s) -> tuple[int, ...]:
+    """IncidenceSystem.dependency_roots with each vertex's faces sorted by
+    slot and every class pair joined through one root per vertex."""
+    slots = s.slots
+    by_slot = [sorted(faces, key=slots.__getitem__) for faces in s.polytope.vertex_faces]
+    for v, faces in enumerate(by_slot):
+        if [slots[j] for j in faces] != [0, 1, 2]:
+            raise TheoremViolation(f"vertex {v} is not on one face of each class")
+    parent = list(range(s.n + 2))
+
+    def root(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
+    for k, i, j in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        third: dict[tuple[int, int], int] = {}
+        for faces in by_slot:
+            parent[root(third.setdefault((faces[i], faces[j]), faces[k]))] = root(faces[k])
+    return tuple(map(root, range(len(parent))))
 
 
 def matvec(rows, v) -> tuple:
@@ -354,6 +513,27 @@ def spanning_hyperplane(
     if lead < 0:
         normal = tuple(-x for x in normal)
     return normal, dot(normal, points[0])
+
+
+def simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]]) -> int:
+    """Number of facets of the simplex conv(others) strictly separating
+    the point: its negative barycentric coordinates, read off the one null
+    vector (lam, mu) of [[others | -point], [1 ... 1 | -1]] as lam / mu.
+
+    A one-dimensional null space with mu != 0 certifies that the others
+    are affinely independent and that the point lies in their affine hull;
+    anything else raises StructureMismatch. The per-vertex solve that
+    pipeline.type_one_checks replaced by one affine dependency of all the
+    vertices, kept as its reference.
+    """
+    rows = [[o[r] for o in others] + [-point[r]] for r in range(len(point))]
+    vec = null_vector(rows + [[1] * len(others) + [-1]])
+    if vec is None or vec[-1] == 0:
+        raise StructureMismatch(
+            "the other points are no simplex whose affine hull holds the point"
+        )
+    *lam, mu = vec
+    return sum(1 for x in lam if x * mu < 0)
 
 
 def facet_supports_by_keys(qpts: list[tuple], d: int):

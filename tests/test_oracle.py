@@ -294,10 +294,7 @@ def test_facet_scan_past_the_point_cap_equals_the_model(name, build):
     witness = {v: i for i, v in enumerate(block_order(system, model))}
     images = sorted(sum(1 << witness[v] for v in members(f)) for f in facets)
     assert images == sorted(model_facets(model))
-    if len(qpts) <= 36:
-        # check_witness reads an OR table of 2^(N/2) entries per half,
-        # 2^24 of them at 48 points
-        check_witness(facets, model_facets(model), witness, name)
+    check_witness(facets, model_facets(model), witness, name)
 
 
 def test_oracle_facets_refuse_past_the_point_cap():

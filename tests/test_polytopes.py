@@ -3,21 +3,32 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from galehull import catalog, hamiltonian_cycle, three_color, validate
+from conftest import (
+    UP_TO_14,
+    dependency_roots_by_sorting,
+    gluings,
+    three_color_by_adjacency,
+    validate_by_sorted_edges,
+)
+from galehull import IncidenceSystem, catalog, hamiltonian_cycle, three_color, validate
 from galehull.errors import (
     BadEdge,
     BadParameters,
     DegenerateFace,
     Disconnected,
     EulerViolation,
+    GalehullError,
     NotCubic,
     NotThreeColorable,
     OddPrism,
     TooLarge,
     UnknownName,
 )
-from instances import INSTANCE_BUILDERS
+from galehull.polytopes import _prism_faces, coloring_from_assignment
+from instances import INSTANCE_BUILDERS, two_cubes_polytope
 
 TETRAHEDRON = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
 
@@ -206,3 +217,141 @@ def test_hamiltonian_cycles_on_catalog(cube, prism6, prism8, trunc_oct):
 def test_hamiltonian_cap():
     with pytest.raises(TooLarge):
         hamiltonian_cycle(catalog("prism", 16))  # 32 vertices
+
+
+# --- the front end against the reference it replaced ------------------------
+
+def _outcome(f, *args):
+    """What f(*args) returns, or the class and message of the error it raises."""
+    try:
+        return f(*args), None
+    except GalehullError as exc:
+        return None, (type(exc), str(exc))
+
+
+def _bases():
+    """Face lists to mutate: the catalog, the hand-glued instances, maps that
+    pass validation but have no proper coloring, and a disconnected one."""
+    maps = [catalog("cube"), catalog("prism", 6), catalog("prism", 8),
+            catalog("truncated-octahedron"), catalog("prism", 12), two_cubes_polytope()]
+    maps += [build() for build in INSTANCE_BUILDERS]
+    bases = [[list(f) for f in p.faces] for p in maps]
+    bases += [_prism_faces(5), _prism_faces(7), TETRAHEDRON]
+    bases += [TETRAHEDRON + [[v + 4 for v in f] for f in K33_TORUS]]
+    return bases
+
+
+BASES = _bases()
+BAD_IDS = (True, False, -1, -7, 1.0, "3", None, [0], 10**12)
+BAD_FACES = (5, "abc", None, (), [0, 1], {"a": 1})
+
+
+@st.composite
+def mutated_face_lists(draw):
+    """A catalog or glued face list with up to three mutations: dropped,
+    duplicated, merged, reversed, truncated or relabelled faces, shuffled
+    faces, and bad vertex ids or faces."""
+    faces = draw(st.one_of(
+        st.sampled_from(BASES), gluings(UP_TO_14).map(lambda inst: inst.faces)
+    ))
+    faces = [list(f) for f in faces]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from((
+            "drop", "duplicate", "merge", "reverse", "truncate", "relabel",
+            "rename", "shuffle", "bad id", "repeat id", "bad face", "tuple face",
+        )))
+        if not faces:
+            break
+        i = draw(st.integers(0, len(faces) - 1))
+        j = draw(st.integers(0, len(faces) - 1))
+        face = faces[i]
+        k = draw(st.integers(0, len(face) - 1)) if isinstance(face, list) and face else None
+        if kind == "drop":
+            del faces[i]
+        elif kind == "duplicate":
+            faces.insert(j, face)
+        elif kind == "merge" and i != j and isinstance(face, list) and isinstance(faces[j], list):
+            faces[i] = face + faces[j]
+            del faces[j]
+        elif kind == "reverse" and isinstance(face, list):
+            faces[i] = face[::-1]
+        elif kind == "truncate" and isinstance(face, list):
+            faces[i] = face[:-1]
+        elif kind == "relabel":
+            ids = sorted({v for f in faces if isinstance(f, list) for v in f if type(v) is int})
+            perm = dict(zip(ids, draw(st.permutations(ids))))
+            faces = [[perm.get(v, v) for v in f] if isinstance(f, list) else f for f in faces]
+        elif kind == "rename" and k is not None:
+            faces[i] = face[:k] + [draw(st.integers(0, 2 * len(faces)))] + face[k + 1:]
+        elif kind == "shuffle":
+            faces = draw(st.permutations(faces))
+        elif kind == "bad id" and k is not None:
+            faces[i] = face[:k] + [draw(st.sampled_from(BAD_IDS))] + face[k + 1:]
+        elif kind == "repeat id" and k:
+            faces[i] = face[:k] + [face[k - 1]] + face[k + 1:]
+        elif kind == "bad face":
+            faces[i] = draw(st.sampled_from(BAD_FACES))
+        elif kind == "tuple face" and isinstance(face, list):
+            faces[i] = tuple(face)
+    return faces
+
+
+def _require_reference_front_end(raw, assignment=None):
+    """validate, three_color and dependency_roots equal their references on
+    raw: the same polytope, coloring and roots, or the same error class and
+    message. An assignment of colors also checks the roots of that coloring,
+    proper or not."""
+    p, error = _outcome(validate, raw)
+    ref, ref_error = _outcome(validate_by_sorted_edges, raw)
+    assert error == ref_error
+    if error:
+        return error
+    fields = ("faces", "n", "num_vertices", "vertex_faces", "adjacency", "edges", "skeleton")
+    assert [getattr(p, f) for f in fields] == [getattr(ref, f) for f in fields]
+    colorings = [_outcome(three_color, p)]
+    assert colorings[0] == _outcome(three_color_by_adjacency, ref)
+    if assignment is not None:
+        colorings.append((coloring_from_assignment(assignment[:len(p.faces)]), None))
+    for coloring, _ in colorings:
+        if coloring is not None:
+            s = IncidenceSystem(p, coloring)
+            roots = _outcome(lambda: s.dependency_roots)
+            assert roots == _outcome(dependency_roots_by_sorting, IncidenceSystem(p, coloring))
+    return colorings[0][1]
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(mutated_face_lists(), st.lists(st.integers(1, 3), min_size=80, max_size=80))
+@example([[0, 1, 2], [0, 2, 1]], [1] * 80)
+@example({"faces": []}, [1] * 80)
+@example(TETRAHEDRON + [[v + 4 for v in f] for f in K33_TORUS], [1] * 80)    # Disconnected
+@example(TETRAHEDRON + [[v + 4 for v in f] for f in TETRAHEDRON], [1] * 80)  # EulerViolation
+@example([[v + 1 for v in f] for f in _prism_faces(4)], [1] * 80)             # NotCubic
+def test_front_end_equals_the_reference(raw, assignment):
+    _require_reference_front_end(raw, assignment)
+
+
+def test_the_first_bad_edge_in_uv_order_is_named():
+    """The cube without its bottom face has four edges on one face each.
+    With the side through (4,7) listed first, its bad edge is counted
+    first, but (4,5) comes first in (u, v) order and is the one named."""
+    faces = [list(f) for f in catalog("cube").faces]
+    del faces[1]
+    faces.insert(0, faces.pop())
+    assert faces[0] == [3, 0, 4, 7]
+    error = _require_reference_front_end(faces)
+    assert error == (BadEdge, "edge (4,5) lies in faces [2], expected exactly 2")
+
+
+def test_a_face_listed_twice_is_named_with_all_its_owners():
+    faces = _prism_faces(996)
+    faces.append(faces[2])
+    error = _require_reference_front_end(faces)
+    assert error == (BadEdge, "edge (0,1) lies in faces [0, 2, 998], expected exactly 2")
+
+
+def test_edges_and_adjacency_are_built_on_first_read(cube):
+    p = validate([list(f) for f in cube.faces])
+    assert "edges" not in vars(p) and "adjacency" not in vars(p)
+    assert p.edges == cube.edges and p.adjacency == cube.adjacency
+    assert "edges" in vars(p) and "adjacency" in vars(p)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +23,10 @@ from galehull import (
     validate,
     verify_polytope,
 )
-from conftest import gen, lattice_isomorphic, tkn_model
+from conftest import gen, lattice_isomorphic, simplex_beyond_count, tkn_model
 from galehull.errors import CriterionMismatch, StructureMismatch
-from galehull.pipeline import _simplex_beyond_count, type_one_checks
+from galehull.gale import hull_model
+from galehull.pipeline import type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror
 
 
@@ -179,19 +181,23 @@ def test_dropping_a_middle_vertex_leaves_a_simplex(verification):
 
 @pytest.mark.parametrize("build", TYPE_ONE_BUILDERS.values(), ids=TYPE_ONE_BUILDERS)
 def test_barycentric_count_equals_facet_scan(build):
-    s = analyze_polytope(build()).system
+    """The counts read off one affine dependency equal the per-vertex
+    solve of the reference and the facets of the scan."""
+    analysis = analyze_polytope(build())
+    s = analysis.system
     facets = oracle_lattice(s.vectors).facets
+    counts = type_one_checks(analysis)["beyondCounts"]
+    assert sorted(map(int, counts)) == list(s.class_indices(1))
     for v0 in s.class_indices(1):
         rest = [s.vectors[j] for j in range(len(s.vectors)) if j != v0]
-        assert _simplex_beyond_count(s.vectors[v0], rest) == _beyond_by_oracle_facets(
-            facets, len(s.vectors), v0
-        )
+        assert counts[str(v0)] == simplex_beyond_count(s.vectors[v0], rest)
+        assert counts[str(v0)] == _beyond_by_oracle_facets(facets, len(s.vectors), v0)
 
 
 def test_barycentric_count_on_a_triangle():
     triangle = [(0, 0), (3, 0), (0, 3)]
     for point, count in [((1, 1), 0), ((4, 4), 1), ((-1, -1), 2), ((0, 1), 0)]:
-        assert _simplex_beyond_count(point, triangle) == count
+        assert simplex_beyond_count(point, triangle) == count
 
 
 def test_a_dropped_facet_fails_the_recount(type_one, verification, monkeypatch):
@@ -228,7 +234,17 @@ def test_a_dropped_facet_fails_the_recount(type_one, verification, monkeypatch):
 )
 def test_degenerate_others_raise(point, others):
     with pytest.raises(StructureMismatch, match="no simplex"):
-        _simplex_beyond_count(point, others)
+        simplex_beyond_count(point, others)
+    # the same points as a hull whose one middle-class vertex is the point
+    points = [*others, point]
+    analysis = SimpleNamespace(
+        report=hull_model((4, 5, 6)),
+        system=SimpleNamespace(vectors=points, class_indices=lambda slot: (len(others),)),
+    )
+    with pytest.raises(
+        StructureMismatch, match="^the other points are no simplex whose affine hull holds the point$"
+    ):
+        type_one_checks(analysis)
 
 
 def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
