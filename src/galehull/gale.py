@@ -44,7 +44,7 @@ from .errors import (
     TheoremViolation,
     TooManyPoints,
 )
-from .linalg import affine_dimension, dot, null_space_basis, primitive_vector
+from .linalg import affine_coordinates, affine_dimension, dot, primitive_vector
 from .polytopes import FaceColoring, PlanarPolytope
 
 ANALYSIS_VERTEX_CAP = 24  # hull vertices (= faces of the input polytope)
@@ -300,13 +300,14 @@ def gale_transform(s: IncidenceSystem, model: HullModel) -> GaleDiagram:
     one face of each class, so the class-constant x = (y1, y2, y3) with
     y1 + y2 + y3 = 0 = m1 y1 + m2 y2 + m3 y3 are affine dependencies of
     the hull vertices, and the dimension proves they span the whole null
-    space. The points are those of the basis null_space_basis returns,
-    whose free columns are the last faces of the classes, latest first: a
-    1 at each free column, 0 at the other. For unequal sizes that divides
-    the model's values by the value at the latest class whose value is not
-    zero; for equal sizes it places the model's three points in free-column
-    order. Either way the diagram is the model's under one invertible
-    linear map, which changes no relint answer and no Gale rank.
+    space. The points are those of the canonical basis that
+    rref_gale_points reads, whose free columns are the last faces of the
+    classes, latest first: a 1 at each free column, 0 at the other. For
+    unequal sizes that divides the model's values by the value at the
+    latest class whose value is not zero; for equal sizes it places the
+    model's three points in free-column order. Either way the diagram is
+    the model's under one invertible linear map, which changes no relint
+    answer and no Gale rank.
     """
     d = hull_dimension(s)  # pins the null-space dimension to the basis length
     if d != model.dim:
@@ -327,11 +328,22 @@ def gale_transform(s: IncidenceSystem, model: HullModel) -> GaleDiagram:
 
 def rref_gale_points(s: IncidenceSystem) -> tuple[Point, ...]:
     """The Gale points by elimination: rows of the canonical null-space
-    basis of the homogenized vertex matrix. Cubic in n; verification runs
-    it as an independent cross-check of gale_transform."""
-    npts = s.n + 2
-    basis = null_space_basis([[1] * npts] + [list(col) for col in zip(*s.vectors)])
-    return tuple(tuple(b[j] for b in basis) for j in range(npts))
+    basis of the homogenized vertex matrix, one vector per free column in
+    increasing order. affine_coordinates' table is that matrix's RREF
+    times table[base[0]][0], so a free point's row is a unit vector and
+    base point i's row holds -table[f][i] over that multiple at each free
+    column f. Cubic in n; verification runs it as an independent
+    cross-check of gale_transform."""
+    base, table = affine_coordinates(s.vectors)
+    scale = table[base[0]][0]
+    slot = dict(zip(base, range(len(base))))
+    free = [f for f in range(len(table)) if f not in slot]
+    return tuple(
+        tuple(Fraction(-table[f][slot[j]], scale) for f in free)
+        if j in slot
+        else tuple(Fraction(f == j) for f in free)
+        for j in range(len(table))
+    )
 
 
 def relint_contains_zero(points: Sequence[Sequence[Fraction | int]]) -> bool:

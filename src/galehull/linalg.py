@@ -5,10 +5,12 @@ are never floats. Rank, pivot columns, one-dimensional null spaces and
 barycentric coordinates run fraction-free: each row is scaled to integers,
 then eliminated by integer cross-multiplication with per-row gcd
 stripping (after Bareiss, Math. Comp. 1968), so integer inputs never
-build a Fraction. The RREF is eliminated the same way and divides each
-pivot row by its pivot only at the end; the general null space reads
-its canonical basis off it (free columns in increasing index order, so
-Gale transforms are reproducible).
+build a Fraction. affine_coordinates is the one Gauss-Jordan pass over a
+point configuration: its table is the reduced row echelon form of the
+homogenized points times one common multiple, so the canonical basis of
+their affine dependencies (free columns in increasing index order, so
+Gale transforms are reproducible) is read off it by dividing by that
+multiple.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Optional, Sequence
 from .errors import DimensionMismatch
 
 Row = Sequence[Fraction | int]
-Point = tuple[Fraction, ...]
 
 
 def _to_int_rows(rows: Sequence[Row]) -> list[list[int]]:
@@ -88,8 +89,8 @@ def rank(rows: Sequence[Row]) -> int:
 def null_vector(rows: Sequence[Row]) -> Optional[tuple[int, ...]]:
     """The primitive integer vector spanning {x : Mx = 0}, fraction-free.
 
-    It is the positive multiple of the null_space_basis vector (positive
-    at the free column). Returns None unless the null space is
+    It is the positive multiple of the canonical basis vector, the one
+    that is 1 at the free column. Returns None unless the null space is
     one-dimensional.
     """
     m, pivots = _eliminate(rows, reduce=True)
@@ -103,36 +104,6 @@ def null_vector(rows: Sequence[Row]) -> Optional[tuple[int, ...]]:
     for i, c in enumerate(pivots):
         v[c] = -m[i][free] * (scale // m[i][c])
     return tuple(_strip_gcd(v))
-
-
-def rref(rows: Sequence[Row]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices).
-
-    Eliminated fraction-free, then each pivot row divided by its pivot.
-    """
-    m, pivots = _eliminate(rows, reduce=True)
-    R = [[Fraction(x, row[c]) for x in row] for row, c in zip(m, pivots)]
-    R += [[Fraction(0)] * len(m[0]) for _ in range(len(m) - len(pivots))]
-    return R, pivots
-
-
-def null_space_basis(rows: Sequence[Row]) -> list[Point]:
-    """Canonical basis of {x : Mx = 0}, one vector per RREF free column."""
-    if not rows:
-        raise ValueError("null space of an empty matrix")
-    R, pivots = rref(rows)
-    ncols = len(rows[0])
-    pivset = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r_idx, c in enumerate(pivots):
-            v[c] = -R[r_idx][f]
-        basis.append(tuple(v))
-    return basis
 
 
 def affine_dimension(points: Sequence[Sequence[Fraction | int]]) -> int:

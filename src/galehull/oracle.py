@@ -3,22 +3,22 @@
 This is the ground truth the Gale machinery is validated against, so it
 is pure geometry and shares nothing with the coface criterion.
 oracle_facets finds the facets by scanning the d-subsets for spanning
-hyperplanes with all points on one closed side. One elimination fixes a
-base simplex of d + 1 points and every point's barycentric coordinates
-in it; a subset's plane then solves one row per subset point off the
-base, at most N - d - 1 rows. Only d affinely independent points span a
-plane, so the scan certifies each facet's dimension, and no facet is
-ranked again. oracle_lattice reads the rest of the lattice off the
-point-facet incidences: a face is the largest point subset that has its
-facet set, read for every subset off per-half tables, and each face is
-graded one above a face that is one point smaller, or by its exact
-affine rank when there is none. verify's and compare's facet-level
-checks read the scanned facets, so each hull is scanned once. The
-arithmetic is fraction-free: hull coordinates are pivot columns and the
-base coordinates come from integer elimination, so every plane is
-evaluated in ints. Desk scale only (at most 26 points), and
-oracle_lattice reads all 2^N point subsets whatever the face count: 26
-points of a convex polygon, 54 faces, take about 3.2 s.
+hyperplanes with all points on one closed side. One elimination of the
+points as given, in any ambient dimension, fixes a base simplex of d + 1
+points, which reads off d, and every point's barycentric coordinates in
+it; a subset's plane then solves one row per subset point off the base,
+at most N - d - 1 rows. Only d affinely independent points span a plane,
+so the scan certifies each facet's dimension, and no facet is ranked
+again. oracle_lattice reads the rest of the lattice off the point-facet
+incidences: a face is the largest point subset that has its facet set,
+read for every subset off per-half tables, and each face is graded one
+above a face that is one point smaller, or by its exact affine rank when
+there is none. verify's and compare's facet-level checks read the
+scanned facets, so each hull is scanned once. The arithmetic is
+fraction-free: the base coordinates come from integer elimination, so
+every plane is evaluated in ints. Desk scale only (at most 26 points),
+and oracle_lattice reads all 2^N point subsets whatever the face count:
+26 points of a convex polygon, 54 faces, take about 3.2 s.
 """
 
 from __future__ import annotations
@@ -28,14 +28,9 @@ from itertools import combinations, count, product, starmap
 from operator import and_
 from typing import Sequence
 
-from .errors import (
-    DegenerateInput,
-    DimensionMismatch,
-    StructureMismatch,
-    TooManyPoints,
-)
+from .errors import DegenerateInput, DimensionMismatch, StructureMismatch, TooManyPoints
 from .gale import FaceLattice, members, subset_table
-from .linalg import affine_coordinates, affine_dimension, null_vector, pivot_columns
+from .linalg import affine_coordinates, affine_dimension, null_vector
 
 POINT_CAP = 26
 
@@ -51,27 +46,12 @@ def _check_points(points) -> list[tuple]:
     return pts
 
 
-def _project_to_hull_coordinates(pts: list[tuple]) -> tuple[list[tuple], int]:
-    """Restrict to the pivot coordinates of the affine hull.
-
-    Selecting the pivot columns of the difference matrix is a linear
-    isomorphism of the affine hull onto R^d, so faces are preserved.
-    """
-    p0 = pts[0]
-    diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
-    if not diffs:
-        return [()] * len(pts), 0
-    pivots = pivot_columns(diffs)
-    return [tuple(p[c] for c in pivots) for p in pts], len(pivots)
-
-
-def _facet_supports(qpts: list[tuple], d: int) -> list[int]:
-    """The facets of full-dimensional conv(qpts) in R^d, as masks with bit
-    i set when qpts[i] lies on the facet, in the order the scan finds them."""
-    base, table = affine_coordinates(qpts)
-    if len(base) != d + 1:
-        raise StructureMismatch(f"{len(base)} affinely independent points in dimension {d}")
-    n = len(qpts)
+def _facet_supports(base: list[int], table: list[tuple[int, ...]]) -> list[int]:
+    """The facets of conv(points), given as affine_coordinates(points) of
+    dimension d = len(base) - 1 >= 1, as masks with bit i set when
+    points[i] lies on the facet, in the order the scan finds them."""
+    d = len(base) - 1
+    n = len(table)
     slot = dict(zip(base, range(d + 1)))
     outside = [j for j in range(n) if j not in slot]
     full = (1 << n) - 1
@@ -101,17 +81,17 @@ def _facet_supports(qpts: list[tuple], d: int) -> list[int]:
     return out
 
 
-def oracle_facets(points: Sequence[Sequence[Fraction | int]]) -> tuple[list[tuple], list[int]]:
-    """The points in coordinates of their affine hull R^d, and the facets
-    of conv(points) as masks over the points, which need not be vertices,
-    in the order the scan finds them. Each facet has affine dimension
-    d - 1 by construction: the scan takes a plane only when the values at
-    the base that vanish on its d points form a line, that is when the
-    points are affinely independent, and the facet's mask holds them."""
-    qpts, d = _project_to_hull_coordinates(_check_points(points))
-    if d == 0:
+def oracle_facets(points: Sequence[Sequence[Fraction | int]]) -> tuple[int, list[int]]:
+    """The dimension d of conv(points), and its facets as masks over the
+    points, which need not be vertices, in the order the scan finds them.
+    Each facet has affine dimension d - 1 by construction: the scan takes
+    a plane only when the values at the base that vanish on its d points
+    form a line, that is when the points are affinely independent, and
+    the facet's mask holds them."""
+    base, table = affine_coordinates(_check_points(points))
+    if len(base) == 1:
         raise DegenerateInput("all points coincide")
-    return qpts, _facet_supports(qpts, d)
+    return len(base) - 1, _facet_supports(base, table)
 
 
 def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
@@ -132,15 +112,14 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     almost every point subset is a face, but not on low-dimensional point
     sets (26 points of a convex polygon, 54 faces, take about 3.2 s).
     """
-    qpts, facets = oracle_facets(points)
-    d = len(qpts[0])
+    d, facets = oracle_facets(points)
     # inc[i] holds the facets through point i, so a point subset lies on
     # the AND of its points' inc. Each half's subset_table holds that AND
     # for every subset of its points, so the product visits every subset
     # in ascending mask order. The last subset with a facet set, the union
     # of them all, is the face that has it. The dict goes before grading:
     # kept, it adds to the peak memory.
-    n = len(qpts)
+    n = len(points)
     top = (1 << n) - 1
     inc = [sum(1 << k for k, f in enumerate(facets) if f >> i & 1) for i in range(n)]
     every = (1 << len(facets)) - 1
@@ -161,7 +140,7 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
         if dim is None:
             dim = next((faces[g] for i in members(f) if (g := f ^ 1 << i) in faces), None)
         faces[f] = (
-            affine_dimension([qpts[i] for i in members(f)]) if dim is None else dim + 1
+            affine_dimension([points[i] for i in members(f)]) if dim is None else dim + 1
         )
     if faces[top] != d or any(faces[f] != d - 1 for f in facets):
         raise StructureMismatch("pyramid grading disagrees with the facet ranks")

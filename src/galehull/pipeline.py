@@ -132,8 +132,9 @@ def type_one_checks(analysis: Analysis) -> dict:
     it is a facet of S with v strictly beneath it. verify_polytope's
     witness carries the hull's facets onto those of T^n_{m2-1} before this
     runs, and there each class-A vertex misses the m1 + m3 facets that
-    omit it: the facets put it beyond N - 1 - (m1 + m3) = m2 - 1. The barycentric count must equal m2 - 1
-    too; it is the independent geometric check of that reading.
+    omit it: the facets put it beyond N - 1 - (m1 + m3) = m2 - 1. The
+    barycentric count must equal m2 - 1 too; it is the independent
+    geometric check of that reading.
     Simpliciality and equality with the oracle lattice are checked before
     this runs, so the report states them without a second check."""
     report = analysis.report

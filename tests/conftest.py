@@ -33,8 +33,15 @@ from galehull.errors import (
     TooManyPoints,
 )
 from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, HullModel, members, subset_table
-from galehull.linalg import affine_dimension, dot, null_vector, pivot_columns, rank
-from galehull.oracle import _check_points, _facet_supports, _project_to_hull_coordinates
+from galehull.linalg import (
+    affine_coordinates,
+    affine_dimension,
+    dot,
+    null_vector,
+    pivot_columns,
+    rank,
+)
+from galehull.oracle import _check_points, _facet_supports
 from galehull.polytopes import FaceColoring
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -443,8 +450,9 @@ def byte_fold(
 
 def rref_by_fractions(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Gauss-Jordan over Fractions, dividing each pivot row at once: the
-    form that the fraction-free linalg.rref replaced, kept as its
-    reference."""
+    form that the fraction-free elimination replaced, kept as the
+    reference for its pivots and, through null_space_by_fractions, for
+    the canonical basis that gale.rref_gale_points reads."""
     R = [[Fraction(x) for x in row] for row in rows]
     nrows, ncols = len(R), len(R[0])
     pivots: list[int] = []
@@ -465,6 +473,23 @@ def rref_by_fractions(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == nrows:
             break
     return R, pivots
+
+
+def null_space_by_fractions(rows) -> list[tuple[Fraction, ...]]:
+    """The canonical null space basis read off rref_by_fractions, one
+    vector per free column in increasing order, 1 there and 0 at the
+    other free columns: the form that gale.rref_gale_points replaced by
+    reading affine_coordinates' table, kept as its reference."""
+    R, pivots = rref_by_fractions(rows)
+    basis = []
+    for f in range(len(rows[0])):
+        if f not in pivots:
+            v = [Fraction(0)] * len(rows[0])
+            v[f] = Fraction(1)
+            for r_idx, c in enumerate(pivots):
+                v[c] = -R[r_idx][f]
+            basis.append(tuple(v))
+    return basis
 
 
 def primitive_vector_by_fractions(vec) -> tuple[int, ...]:
@@ -536,6 +561,54 @@ def simplex_beyond_count(point: Sequence[int], others: Sequence[Sequence[int]]) 
     return sum(1 for x in lam if x * mu < 0)
 
 
+def project_to_hull_coordinates(pts: list[tuple]) -> tuple[list[tuple], int]:
+    """Restrict to the pivot coordinates of the affine hull, and its
+    dimension d.
+
+    Selecting the pivot columns of the difference matrix is a linear
+    isomorphism of the affine hull onto R^d, so faces are preserved. The
+    projection that oracle.oracle_facets dropped when it began to scan
+    the points as given, kept because the reference scan below needs
+    points in R^d.
+    """
+    p0 = pts[0]
+    diffs = [[a - b for a, b in zip(p, p0)] for p in pts[1:]]
+    if not diffs:
+        return [()] * len(pts), 0
+    pivots = pivot_columns(diffs)
+    return [tuple(p[c] for c in pivots) for p in pts], len(pivots)
+
+
+@st.composite
+def embedded_point_sets(draw):
+    """(points, image): 1-11 points of R^d, d in 1-4, with int or Fraction
+    coordinates, repeated points and a prefix on one line, so that the
+    first d + 1 points are affinely dependent, and their image under a
+    random injective affine map into R^(d + 0..3): a point set that is
+    not full-dimensional whenever the map adds dimensions."""
+    d = draw(st.integers(1, 4))
+    coordinate = draw(st.sampled_from([
+        st.integers(-3, 3),
+        st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    ]))
+    points = draw(st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=7))
+    p, q = points[0], draw(st.sampled_from(points))
+    line = [
+        tuple(a + k * (b - a) for a, b in zip(p, q))
+        for k in draw(st.lists(st.integers(-2, 3), max_size=2))
+    ]
+    repeats = draw(st.lists(st.sampled_from(points), max_size=2))
+    points = points[:1] + line + points[1:] + repeats
+    ambient = d + draw(st.integers(0, 3))
+    linear = draw(
+        st.lists(st.tuples(*[coordinate] * d), min_size=ambient, max_size=ambient)
+        .filter(lambda rows: rank(rows) == d)
+    )
+    shift = draw(st.tuples(*[coordinate] * ambient))
+    image = [tuple(dot(row, x) + t for row, t in zip(linear, shift)) for x in points]
+    return points, image
+
+
 def facet_supports_by_keys(qpts: list[tuple], d: int):
     """The facet masks, with every d-subset spanned by its own elimination
     and its hyperplane deduplicated by key: the scan that
@@ -563,11 +636,11 @@ def oracle_lattice_by_joins(points: Sequence[Sequence[Fraction | int]]) -> FaceL
     """The join closure that oracle.oracle_lattice's per-half facet-set
     tables and pyramid grading replaced, kept verbatim as their reference."""
     pts = _check_points(points)
-    qpts, d = _project_to_hull_coordinates(pts)
+    qpts, d = project_to_hull_coordinates(pts)
     if d == 0:
         raise DegenerateInput("all points coincide")
 
-    facets = _facet_supports(qpts, d)
+    facets = _facet_supports(*affine_coordinates(qpts))
     for f in facets:
         r = affine_dimension([qpts[i] for i in members(f)])
         if r != d - 1:

@@ -6,9 +6,10 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
@@ -17,10 +18,12 @@ from conftest import (
     UP_TO_14,
     byte_fold,
     class_masks,
+    embedded_point_sets,
     enumerate_faces_by_mask_scan,
     enumerate_faces_by_subset,
     gluings,
     neighborliness_by_combinations,
+    null_space_by_fractions,
     ranks_by_elimination,
     vectors_by_faces,
 )
@@ -47,7 +50,7 @@ from galehull import (
 from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
 from galehull.gale import IncidenceSystem, rref_gale_points, subset_table
-from galehull.linalg import affine_dimension, rank
+from galehull.linalg import affine_dimension, dot, rank
 from galehull.polytopes import coloring_from_assignment
 
 F = Fraction
@@ -265,6 +268,42 @@ def test_closed_form_diagram_equals_rref_route_relabelled(data):
     assert _gale(s).points == rref_gale_points(s)
 
 
+def _gale_points_by_fractions(points):
+    """The rows of null_space_by_fractions of the homogenized points."""
+    basis = null_space_by_fractions([[1] * len(points), *map(list, zip(*points))])
+    return tuple(tuple(b[j] for b in basis) for j in range(len(points)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(embedded_point_sets())
+@example(([(0,), (1,)], [(0,), (1,)]))
+@example(([(3,), (3,)], [(3, 1), (3, 1)]))
+def test_rref_gale_points_equal_the_fraction_reference(sets):
+    """rref_gale_points reads only s.vectors, so it applies to any points:
+    on each set and on its image off full dimension it gives the Fraction
+    RREF's canonical basis, whose columns are affine dependencies, one per
+    point off a base. An injective affine map keeps every affine
+    dependency, so the image has the same Gale points."""
+    points, image = sets
+    by_rref = rref_gale_points(SimpleNamespace(vectors=points))
+    assert by_rref == _gale_points_by_fractions(points)
+    assert rref_gale_points(SimpleNamespace(vectors=image)) == by_rref
+    assert _gale_points_by_fractions(image) == by_rref
+    columns = list(zip(*by_rref))
+    assert len(columns) == len(points) - 1 - affine_dimension(points)
+    for lam in columns:
+        assert sum(lam) == 0
+        assert all(dot(lam, coordinate) == 0 for coordinate in zip(*image))
+
+
+def test_rref_gale_points_hand_solved():
+    # x + y + z = 0, y + 2z = 0  =>  (x, y, z) = z * (1, -2, 1)
+    assert rref_gale_points(SimpleNamespace(vectors=[(0,), (1,), (2,)])) == ((1,), (-2,), (1,))
+    # affinely independent points have no dependency; the free column takes the 1
+    assert rref_gale_points(SimpleNamespace(vectors=[(0, 0), (1, 0), (0, 1)])) == ((), (), ())
+    assert rref_gale_points(SimpleNamespace(vectors=[(5,), (5,)])) == ((-1,), (1,))
+
+
 def _incidences_equal_the_eager_build(p):
     """s.vectors equals the eager build, and each vertex-face list the
     ascending faces whose vector holds the vertex, which the certificates
@@ -344,13 +383,13 @@ def test_only_verify_runs_the_rref_route(monkeypatch):
     import galehull.gale as gale_module
 
     calls = []
-    exact = gale_module.null_space_basis
+    exact = gale_module.affine_coordinates
 
-    def counting(rows):
-        calls.append(len(rows))
-        return exact(rows)
+    def counting(points):
+        calls.append(len(points))
+        return exact(points)
 
-    monkeypatch.setattr(gale_module, "null_space_basis", counting)
+    monkeypatch.setattr(gale_module, "affine_coordinates", counting)
     for name, param in (("cube", None), ("prism", 6)):
         p = catalog(name, param)
         analyze_polytope(p)

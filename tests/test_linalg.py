@@ -9,21 +9,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import matvec, primitive_vector_by_fractions, rref_by_fractions, spanning_hyperplane
+from conftest import (
+    matvec,
+    null_space_by_fractions,
+    primitive_vector_by_fractions,
+    project_to_hull_coordinates,
+    rref_by_fractions,
+    spanning_hyperplane,
+)
 from galehull import incidence_system, three_color
 from galehull.errors import DimensionMismatch
 from galehull.linalg import (
     affine_coordinates,
     affine_dimension,
     dot,
-    null_space_basis,
     null_vector,
     pivot_columns,
     primitive_vector,
     rank,
-    rref,
 )
-from galehull.oracle import _project_to_hull_coordinates
 
 F = Fraction
 
@@ -57,56 +61,6 @@ def test_rank_transpose_property():
         assert rank(m) == rank(mt)
 
 
-def test_null_space_one_dim():
-    assert null_space_basis([[1, 1]]) == [(F(1), F(-1))] or null_space_basis(
-        [[1, 1]]
-    ) == [(F(-1), F(1))]
-    # canonical convention: free column 1 carries the 1
-    (vec,) = null_space_basis([[1, 1]])
-    assert vec[1] == 1
-
-
-def test_null_space_identity_empty():
-    assert null_space_basis([[1, 0], [0, 1]]) == []
-
-
-def test_null_space_hand_solved():
-    # x + y + z = 0, y + 2z = 0  =>  (x, y, z) = z * (1, -2, 1)
-    basis = null_space_basis([[1, 1, 1], [0, 1, 2]])
-    assert basis == [(F(1), F(-2), F(1))]
-
-
-def test_null_space_properties_random():
-    rng = random.Random(7)
-    for _ in range(40):
-        r, c = rng.randint(1, 4), rng.randint(1, 6)
-        m = random_matrix(rng, r, c)
-        basis = null_space_basis(m)
-        assert len(basis) == c - rank(m)
-        for vec in basis:
-            assert all(x == 0 for x in matvec(m, vec))
-        # canonical: each vector carries 1 at its own free column, 0 at others
-        _, pivots = rref(m)
-        free = [j for j in range(c) if j not in pivots]
-        for vec, fcol in zip(basis, free):
-            assert vec[fcol] == 1
-            assert all(vec[other] == 0 for other in free if other != fcol)
-
-
-def null_space_by_fractions(rows):
-    """The canonical null space basis read off rref_by_fractions."""
-    R, pivots = rref_by_fractions(rows)
-    basis = []
-    for f in range(len(rows[0])):
-        if f not in pivots:
-            v = [F(0)] * len(rows[0])
-            v[f] = F(1)
-            for r_idx, c in enumerate(pivots):
-                v[c] = -R[r_idx][f]
-            basis.append(tuple(v))
-    return basis
-
-
 def test_pivot_columns_and_null_vector_match_the_rref_route():
     rng = random.Random(11)
     for _ in range(200):
@@ -126,37 +80,6 @@ _coordinate = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),
 )
-
-
-@st.composite
-def matrices_with_zero_rows(draw):
-    """1-7 x 1-7 matrices of ints or Fractions, some rows zero or repeated."""
-    cols = draw(st.integers(1, 7))
-    entry = draw(st.sampled_from([st.integers(-3, 3), _coordinate]))
-    rows = draw(
-        st.lists(
-            st.one_of(
-                st.lists(entry, min_size=cols, max_size=cols),
-                st.just([0] * cols),
-            ),
-            min_size=1,
-            max_size=7,
-        )
-    )
-    if draw(st.booleans()):
-        rows.append(list(draw(st.sampled_from(rows))))
-    return rows[:7]
-
-
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(matrices_with_zero_rows())
-@example([[0, 0], [0, 0]])
-@example([[F(1, 2), 1, 0], [0, 0, 0], [1, 2, 0]])
-def test_rref_and_null_space_equal_the_fraction_route(m):
-    R, pivots = rref(m)
-    assert (R, pivots) == rref_by_fractions(m)
-    assert all(type(x) is F for row in R for x in row)
-    assert null_space_basis(m) == null_space_by_fractions(m)
 
 
 def reference_hyperplane(points, ambient_dim):
@@ -189,7 +112,7 @@ def _assert_matches_reference(points, ambient_dim):
 )
 def test_spanning_hyperplane_matches_fraction_reference_on_every_subset(build):
     p = build()
-    qpts, d = _project_to_hull_coordinates(list(incidence_system(p, three_color(p)).vectors))
+    qpts, d = project_to_hull_coordinates(list(incidence_system(p, three_color(p)).vectors))
     for subset in combinations(qpts, d):
         _assert_matches_reference(subset, d)
 

@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 
 import instances
 from conftest import (
+    embedded_point_sets,
     facet_supports_by_keys,
     gen,
     join_grading_by_fold,
     lattice_isomorphic,
     neighborliness_by_combinations,
     oracle_lattice_by_joins,
+    project_to_hull_coordinates,
     relabel_faces,
     spanning_hyperplane,
 )
@@ -42,13 +44,8 @@ from galehull.errors import (
     StructureMismatch,
     TooManyPoints,
 )
-from galehull.linalg import affine_dimension, dot
-from galehull.oracle import (
-    POINT_CAP,
-    _facet_supports,
-    _project_to_hull_coordinates,
-    oracle_facets,
-)
+from galehull.linalg import affine_coordinates, affine_dimension, dot
+from galehull.oracle import POINT_CAP, _facet_supports, oracle_facets
 from galehull.reference import block_order, check_witness
 
 F = Fraction
@@ -122,10 +119,26 @@ def test_oracle_affine_invariance():
         assert oracle_lattice(mapped).faces == oracle_lattice(OCTAHEDRON).faces
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(embedded_point_sets())
+def test_oracle_off_full_dimension_equals_the_set_before_embedding(sets):
+    """The oracle runs on the points as given: an injective affine map into
+    a larger ambient space keeps its dimension, facets and faces."""
+    points, image = sets
+    if len(set(points)) == 1:
+        for pts in (points, image):
+            with pytest.raises(DegenerateInput, match="^all points coincide$"):
+                oracle_lattice(pts)
+        return
+    lat, embedded = oracle_lattice(points), oracle_lattice(image)
+    assert (embedded.dim, embedded.faces, embedded.facets) == (lat.dim, lat.faces, lat.facets)
+    assert lat.dim == affine_dimension(points)
+
+
 def test_facet_hyperplanes_evaluate_exactly():
     pts = OCTAHEDRON
     lat = oracle_lattice(pts)
-    qpts, d = _project_to_hull_coordinates([tuple(p) for p in pts])
+    qpts, d = project_to_hull_coordinates([tuple(p) for p in pts])
     for face, dim in lat.faces.items():
         if dim != lat.dim - 1:
             continue
@@ -196,11 +209,12 @@ def test_vertex_indices_of_the_criterion_lattices_equal_the_walk():
 
 
 def _assert_oracle_equals_the_references(pts):
-    """The scan equals the reference scan element by element, and the
-    lattice equals the reference join grading on the reference facets."""
-    qpts, d = _project_to_hull_coordinates([tuple(p) for p in pts])
+    """The scan of the points as given equals the reference scan of their
+    projection element by element, and the lattice equals the reference
+    join grading on the reference facets."""
+    qpts, d = project_to_hull_coordinates([tuple(p) for p in pts])
     facets = facet_supports_by_keys(qpts, d)
-    assert _facet_supports(qpts, d) == facets
+    assert _facet_supports(*affine_coordinates(pts)) == facets
     lat = oracle_lattice(pts)
     assert (lat.dim, lat.faces) == (d, join_grading_by_fold(facets, len(pts)))
 
@@ -255,9 +269,10 @@ RELABELED_24 = [
 
 @pytest.mark.parametrize("name,build", RELABELED_24, ids=[n for n, _ in RELABELED_24])
 def test_scan_equals_the_reference_scan_on_relabeled_24_point_hulls(name, build):
-    qpts, d = _project_to_hull_coordinates(list(_vectors(validate(relabel_faces(build(), 17)))))
-    assert len(qpts) == 24
-    assert _facet_supports(qpts, d) == facet_supports_by_keys(qpts, d)
+    pts = list(_vectors(validate(relabel_faces(build(), 17))))
+    assert len(pts) == 24
+    qpts, d = project_to_hull_coordinates(pts)
+    assert _facet_supports(*affine_coordinates(pts)) == facet_supports_by_keys(qpts, d)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -267,13 +282,14 @@ def test_scan_equals_the_reference_scan_on_relabeled_24_point_hulls(name, build)
     )
 )
 def test_scan_equals_the_reference_scan_on_small_point_sets(pts):
-    qpts, d = _project_to_hull_coordinates(pts)
+    qpts, d = project_to_hull_coordinates(pts)
     if d:
-        assert _facet_supports(qpts, d) == facet_supports_by_keys(qpts, d)
+        assert _facet_supports(*affine_coordinates(pts)) == facet_supports_by_keys(qpts, d)
 
 
-# past POINT_CAP, where oracle_facets refuses: the scan alone, read
-# through the class-block witness onto the model's facets
+# past POINT_CAP, where oracle_facets refuses: the scan alone, against the
+# reference scan and read through the class-block witness onto the model's
+# facets
 PAST_THE_CAP = [
     ("prism:34", lambda: catalog("prism", 34)),
     ("prism:46", lambda: catalog("prism", 46)),
@@ -287,9 +303,10 @@ def test_facet_scan_past_the_point_cap_equals_the_model(name, build):
     p = build()
     coloring = three_color(p)
     system = incidence_system(p, coloring)
-    qpts, d = _project_to_hull_coordinates(list(system.vectors))
-    assert len(qpts) > POINT_CAP
-    facets = _facet_supports(qpts, d)
+    pts = list(system.vectors)
+    assert len(pts) > POINT_CAP
+    facets = _facet_supports(*affine_coordinates(pts))
+    assert facets == facet_supports_by_keys(*project_to_hull_coordinates(pts))
     model = hull_model(coloring.class_sizes)
     witness = {v: i for i, v in enumerate(block_order(system, model))}
     images = sorted(sum(1 << witness[v] for v in members(f)) for f in facets)
@@ -317,13 +334,14 @@ SCAN_HULLS = [
 
 @pytest.mark.parametrize("name,build", SCAN_HULLS, ids=[n for n, _ in SCAN_HULLS])
 def test_facet_scan_eliminates_once_per_hull(name, build, monkeypatch):
-    """One elimination of d + 1 rows per scan, the base table, and then
-    per d-subset at most one system with a row per point of it outside the
-    base: at most N - d - 1 rows, 1 on types I-III and 2 on type IV."""
+    """One elimination of the points as given, a row per coordinate and
+    one of ones, for the base table, and then per d-subset at most one
+    system with a row per point of it outside the base: at most N - d - 1
+    rows, 1 on types I-III and 2 on type IV."""
     import galehull.linalg as linalg_module
 
-    qpts, d = _project_to_hull_coordinates(list(_vectors(build())))
-    n = len(qpts)
+    pts = _vectors(build())
+    n = len(pts)
     exact = linalg_module._eliminate
     rows_per_call = []
 
@@ -332,9 +350,9 @@ def test_facet_scan_eliminates_once_per_hull(name, build, monkeypatch):
         return exact(rows, reduce)
 
     monkeypatch.setattr(linalg_module, "_eliminate", counting)
-    _facet_supports(qpts, d)
+    d, _ = oracle_facets(pts)
     assert n - d - 1 == (2 if name in ("cube", "glued-3.3.3") else 1)
-    assert rows_per_call[0] == d + 1
+    assert rows_per_call[0] == len(pts[0]) + 1
     assert all(0 < k <= n - d - 1 for k in rows_per_call[1:])
     assert len(rows_per_call) - 1 <= comb(n, d)
 
@@ -388,9 +406,9 @@ def test_every_scanned_facet_has_d_affinely_independent_points(name, pts):
     """Each scanned facet has affine rank d - 1 and holds d affinely
     independent points, whose spanning hyperplane meets the points in
     exactly the facet."""
-    qpts, facets = oracle_facets(pts)
-    d = len(qpts[0])
+    d, facets = oracle_facets(pts)
     assert d == affine_dimension(pts)
+    qpts, _ = project_to_hull_coordinates([tuple(p) for p in pts])
     for f in facets:
         on_facet = [pts[i] for i in members(f)]
         assert affine_dimension(on_facet) == d - 1, members(f)
@@ -462,8 +480,7 @@ def _closure_lattice(points):
     poset rank in descending mask order: the construction the join grading
     replaced, kept as an independent reference."""
     pts = [tuple(p) for p in points]
-    qpts, d = _project_to_hull_coordinates(pts)
-    facets = _facet_supports(qpts, d)
+    d, facets = oracle_facets(pts)
     closure, queue = set(facets), list(facets)
     while queue:
         m = queue.pop()

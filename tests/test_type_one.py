@@ -4,13 +4,13 @@ run against the constructed n = 13 instance with sizes (4, 5, 6)."""
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
-import galehull.linalg
 import galehull.oracle
 import galehull.pipeline
 from galehull import (
@@ -248,7 +248,10 @@ def test_degenerate_others_raise(point, others):
 
 
 def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
-    calls = {"_facet_supports": 0, "rref": 0, "null_space_basis": 0}
+    """No elimination of a point configuration inside type_one_checks; one
+    per scan, one scan per hull, and one more per verify for the Gale
+    cross-check: 2 per verify, 2 per compare."""
+    calls = {"_facet_supports": 0, "affine_coordinates": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -260,19 +263,21 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(galehull.oracle, "_facet_supports")
-    counted(galehull.linalg, "rref")
-    counted(galehull.linalg, "null_space_basis")
+    # every module that imports the one elimination of a point configuration
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galehull.") and hasattr(module, "affine_coordinates"):
+            counted(module, "affine_coordinates")
     report = type_one_checks(verification.analysis)
     assert report == verification.type_one_report
-    assert calls == {"_facet_supports": 0, "rref": 0, "null_space_basis": 0}
+    assert calls == {"_facet_supports": 0, "affine_coordinates": 0}
     oracle_lattice(verification.analysis.system.vectors)
-    assert calls == {"_facet_supports": 1, "rref": 0, "null_space_basis": 0}
+    assert calls == {"_facet_supports": 1, "affine_coordinates": 1}
     # one scan per hull: one per verify of every type, two per compare
     for p in (catalog("cube"), catalog("prism", 6), catalog("truncated-octahedron"),
               type_one_polytope()):
-        calls["_facet_supports"] = 0
+        calls.update(_facet_supports=0, affine_coordinates=0)
         verify_polytope(p)
-        assert calls["_facet_supports"] == 1
+        assert calls == {"_facet_supports": 1, "affine_coordinates": 2}
         a = analyze_polytope(p)
         equivalence_witness(a, a)
-        assert calls["_facet_supports"] == 3
+        assert calls == {"_facet_supports": 3, "affine_coordinates": 4}
