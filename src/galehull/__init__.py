@@ -15,7 +15,6 @@ from .gale import (
     hull_dimension,
     hull_model,
     incidence_system,
-    lattice_to_json,
     members,
     neighborliness,
     relint_contains_zero,
@@ -58,7 +57,6 @@ __all__ = [
     "hull_dimension",
     "hull_model",
     "incidence_system",
-    "lattice_to_json",
     "members",
     "model_facets",
     "neighborliness",

@@ -10,6 +10,7 @@ cross-check failure (a bug indicator), 4 resource cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Optional, Sequence
@@ -274,8 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command and return its exit code. Every call parses with
+    one parser per process, built on the first call: the first build binds
+    the cmd_* functions, but the module globals they call (validate,
+    catalog, verify_polytope, ...) are still looked up at call time, so
+    patching those takes effect on the next call. build_parser() itself
+    returns a fresh parser each time, so no caller can change this one."""
+    args = _shared_parser().parse_args(argv)
     try:
         doc, code = args.func(args), 0
     except GalehullError as exc:

@@ -595,16 +595,3 @@ def neighborliness(lattice: FaceLattice) -> int:
             break
         best = k
     return best
-
-
-def lattice_to_json(lattice: FaceLattice) -> dict:
-    """Deterministic JSON form of a face lattice, for dumps and golden tests."""
-    return {
-        "dim": lattice.dim,
-        "faces": [
-            {"vertices": members(f), "dim": d}
-            for f, d in sorted(
-                lattice.faces.items(), key=lambda kv: (kv[1], members(kv[0]))
-            )
-        ],
-    }

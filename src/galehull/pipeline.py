@@ -5,9 +5,9 @@ An analysis builds the hull model of the sorted class sizes once
 the incidence system and its certificates, and the model's Gale diagram
 in the polytope's face order. The report reads the model. Verification
 adds the independent routes: the Gale points by elimination, the oracle
-lattice against the criterion's, the walks over it against the model's
-counts, and the class-block witness that carries the oracle's facets onto
-the model's. Once the witness holds, every structure fact of the model is
+lattice against the criterion's, the walks over it and the free-sum
+f-polynomial against the model's counts, and the class-block witness that
+carries the oracle's facets onto the model's. Once the witness holds, every structure fact of the model is
 a fact of the hull; only the type I beyond counts get a check of their
 own, by barycentric coordinates.
 """
@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from itertools import zip_longest
+from typing import Optional, Sequence
 
 from .errors import CriterionMismatch, DiagramMismatch, StructureMismatch
 from .gale import (
@@ -38,7 +39,7 @@ from .gale import (
 from .linalg import null_vector
 from .oracle import oracle_lattice
 from .polytopes import FaceColoring, PlanarPolytope, three_color
-from .reference import block_order, check_witness, model_facets
+from .reference import block_order, check_witness, free_sum_fvector, model_facets
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,23 @@ def _face_diff(a: FaceLattice, b: FaceLattice) -> str:
     return "; ".join(parts) or "identical"
 
 
+def _require_fvector(model: HullModel, other: Sequence[int], route: str) -> None:
+    """The model's pattern counts must equal the f-vector other, found by
+    route: CriterionMismatch names the first dimension where they differ."""
+    for d, (counted, by_route) in enumerate(zip_longest(model.fvector, other)):
+        if counted != by_route:
+            raise CriterionMismatch(
+                f"f-vector at dimension {d}: class patterns count {counted} "
+                f"faces, {route} {by_route}"
+            )
+
+
 def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
     """The model's pattern counts must equal the walks over the oracle
     lattice: CriterionMismatch names the quantity otherwise, and for the
     f-vector the first dimension where they differ."""
     model = analysis.report
-    # equal lattice dims give f-vectors of equal length
-    for d, (counted, by_walk) in enumerate(zip(model.fvector, fvector(oracle))):
-        if counted != by_walk:
-            raise CriterionMismatch(
-                f"f-vector at dimension {d}: class patterns count {counted} "
-                f"faces, the oracle lattice {by_walk}"
-            )
+    _require_fvector(model, fvector(oracle), "the oracle lattice")
     for name, counted, by_walk in (
         ("simpliciality", model.simplicial, simpliciality_check(oracle)),
         ("neighborliness", model.neighborly, neighborliness(oracle)),
@@ -197,6 +203,7 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
             + _face_diff(analysis.lattice, oracle)
         )
     _require_walked_counts(analysis, oracle)
+    _require_fvector(model, free_sum_fvector(model), "the free-sum f-polynomial")
 
     # the criterion lattice equals the oracle lattice (checked above), so
     # mapping the oracle's facets onto the model's maps both lattices, and

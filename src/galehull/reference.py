@@ -1,8 +1,10 @@
-"""Closed-form model facets and class-block witnesses onto them.
+"""Closed-form model facets and f-vector, and class-block witnesses onto
+the facets.
 
 Every hull is a pyramid over a free sum of simplices (HullModel.summands
 and HullModel.apexes), and its model is built here as facet masks: a
-facet misses one vertex of every summand, or exactly one apex.
+facet misses one vertex of every summand, or exactly one apex. Its
+f-vector is counted from the summand and apex sizes alone.
 Everything is coordinate-free; the hull oracle checks the geometry where
 coordinates exist.
 
@@ -19,11 +21,12 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, chain, product
+from math import comb
 from operator import or_
 from typing import Sequence
 
 from .errors import StructureMismatch
-from .gale import HullModel, IncidenceSystem, members
+from .gale import HullModel, IncidenceSystem, _times, members
 
 
 def _layout(model: HullModel) -> tuple[list[range], range]:
@@ -32,17 +35,23 @@ def _layout(model: HullModel) -> tuple[list[range], range]:
     equal summands alternate: that is the vertex order of
     C(2 m2, 2 m2 - 2), whose parity classes are its summands, and the
     verify report's witnessBijection lists it."""
-    def size(pattern: int) -> int:
-        return sum(m for i, m in enumerate(model.sizes) if pattern >> i & 1)
-
-    sizes = list(map(size, model.summands))
+    sizes, apex_count = _vertex_counts(model)
     base = sum(sizes)
-    if model.apexes:
+    if apex_count:
         blocks = [range(i, base, len(sizes)) for i in range(len(sizes))]
     else:
         ends = list(accumulate(sizes))
         blocks = [range(end - m, end) for m, end in zip(sizes, ends)]
-    return blocks, range(base, base + size(model.apexes))
+    return blocks, range(base, base + apex_count)
+
+
+def _vertex_counts(model: HullModel) -> tuple[list[int], int]:
+    """The vertex count of each summand, in table order, and the number
+    of apexes."""
+    def size(pattern: int) -> int:
+        return sum(m for i, m in enumerate(model.sizes) if pattern >> i & 1)
+
+    return list(map(size, model.summands)), size(model.apexes)
 
 
 def model_facets(model: HullModel) -> tuple[int, ...]:
@@ -55,6 +64,24 @@ def model_facets(model: HullModel) -> tuple[int, ...]:
     return tuple(top ^ sum(1 << v for v in missed) for missed in product(*blocks)) + tuple(
         top ^ 1 << a for a in apexes
     )
+
+
+def free_sum_fvector(model: HullModel) -> tuple[int, ...]:
+    """The f-vector of the model of a hull, dimensions 0 .. d-1, from its
+    f-polynomial, with no use of the pattern table. The boundary of a free
+    sum of simplices is the join of their boundaries, so its faces take a
+    proper subset of each summand's v_s vertices: prod_s sum_{j<v_s}
+    C(v_s, j) t^j, where t^j stands for the faces on j vertices, of
+    dimension j - 1. The free sum itself adds t^(D+1), D = sum_s (v_s - 1),
+    and each apex multiplies by (1 + t): a face, with or without it."""
+    sizes, apex_count = _vertex_counts(model)
+    poly = [1]
+    for v in sizes:
+        poly = _times(poly, [comb(v, j) for j in range(v)])
+    poly.append(1)  # the free sum itself: poly had degree D
+    for _ in range(apex_count):
+        poly = _times(poly, [1, 1])
+    return tuple(poly[1:-1])
 
 
 # --- class-block witnesses -------------------------------------------------

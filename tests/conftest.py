@@ -982,6 +982,20 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int
     return dict(mapping) if search(0) else None
 
 
+def lattice_to_json(lattice: FaceLattice) -> dict:
+    """Deterministic JSON form of a face lattice, for dumps and golden
+    tests (no module of galehull writes one)."""
+    return {
+        "dim": lattice.dim,
+        "faces": [
+            {"vertices": members(f), "dim": d}
+            for f, d in sorted(
+                lattice.faces.items(), key=lambda kv: (kv[1], members(kv[0]))
+            )
+        ],
+    }
+
+
 def relabel_faces(p, mult: int = 7, shift: int = 3) -> list[list[int]]:
     """Deterministic relabeled copy: permute vertex ids by an affine map
     mod V, rotate the face list, rotate and flip each cycle."""

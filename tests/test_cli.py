@@ -11,7 +11,7 @@ import pytest
 
 import instances
 from galehull import catalog
-from galehull.cli import main
+from galehull.cli import build_parser, main
 
 TETRAHEDRON = {"faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]}
 
@@ -50,17 +50,21 @@ def test_analyze_is_byte_deterministic(capsys):
     _, second = run(capsys, ["analyze", "--catalog", "prism:6"])
     assert first == second
 
-def test_python_dash_m_matches_main(tmp_path, capsys):
+def _fresh_process(argv, cwd):
+    """argv run as `python -m galehull` in a new process, on this galehull."""
     import galehull
 
-    argv = ["analyze", "--catalog", "cube"]
     path = [str(Path(galehull.__file__).resolve().parents[1])]
     path += filter(None, [os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "galehull", *argv],
-        cwd=tmp_path, env=env, capture_output=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, timeout=120,
     )
+
+def test_python_dash_m_matches_main(tmp_path, capsys):
+    argv = ["analyze", "--catalog", "cube"]
+    proc = _fresh_process(argv, tmp_path)
     _, out = run(capsys, argv)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == out.encode()
@@ -308,3 +312,99 @@ def test_report_bytes_are_golden(tmp_path, capsys):
         assert code == 0, name
         seen[name] = hashlib.sha256(out.encode()).hexdigest()
     assert seen == GOLDEN_DIGESTS
+
+
+# --- one parser per process ---------------------------------------------------
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import argparse
+
+    run(capsys, ["catalog"])  # the first call may build the shared parser
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["analyze", "--catalog", "cube"], ["verify", "--catalog", "cube"], ["catalog"]):
+        assert run(capsys, argv)[0] == 0
+    assert built == []
+    assert build_parser() is not build_parser()
+    assert built
+
+
+def _interleaved(out_dir):
+    """(name, argv) of commands whose flags differ from one call to the next."""
+    def to(name):
+        return ["--output", str(out_dir / name)]
+
+    yield "verify-pretty-file", ["verify", "--catalog", "cube", "--pretty", *to("a.json")]
+    yield "analyze", ["analyze", "--catalog", "prism:6"]
+    yield "compare-file", ["compare", "catalog:cube", "catalog:prism:6", *to("b.json")]
+    yield "hamilton", ["hamilton", "--catalog", "cube"]
+    yield "verify-pretty", ["verify", "--catalog", "prism:6", "--pretty"]
+    yield "catalog-file", ["catalog", "prism:8", *to("c.json")]
+    yield "compare", ["compare", "catalog:cube", "catalog:cube"]
+    yield "catalog", ["catalog"]
+    yield "analyze-pretty-file", ["analyze", "--catalog", "cube", "--pretty", *to("d.json")]
+    yield "verify", ["verify", "--catalog", "cube"]
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def test_interleaved_calls_equal_fresh_processes(tmp_path, capsys):
+    """--pretty and --output of one in-process call leak into no later call."""
+    inproc, fresh = tmp_path / "inproc", tmp_path / "fresh"
+    inproc.mkdir()
+    fresh.mkdir()
+    seen = {}
+    for name, argv in _interleaved(inproc):
+        code = main(argv)
+        captured = capsys.readouterr()
+        seen[name] = (code, captured.out.encode(), captured.err.encode())
+    for name, argv in _interleaved(fresh):
+        proc = _fresh_process(argv, tmp_path)
+        assert seen[name] == (proc.returncode, proc.stdout, proc.stderr), name
+    assert all(code == 0 for code, _, _ in seen.values())
+    assert _outputs(inproc) == _outputs(fresh)
+    assert sorted(_outputs(inproc)) == ["a.json", "b.json", "c.json", "d.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--catalog", "cube", "--bogus"],
+    ["verify", "--pretty", "--pretty=yes"],
+    [],
+    ["frobnicate"],
+])
+def test_argument_errors_leave_the_parser_as_it_was(argv, capsys):
+    valid = ["analyze", "--catalog", "cube", "--pretty"]
+    expected = run(capsys, valid)
+    assert expected[0] == 0
+    with pytest.raises(SystemExit) as fresh_exit:
+        build_parser().parse_args(argv)
+    usage = capsys.readouterr().err
+    assert fresh_exit.value.code == 2 and usage.startswith("usage: galehull")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert (captured.out, captured.err) == ("", usage)
+        assert run(capsys, valid) == expected
+
+
+def test_help_follows_columns_after_the_first_build(monkeypatch, capsys):
+    run(capsys, ["catalog"])  # the first call may build the shared parser
+    helps = []
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+        assert helps[-1] == build_parser().format_help()
+    assert helps[0] != helps[1]

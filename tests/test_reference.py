@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import inspect
+import json
+import re
 from functools import reduce
 from itertools import combinations
 from operator import mul
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galehull import (
+    catalog,
     fvector,
     hull_model,
     members,
@@ -16,6 +20,7 @@ from galehull import (
     neighborliness,
     oracle_lattice,
     simpliciality_check,
+    summarize_polytope,
 )
 from conftest import (
     _face_counts,
@@ -381,3 +386,52 @@ def test_every_model_is_a_pyramid_over_a_free_sum_of_simplices():
         }[model.hull_type], sizes
         assert model.dim == sum(m - 1 for m in summands) + apexes, sizes
         assert len(model_facets(model)) == reduce(mul, summands) + apexes, sizes
+
+
+# --- the free-sum f-polynomial against the pattern counts -------------------
+
+def test_free_sum_fvector_equals_the_pattern_counts():
+    triples = list(_sorted_sizes(40))
+    assert len(triples) == 1461
+    for sizes in triples:
+        model = hull_model(sizes)
+        assert reference.free_sum_fvector(model) == model.fvector, sizes
+
+
+def test_free_sum_fvector_of_prism16():
+    # two 7-simplices on 8 vertices each, and the two 16-gons as apexes
+    model = summarize_polytope(catalog("prism", 16)).report
+    assert sum(reference.free_sum_fvector(model)) + 2 == 4 * ((2**8 - 1) ** 2 + 1) == 260_104
+
+
+# (text in free_sum_fvector's source, its replacement)
+FREE_SUM_MUTANTS = {
+    "summand off by one": (
+        "sizes, apex_count = _vertex_counts(model)\n",
+        "sizes, apex_count = _vertex_counts(model)\n    sizes[0] += 1\n",
+    ),
+    "missing apex factor": ("range(apex_count)", "range(apex_count - 1)"),
+    "base term at the wrong dimension": ("poly.append(1)", "poly[-1] += 1"),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(FREE_SUM_MUTANTS))
+def test_verify_fails_on_a_free_sum_mutant(mutant, capsys, monkeypatch):
+    import galehull.pipeline as pipeline_module
+    from galehull.cli import main
+
+    old, new = FREE_SUM_MUTANTS[mutant]
+    source = inspect.getsource(reference.free_sum_fvector)
+    assert source.count(old) == 1
+    namespace = dict(vars(reference))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(pipeline_module, "free_sum_fvector", namespace["free_sum_fvector"])
+    # prism:6 has sizes (2, 3, 3): two summands and two apexes
+    assert main(["verify", "--catalog", "prism:6"]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "CriterionMismatch"
+    assert re.fullmatch(
+        r"f-vector at dimension \d+: class patterns count \d+ faces, "
+        r"the free-sum f-polynomial (\d+|None)",
+        error["message"],
+    ), error["message"]
