@@ -246,6 +246,30 @@ class FaceLattice:
         get = self.faces.get
         return tuple(j for j in range(self.top.bit_length()) if get(1 << j) == 0)
 
+    @cached_property
+    def counts(self) -> tuple[tuple[int, ...], bool, int]:
+        """The f-vector, simpliciality and neighborliness, read on first use off
+        one histogram of the faces by (vertex count, dim), not counting points
+        that are not vertices. All k-subsets of the vertices V are faces iff
+        C(|V|, k) faces inside V have k points, so a face outside V counts negated."""
+        vmask, faces = sum(1 << v for v in self.vertex_indices), self.faces
+        if vmask == self.top:
+            hist = Counter(zip(map(int.bit_count, faces), faces.values()))
+        else:  # some points are not vertices
+            hist = Counter(
+                (-(f & vmask).bit_count() if f & ~vmask else f.bit_count(), d)
+                for f, d in faces.items()
+            )
+        fvector, by_size, nverts, neighborly = [0] * self.dim, Counter(), vmask.bit_count(), 0
+        for (k, d), count in hist.items():
+            by_size[k] += count
+            if 0 <= d < self.dim:
+                fvector[d] += count
+        while neighborly + 1 < nverts and by_size[neighborly + 1] == comb(nverts, neighborly + 1):
+            neighborly += 1
+        simplicial = all(abs(k) == d + 1 for k, d in hist if 0 <= d < self.dim)
+        return tuple(fvector), simplicial, neighborly
+
     def proper_faces(self) -> dict[int, int]:
         return {f: d for f, d in self.faces.items() if 0 <= d < self.dim}
 
@@ -333,8 +357,11 @@ def rref_gale_points(s: IncidenceSystem) -> tuple[Point, ...]:
     times table[base[0]][0], so a free point's row is a unit vector and
     base point i's row holds -table[f][i] over that multiple at each free
     column f. Cubic in n; verification runs it as an independent
-    cross-check of gale_transform."""
-    base, table = affine_coordinates(s.vectors)
+    cross-check of gale_transform, on the table its oracle reads too."""
+    return _rref_gale_points(*affine_coordinates(s.vectors))
+
+
+def _rref_gale_points(base: list[int], table: list[tuple[int, ...]]) -> tuple[Point, ...]:
     scale = table[base[0]][0]
     slot = dict(zip(base, range(len(base))))
     free = [f for f in range(len(table)) if f not in slot]
@@ -560,38 +587,14 @@ def _times(p: list[int], q: list[int]) -> list[int]:
 
 def fvector(lattice: FaceLattice) -> tuple[int, ...]:
     """Face counts by dimension 0 .. d-1."""
-    counts = [0] * lattice.dim
-    for _, d in lattice.faces.items():
-        if 0 <= d < lattice.dim:
-            counts[d] += 1
-    return tuple(counts)
+    return lattice.counts[0]
 
 
 def simpliciality_check(lattice: FaceLattice) -> bool:
-    """True iff every proper face is a simplex: it has dim + 1 vertices.
-    Points that are not vertices are not counted."""
-    faces = lattice.faces.items()
-    vmask = sum(1 << v for v in lattice.vertex_indices)
-    if vmask != lattice.top:  # some points are not vertices
-        faces = [(f & vmask, d) for f, d in faces]
-    return all(f.bit_count() == d + 1 for f, d in faces if 0 <= d < lattice.dim)
+    """True iff every proper face has dim + 1 vertices (not points)."""
+    return lattice.counts[1]
 
 
 def neighborliness(lattice: FaceLattice) -> int:
-    """Largest k such that every k-subset of hull vertices is a face.
-
-    The faces inside the vertex set are distinct subsets of it, so all
-    k-subsets are faces exactly when C(|V|, k) faces have k vertices.
-    """
-    verts = lattice.vertex_indices
-    vmask = sum(1 << v for v in verts)
-    inside = lattice.faces
-    if vmask != lattice.top:  # some points are not vertices
-        inside = [f for f in inside if f & vmask == f]
-    by_size = Counter(map(int.bit_count, inside))
-    best = 0
-    for k in range(1, len(verts)):
-        if by_size[k] != comb(len(verts), k):
-            break
-        best = k
-    return best
+    """Largest k such that every k-subset of hull vertices is a face."""
+    return lattice.counts[2]

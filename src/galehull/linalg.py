@@ -5,12 +5,13 @@ are never floats. Rank, pivot columns, one-dimensional null spaces and
 barycentric coordinates run fraction-free: each row is scaled to integers,
 then eliminated by integer cross-multiplication with per-row gcd
 stripping (after Bareiss, Math. Comp. 1968), so integer inputs never
-build a Fraction. affine_coordinates is the one Gauss-Jordan pass over a
-point configuration: its table is the reduced row echelon form of the
-homogenized points times one common multiple, so the canonical basis of
-their affine dependencies (free columns in increasing index order, so
-Gale transforms are reproducible) is read off it by dividing by that
-multiple.
+build a Fraction. One or two integer rows, the facet scan's systems on
+galehull's hulls, take a cross product for their null vector instead.
+affine_coordinates is the one Gauss-Jordan pass over a point
+configuration: its table is the RREF of the homogenized points times one
+common multiple, so the canonical basis of their affine dependencies
+(free columns in increasing index order, so Gale transforms are
+reproducible) is read off it by dividing by that multiple.
 """
 
 from __future__ import annotations
@@ -91,8 +92,19 @@ def null_vector(rows: Sequence[Row]) -> Optional[tuple[int, ...]]:
 
     It is the positive multiple of the canonical basis vector, the one
     that is 1 at the free column. Returns None unless the null space is
-    one-dimensional.
-    """
+    one-dimensional. An integer r x (r + 1) matrix, r <= 2, takes its cross
+    product, (-b, a) or r1 x r2: zero iff the rank is short, else zero past
+    the free column like the canonical vector, so its last nonzero entry is
+    made positive."""
+    r = len(rows)
+    if r in (1, 2) and all(len(row) == r + 1 and all(type(x) is int for x in row) for row in rows):
+        if r == 1:
+            v = (-rows[0][1], rows[0][0])
+        else:
+            (a0, a1, a2), (b0, b1, b2) = rows
+            v = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        g = gcd(*v) if (v[-1] or v[-2] or v[0]) > 0 else -gcd(*v)  # the last nonzero > 0
+        return tuple([x // g for x in v]) if g else None
     m, pivots = _eliminate(rows, reduce=True)
     ncols = len(m[0])
     if len(pivots) != ncols - 1:

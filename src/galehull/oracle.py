@@ -2,23 +2,14 @@
 
 This is the ground truth the Gale machinery is validated against, so it
 is pure geometry and shares nothing with the coface criterion.
-oracle_facets finds the facets by scanning the d-subsets for spanning
-hyperplanes with all points on one closed side. One elimination of the
-points as given, in any ambient dimension, fixes a base simplex of d + 1
-points, which reads off d, and every point's barycentric coordinates in
-it; a subset's plane then solves one row per subset point off the base,
-at most N - d - 1 rows. Only d affinely independent points span a plane,
-so the scan certifies each facet's dimension, and no facet is ranked
-again. oracle_lattice reads the rest of the lattice off the point-facet
-incidences: a face is the largest point subset that has its facet set,
-read for every subset off per-half tables, and each face is graded one
-above a face that is one point smaller, or by its exact affine rank when
-there is none. verify's and compare's facet-level checks read the
-scanned facets, so each hull is scanned once. The arithmetic is
-fraction-free: the base coordinates come from integer elimination, so
-every plane is evaluated in ints. Desk scale only (at most 26 points),
-and oracle_lattice reads all 2^N point subsets whatever the face count:
-26 points of a convex polygon, 54 faces, take about 3.2 s.
+oracle_facets scans the d-subsets for spanning hyperplanes with all
+points on one closed side, in the base simplex and integer barycentric
+coordinates of one fraction-free elimination of the points as given. A
+subset spans a plane, so a facet of certified dimension, when its at
+most N - d - 1 rows have a line of solutions, a cross product on the
+hulls of galehull (d + 2 or d + 3 vertices). oracle_lattice reads the
+rest of the lattice off the point-facet incidences. verify_polytope
+hands both its one elimination. Desk scale: at most 26 points.
 """
 
 from __future__ import annotations
@@ -43,6 +34,8 @@ def _check_points(points) -> list[tuple]:
         raise DegenerateInput("no points given")
     if any(len(p) != len(pts[0]) for p in pts):
         raise DimensionMismatch("points of unequal dimension")
+    if len(set(pts)) == 1:
+        raise DegenerateInput("all points coincide")
     return pts
 
 
@@ -89,8 +82,6 @@ def oracle_facets(points: Sequence[Sequence[Fraction | int]]) -> tuple[int, list
     form a line, that is when the points are affinely independent, and
     the facet's mask holds them."""
     base, table = affine_coordinates(_check_points(points))
-    if len(base) == 1:
-        raise DegenerateInput("all points coincide")
     return len(base) - 1, _facet_supports(base, table)
 
 
@@ -112,7 +103,13 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     almost every point subset is a face, but not on low-dimensional point
     sets (26 points of a convex polygon, 54 faces, take about 3.2 s).
     """
-    d, facets = oracle_facets(points)
+    pts = _check_points(points)
+    return _oracle_lattice(pts, *affine_coordinates(pts))
+
+
+def _oracle_lattice(points: list[tuple], base: list[int], table: list[tuple]) -> FaceLattice:
+    """oracle_lattice of _check_points' points, given as affine_coordinates(points)."""
+    d, facets = len(base) - 1, _facet_supports(base, table)
     # inc[i] holds the facets through point i, so a point subset lies on
     # the AND of its points' inc. Each half's subset_table holds that AND
     # for every subset of its points, so the product visits every subset
@@ -127,12 +124,10 @@ def oracle_lattice(points: Sequence[Sequence[Fraction | int]]) -> FaceLattice:
     closure = dict(zip(starmap(and_, product(highs, lows)), count()))
     order = sorted(closure.values())
     del closure
-    # A face f with a face g = f minus one point p is a pyramid over g:
-    # aff f is spanned by aff g and p, and g is a proper face of f. So f
-    # grades one above g, which comes first in ascending mask order. Any
-    # other face (the empty face too) takes its exact affine rank. The
-    # point dropped first is the lowest, which succeeds on almost every
-    # face of galehull's hulls.
+    # f grades one above a face g = f minus one point, which comes first in
+    # ascending mask order, or takes its exact affine rank (the empty face
+    # too). The point dropped first is the lowest, which succeeds on almost
+    # every face of galehull's hulls.
     faces: dict[int, int] = {}
     get = faces.get
     for f in order:

@@ -4,12 +4,13 @@ An analysis builds the hull model of the sorted class sizes once
 (gale.hull_model) and adds only what varies per polytope: the coloring,
 the incidence system and its certificates, and the model's Gale diagram
 in the polytope's face order. The report reads the model. Verification
-adds the independent routes: the Gale points by elimination, the oracle
-lattice against the criterion's, the walks over it and the free-sum
-f-polynomial against the model's counts, and the class-block witness that
-carries the oracle's facets onto the model's. Once the witness holds, every structure fact of the model is
-a fact of the hull; only the type I beyond counts get a check of their
-own, by barycentric coordinates.
+eliminates the hull's vertices once and adds the independent routes on
+that one table: the Gale points by elimination, the oracle lattice
+against the criterion's, its counts and the free-sum f-polynomial
+against the model's, and the class-block witness that carries the
+oracle's facets onto the model's. Once the witness holds, every
+structure fact of the model is a fact of the hull; the type I beyond
+counts get a sign check of the checked Gale column.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .gale import (
     GaleDiagram,
     HullModel,
     IncidenceSystem,
+    _rref_gale_points,
     enumerate_faces,
     fvector,
     gale_transform,
@@ -33,11 +35,10 @@ from .gale import (
     incidence_system,
     members,
     neighborliness,
-    rref_gale_points,
     simpliciality_check,
 )
-from .linalg import null_vector
-from .oracle import oracle_lattice
+from .linalg import affine_coordinates
+from .oracle import _check_points, _oracle_lattice as oracle_lattice  # the name tracers wrap
 from .polytopes import FaceColoring, PlanarPolytope, three_color
 from .reference import block_order, check_witness, free_sum_fvector, model_facets
 
@@ -108,50 +109,31 @@ def _require_fvector(model: HullModel, other: Sequence[int], route: str) -> None
             )
 
 
-def _require_walked_counts(analysis: Analysis, oracle: FaceLattice) -> None:
-    """The model's pattern counts must equal the walks over the oracle
-    lattice: CriterionMismatch names the quantity otherwise, and for the
-    f-vector the first dimension where they differ."""
-    model = analysis.report
-    _require_fvector(model, fvector(oracle), "the oracle lattice")
-    for name, counted, by_walk in (
-        ("simpliciality", model.simplicial, simpliciality_check(oracle)),
-        ("neighborliness", model.neighborly, neighborliness(oracle)),
-    ):
-        if counted != by_walk:
-            raise CriterionMismatch(
-                f"{name}: class patterns give {counted}, the oracle lattice {by_walk}"
-            )
-
-
 def type_one_checks(analysis: Analysis) -> dict:
     """Property suite that must hold for every hull with three distinct
     class sizes: every middle-class vertex beyond exactly m2-1 facets of
     the simplex spanned by the others.
 
-    The counts come from the one affine dependency lam of the N = n + 2
-    vertices, which spans the null space of their homogenized matrix on a
-    type I hull. lam[v] != 0 certifies that the other N-1 vertices span a
-    simplex S whose affine hull holds v, at barycentric coordinates
-    -lam[j] / lam[v]: v is beyond the facet of S opposite j iff
-    lam[j] lam[v] > 0. A facet of the hull misses a vertex v exactly when
-    it is a facet of S with v strictly beneath it. verify_polytope's
-    witness carries the hull's facets onto those of T^n_{m2-1} before this
-    runs, and there each class-A vertex misses the m1 + m3 facets that
-    omit it: the facets put it beyond N - 1 - (m1 + m3) = m2 - 1. The
-    barycentric count must equal m2 - 1 too; it is the independent
-    geometric check of that reading.
+    On a type I hull the Gale diagram is one column lam, the one affine
+    dependency of the N = n + 2 vertices; verify_polytope checks it equal
+    to the RREF null space of their homogenized matrix before this runs,
+    so no elimination is repeated here. lam[v] != 0 certifies that the
+    other N-1 vertices span a simplex S whose affine hull holds v, at
+    barycentric coordinates -lam[j] / lam[v]: v is beyond the facet of S
+    opposite j iff lam[j] lam[v] > 0. A hull facet misses v iff it is a
+    facet of S with v strictly beneath; the witness maps the hull onto
+    T^n_{m2-1}, where a class-A vertex misses m1 + m3 facets, so is beyond
+    N - 1 - (m1 + m3) = m2 - 1: the sign count checks that geometrically.
     Simpliciality and equality with the oracle lattice are checked before
     this runs, so the report states them without a second check."""
     report = analysis.report
     if report.hull_type != "I":
         raise ValueError("type I checks apply to type I hulls only")
     m2 = report.sizes[1]
-    vectors = analysis.system.vectors
-    lam = null_vector([[1] * len(vectors), *map(list, zip(*vectors))])
+    lam = [x for p in analysis.diagram.points for x in p]
     beyond = {}
     for v0 in analysis.system.class_indices(1):
-        if lam is None or lam[v0] == 0:
+        if len(lam) != len(analysis.system.vectors) or lam[v0] == 0:
             raise StructureMismatch(
                 "the other points are no simplex whose affine hull holds the point"
             )
@@ -161,8 +143,6 @@ def type_one_checks(analysis: Analysis) -> dict:
             raise StructureMismatch(
                 f"middle-class vertex {v0} beyond {count} facets, expected {m2 - 1}"
             )
-    # verify_polytope's RREF cross-check ran first: the Gale points, so the
-    # (1-k, k, -1) class values, equal the elimination's exactly
     return {
         "simplicial": True,
         "facesMatchOracle": True,
@@ -187,9 +167,10 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     """Analysis plus every oracle cross-check; raises on any mismatch."""
     analysis = analyze_polytope(p)
     model = analysis.report
-    oracle = oracle_lattice(analysis.system.vectors)
-    # the oracle's point cap also bounds this cubic elimination
-    by_rref, closed = rref_gale_points(analysis.system), analysis.diagram.points
+    points = _check_points(analysis.system.vectors)  # the oracle's cap bounds the elimination
+    elimination = affine_coordinates(points)  # the one of the oracle, RREF route and type I
+    oracle = oracle_lattice(points, *elimination)
+    by_rref, closed = _rref_gale_points(*elimination), analysis.diagram.points
     for j, (a, b) in enumerate(zip(closed, by_rref)):
         if a != b:
             raise DiagramMismatch(
@@ -202,7 +183,16 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
             "criterion and oracle lattices differ: "
             + _face_diff(analysis.lattice, oracle)
         )
-    _require_walked_counts(analysis, oracle)
+    # the model's counts against the oracle lattice's, read in one walk over its faces
+    _require_fvector(model, fvector(oracle), "the oracle lattice")
+    for name, counted, by_walk in (
+        ("simpliciality", model.simplicial, simpliciality_check(oracle)),
+        ("neighborliness", model.neighborly, neighborliness(oracle)),
+    ):
+        if counted != by_walk:
+            raise CriterionMismatch(
+                f"{name}: class patterns give {counted}, the oracle lattice {by_walk}"
+            )
     _require_fvector(model, free_sum_fvector(model), "the free-sum f-polynomial")
 
     # the criterion lattice equals the oracle lattice (checked above), so

@@ -4,9 +4,9 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations, compress, islice, repeat
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add, and_, getitem, ne, or_, rshift
 from pathlib import Path
 from types import SimpleNamespace
@@ -299,6 +299,67 @@ def vectors_by_faces(p) -> tuple[tuple[int, ...], ...]:
             vec[v] = 1
         vectors.append(tuple(vec))
     return tuple(vectors)
+
+
+def fvector_by_walk(lattice) -> tuple[int, ...]:
+    """Face counts by dimension 0 .. d-1, one pass over the faces."""
+    counts = [0] * lattice.dim
+    for _, d in lattice.faces.items():
+        if 0 <= d < lattice.dim:
+            counts[d] += 1
+    return tuple(counts)
+
+
+def simpliciality_by_walk(lattice) -> bool:
+    """Every proper face has dim + 1 vertices; points that are not
+    vertices are not counted."""
+    faces = lattice.faces.items()
+    vmask = sum(1 << v for v in lattice.vertex_indices)
+    if vmask != lattice.top:  # some points are not vertices
+        faces = [(f & vmask, d) for f, d in faces]
+    return all(f.bit_count() == d + 1 for f, d in faces if 0 <= d < lattice.dim)
+
+
+def neighborliness_by_walk(lattice) -> int:
+    """All k-subsets of the vertices are faces exactly when C(|V|, k)
+    faces inside the vertex set have k points."""
+    verts = lattice.vertex_indices
+    vmask = sum(1 << v for v in verts)
+    inside = lattice.faces
+    if vmask != lattice.top:  # some points are not vertices
+        inside = [f for f in inside if f & vmask == f]
+    by_size = Counter(map(int.bit_count, inside))
+    best = 0
+    for k in range(1, len(verts)):
+        if by_size[k] != comb(len(verts), k):
+            break
+        best = k
+    return best
+
+
+def counts_by_walks(lattice) -> tuple[tuple[int, ...], bool, int]:
+    """The three walks that FaceLattice.counts replaced by one histogram,
+    kept as its reference."""
+    walks = (fvector_by_walk, simpliciality_by_walk, neighborliness_by_walk)
+    return tuple(walk(lattice) for walk in walks)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def counts_equal_the_walks():
+    """FaceLattice.counts equals the three walks on every lattice whose
+    counts the suite reads."""
+    exact = FaceLattice.__dict__["counts"]
+
+    def checked(lattice):
+        counts = exact.func(lattice)
+        assert counts == counts_by_walks(lattice), (lattice.dim, lattice.faces)
+        return counts
+
+    prop = cached_property(checked)
+    prop.__set_name__(FaceLattice, "counts")
+    FaceLattice.counts = prop
+    yield
+    FaceLattice.counts = exact
 
 
 def neighborliness_by_combinations(lattice) -> int:

@@ -269,12 +269,16 @@ def _golden_cases(tmp_path):
         yield f"analyze {build.__name__}", ["analyze", path]
     for spec in ("cube", "prism:6", "prism:8"):
         yield f"verify {spec}", ["verify", "--catalog", spec]
+    yield "verify truncated-octahedron", ["verify", "--catalog", "truncated-octahedron"]
     path = _faces_file(tmp_path, "all_equal", instances.all_equal_polytope().faces)
     yield "verify all_equal_polytope", ["verify", path]
+    path = _faces_file(tmp_path, "type_one", instances.type_one_polytope().faces)
+    yield "verify type_one_polytope", ["verify", path]
     cube = catalog("cube")
     reversed_cube = [list(reversed(f)) for f in reversed(cube.faces)]
     path = _faces_file(tmp_path, "reversed_cube", reversed_cube)
     yield "compare cube reversed_cube", ["compare", "catalog:cube", path]
+    yield "compare catalog:cube catalog:prism:6", ["compare", "catalog:cube", "catalog:prism:6"]
 
 
 # sha256 of stdout; reports, witness bijections included, must not move
@@ -298,10 +302,16 @@ GOLDEN_DIGESTS = {
     "verify cube": "db5356006e77d7dc77d25be242c8103626b856d0f7e9a9742239327fc5244bb7",
     "verify prism:6": "f90e1c6d4d51aed10ddc8505b13aa40fb0e9e5a73529b241cbc648da545058c6",
     "verify prism:8": "93c673bce32267989d9d2d88afcb36646306ff54cf57456ad5c001af18fd3e7b",
+    "verify truncated-octahedron":
+        "fb9ff021fc0f09a09e52ffde668a6f939cacb79c655f8bb0e915d5029eaec005",
     "verify all_equal_polytope":
         "104c3c2f2fa133886be23ef59fdaf02c13ece8a33a24b3f83a26c9e722665d27",
+    "verify type_one_polytope":
+        "fdc7c78b3b024acc65745adf71e2f85f4bd765898c04af57d40f98547b336f71",
     "compare cube reversed_cube":
         "bd8248c98f9e1790a592dbb8ec6f6c038886edba48bc81c254c5645ef85e930b",
+    "compare catalog:cube catalog:prism:6":
+        "0e7e86f1d118713dc9b341552204c08e72541545e37ac6af4b5ea9185999ad84",
 }
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
@@ -18,6 +19,7 @@ from conftest import (
     UP_TO_14,
     byte_fold,
     class_masks,
+    counts_by_walks,
     embedded_point_sets,
     enumerate_faces_by_mask_scan,
     enumerate_faces_by_subset,
@@ -380,7 +382,10 @@ def test_gale_transform_takes_no_affine_dimension(monkeypatch):
 
 
 def test_only_verify_runs_the_rref_route(monkeypatch):
+    """verify's one elimination lives in pipeline and feeds the RREF route;
+    gale's rref_gale_points, which eliminates on its own, is not called."""
     import galehull.gale as gale_module
+    import galehull.pipeline as pipeline_module
 
     calls = []
     exact = gale_module.affine_coordinates
@@ -390,6 +395,7 @@ def test_only_verify_runs_the_rref_route(monkeypatch):
         return exact(points)
 
     monkeypatch.setattr(gale_module, "affine_coordinates", counting)
+    monkeypatch.setattr(pipeline_module, "affine_coordinates", counting)
     for name, param in (("cube", None), ("prism", 6)):
         p = catalog(name, param)
         analyze_polytope(p)
@@ -404,14 +410,14 @@ def test_disagreeing_rref_route_fails_verify(monkeypatch, capsys):
 
     import galehull.pipeline as pipeline_module
 
-    honest = pipeline_module.rref_gale_points
+    honest = pipeline_module._rref_gale_points
 
-    def disagreeing(s):
-        pts = list(honest(s))
+    def disagreeing(base, table):
+        pts = list(honest(base, table))
         pts[0] = tuple(-x for x in pts[0])
         return tuple(pts)
 
-    monkeypatch.setattr(pipeline_module, "rref_gale_points", disagreeing)
+    monkeypatch.setattr(pipeline_module, "_rref_gale_points", disagreeing)
     assert main(["verify", "--catalog", "cube"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["code"] == "DiagramMismatch"
@@ -1006,6 +1012,45 @@ NEIGHBORLINESS_CASES = list(_neighborliness_cases())
 def test_neighborliness_equals_the_combinations_form(name, build):
     lattice = build()
     assert neighborliness(lattice) == neighborliness_by_combinations(lattice)
+    # the one walk behind all three counts equals the three walks it replaced
+    assert lattice.counts == counts_by_walks(lattice)
+    assert (fvector(lattice), simpliciality_check(lattice), neighborliness(lattice)) == (
+        lattice.counts
+    )
+
+
+# the added points are not vertices: the centre of a square, the midpoint
+# of a triangle's edge
+NON_VERTEX_CASES = [
+    ("square+centre", [(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)], ((4, 4), True, 1)),
+    ("triangle+edge-midpoint", [(0, 0), (2, 0), (0, 2), (1, 0)], ((3, 3), True, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "name,pts,expected", NON_VERTEX_CASES, ids=[n for n, *_ in NON_VERTEX_CASES]
+)
+def test_one_walk_with_points_that_are_not_vertices(name, pts, expected):
+    """Both are simplicial. The square is 1-neighborly; so is the triangle,
+    whose edge through the midpoint is a simplex but whose two vertices
+    alone are no face."""
+    lattice = oracle_lattice(pts)
+    assert lattice.vertex_indices != tuple(range(len(pts)))
+    assert lattice.counts == counts_by_walks(lattice) == expected
+
+
+@pytest.mark.parametrize(
+    "points", [None, NON_VERTEX_CASES[1][1]], ids=["cube", "triangle+edge-midpoint"]
+)
+def test_a_bumped_dimension_flips_simplicial(points, cube_analysis):
+    """One edge graded as a vertex: its vertex count no longer fits, on a
+    lattice of vertices only and on one through a point that is not."""
+    lattice = cube_analysis.lattice if points is None else oracle_lattice(points)
+    assert simpliciality_check(lattice) is True
+    edge = max(f for f, d in lattice.faces.items() if d == 1)
+    bumped = replace(lattice, faces={**lattice.faces, edge: 0})
+    assert bumped.counts == counts_by_walks(bumped)
+    assert simpliciality_check(bumped) is False
 
 
 def test_simpliciality_counts_vertices_not_points():

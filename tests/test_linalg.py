@@ -76,6 +76,55 @@ def test_pivot_columns_and_null_vector_match_the_rref_route():
             assert vec is None
 
 
+_BIG = 10**30
+_entry = st.one_of(
+    st.sampled_from([0, 0, 1, -1]),
+    st.integers(-_BIG, _BIG),
+    st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, 10**6)),
+)
+
+
+@st.composite
+def small_systems(draw):
+    """1 x 2 and 2 x 3 matrices, the facet scan's shapes, with zero, equal
+    and proportional second rows among the independent ones."""
+    r = draw(st.integers(1, 2))
+    first = draw(st.lists(_entry, min_size=r + 1, max_size=r + 1))
+    if r == 1:
+        return [first]
+    second = draw(st.one_of(
+        st.lists(_entry, min_size=3, max_size=3),
+        st.just([0, 0, 0]),
+        st.just(list(first)),
+        _entry.map(lambda c: [c * x for x in first]),
+    ))
+    return [first, second]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(small_systems())
+@example([[0, 0]])
+@example([[0, 5]])
+@example([[-3, 0]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[0, 0, 1], [0, 0, -2]])
+@example([[0, 2, 0], [0, 0, 3]])
+@example([[2, 4, -6], [-1, -2, 3]])
+@example([[F(1, 2), 0], [0, 1]])
+def test_null_vector_of_one_or_two_rows_equals_the_fraction_reference(rows):
+    """The cross-product answer for integer 1 x 2 and 2 x 3 systems (and the
+    elimination for Fraction ones) equals the primitive multiple of the
+    Fraction RREF's canonical vector, 1 at the free column, and is None
+    exactly when that null space is not one-dimensional."""
+    basis = null_space_by_fractions(rows)
+    vec = null_vector(rows)
+    if len(basis) == 1:
+        assert vec == primitive_vector_by_fractions(basis[0])
+        assert all(x == 0 for x in matvec(rows, vec))
+    else:
+        assert vec is None
+
+
 _coordinate = st.one_of(
     st.integers(-3, 3),
     st.fractions(min_value=-3, max_value=3, max_denominator=4),

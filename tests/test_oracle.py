@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import instances
 from conftest import (
+    counts_by_walks,
     embedded_point_sets,
     facet_supports_by_keys,
     gen,
@@ -335,26 +336,33 @@ SCAN_HULLS = [
 @pytest.mark.parametrize("name,build", SCAN_HULLS, ids=[n for n, _ in SCAN_HULLS])
 def test_facet_scan_eliminates_once_per_hull(name, build, monkeypatch):
     """One elimination of the points as given, a row per coordinate and
-    one of ones, for the base table, and then per d-subset at most one
-    system with a row per point of it outside the base: at most N - d - 1
-    rows, 1 on types I-III and 2 on type IV."""
+    one of ones, for the base table, and none after it: per d-subset at
+    most one null_vector system with a row per point of it outside the
+    base, 1 to N - d - 1 rows (1 on types I-III, at most 2 on type IV),
+    which null_vector solves by a cross product."""
     import galehull.linalg as linalg_module
+    import galehull.oracle as oracle_module
 
     pts = _vectors(build())
     n = len(pts)
-    exact = linalg_module._eliminate
-    rows_per_call = []
+    exact, solve = linalg_module._eliminate, oracle_module.null_vector
+    eliminated, systems = [], []
 
     def counting(rows, reduce):
-        rows_per_call.append(len(rows))
+        eliminated.append(len(rows))
         return exact(rows, reduce)
 
+    def recording(rows):
+        systems.append(len(rows))
+        return solve(rows)
+
     monkeypatch.setattr(linalg_module, "_eliminate", counting)
+    monkeypatch.setattr(oracle_module, "null_vector", recording)
     d, _ = oracle_facets(pts)
     assert n - d - 1 == (2 if name in ("cube", "glued-3.3.3") else 1)
-    assert rows_per_call[0] == len(pts[0]) + 1
-    assert all(0 < k <= n - d - 1 for k in rows_per_call[1:])
-    assert len(rows_per_call) - 1 <= comb(n, d)
+    assert eliminated == [len(pts[0]) + 1]
+    assert systems and all(1 <= k <= n - d - 1 for k in systems)
+    assert len(systems) <= comb(n, d)
 
 
 # the apex comes last, so the top is a pyramid only over the face without
@@ -550,6 +558,7 @@ def test_neighborliness_counts_faces_through_non_vertices_safely(pts):
     if len(set(pts)) > 1:
         lat = oracle_lattice(pts)
         assert neighborliness(lat) == neighborliness_by_combinations(lat)
+        assert lat.counts == counts_by_walks(lat)
 
 
 def test_oracle_caps_and_degenerate():
@@ -599,8 +608,8 @@ def test_a_dropped_facet_puts_an_apex_outside_none(
     apex = analysis.system.class_indices(slot)[-1]
     exact = pipeline_module.oracle_lattice
 
-    def dropping(points):
-        lattice = exact(points)
+    def dropping(points, *elimination):
+        lattice = exact(points, *elimination)
         kept = tuple(f for f in lattice.facets if f >> apex & 1)
         assert len(kept) == len(lattice.facets) - 1
         return replace(lattice, facets=kept)

@@ -25,7 +25,7 @@ from galehull import (
 )
 from conftest import gen, lattice_isomorphic, simplex_beyond_count, tkn_model
 from galehull.errors import CriterionMismatch, StructureMismatch
-from galehull.gale import hull_model
+from galehull.gale import hull_model, rref_gale_points
 from galehull.pipeline import type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror
 
@@ -91,8 +91,8 @@ def test_a_lattice_off_the_oracle_fails_before_the_suite(type_one, monkeypatch):
     # the type I suite reports it without comparing again
     exact = galehull.pipeline.oracle_lattice
 
-    def dropping_vertex_zero(points):
-        lattice = exact(points)
+    def dropping_vertex_zero(points, *elimination):
+        lattice = exact(points, *elimination)
         return replace(lattice, faces={f: d for f, d in lattice.faces.items() if f != 1})
 
     suites = []
@@ -110,8 +110,8 @@ def test_a_lattice_off_the_oracle_names_its_first_faces(type_one, branch, monkey
     exact = galehull.pipeline.oracle_lattice
     found = {}
 
-    def changed(points):
-        lattice = exact(points)
+    def changed(points, *elimination):
+        lattice = exact(points, *elimination)
         faces = dict(lattice.faces)
         if branch == "oracle-only":
             found["face"] = next(m for m in range(lattice.top) if m not in faces)
@@ -209,8 +209,8 @@ def test_a_dropped_facet_fails_the_recount(type_one, verification, monkeypatch):
     assert [v for v in middle if not verification.oracle.facets[0] >> v & 1]
     exact = galehull.pipeline.oracle_lattice
 
-    def dropping_facet_zero(points):
-        lattice = exact(points)
+    def dropping_facet_zero(points, *elimination):
+        lattice = exact(points, *elimination)
         return replace(lattice, facets=lattice.facets[1:])
 
     suites = []
@@ -235,11 +235,13 @@ def test_a_dropped_facet_fails_the_recount(type_one, verification, monkeypatch):
 def test_degenerate_others_raise(point, others):
     with pytest.raises(StructureMismatch, match="no simplex"):
         simplex_beyond_count(point, others)
-    # the same points as a hull whose one middle-class vertex is the point
+    # the same points as a hull whose one middle-class vertex is the point,
+    # with the RREF route's Gale points, which type_one_checks reads
     points = [*others, point]
     analysis = SimpleNamespace(
         report=hull_model((4, 5, 6)),
         system=SimpleNamespace(vectors=points, class_indices=lambda slot: (len(others),)),
+        diagram=SimpleNamespace(points=rref_gale_points(SimpleNamespace(vectors=points))),
     )
     with pytest.raises(
         StructureMismatch, match="^the other points are no simplex whose affine hull holds the point$"
@@ -248,10 +250,10 @@ def test_degenerate_others_raise(point, others):
 
 
 def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
-    """No elimination of a point configuration inside type_one_checks; one
-    per scan, one scan per hull, and one more per verify for the Gale
-    cross-check: 2 per verify, 2 per compare."""
-    calls = {"_facet_supports": 0, "affine_coordinates": 0}
+    """No elimination of a point configuration and no null_vector inside
+    type_one_checks; one per scan, one scan per hull, and verify's scan and
+    Gale cross-check share one: 1 per verify, 2 per compare."""
+    calls = {"_facet_supports": 0, "affine_coordinates": 0, "null_vector": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -263,21 +265,24 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counted(galehull.oracle, "_facet_supports")
-    # every module that imports the one elimination of a point configuration
+    # every module that imports the one elimination of a point configuration,
+    # or the null vector of a linear system
     for name, module in list(sys.modules.items()):
-        if name.startswith("galehull.") and hasattr(module, "affine_coordinates"):
-            counted(module, "affine_coordinates")
+        if name.startswith("galehull."):
+            for attr in ("affine_coordinates", "null_vector"):
+                if hasattr(module, attr):
+                    counted(module, attr)
     report = type_one_checks(verification.analysis)
     assert report == verification.type_one_report
-    assert calls == {"_facet_supports": 0, "affine_coordinates": 0}
+    assert calls == {"_facet_supports": 0, "affine_coordinates": 0, "null_vector": 0}
     oracle_lattice(verification.analysis.system.vectors)
-    assert calls == {"_facet_supports": 1, "affine_coordinates": 1}
+    assert calls["_facet_supports"] == 1 and calls["affine_coordinates"] == 1
     # one scan per hull: one per verify of every type, two per compare
     for p in (catalog("cube"), catalog("prism", 6), catalog("truncated-octahedron"),
               type_one_polytope()):
         calls.update(_facet_supports=0, affine_coordinates=0)
         verify_polytope(p)
-        assert calls == {"_facet_supports": 1, "affine_coordinates": 2}
+        assert (calls["_facet_supports"], calls["affine_coordinates"]) == (1, 1)
         a = analyze_polytope(p)
         equivalence_witness(a, a)
-        assert calls == {"_facet_supports": 3, "affine_coordinates": 4}
+        assert (calls["_facet_supports"], calls["affine_coordinates"]) == (3, 3)

@@ -147,8 +147,8 @@ def test_a_dropped_facet_fails_the_witness(name, build, monkeypatch):
     pass, and the witness onto the model is what refuses it."""
     exact = pipeline_module.oracle_lattice
 
-    def dropping(points):
-        lattice = exact(points)
+    def dropping(points, *elimination):
+        lattice = exact(points, *elimination)
         return replace(lattice, facets=lattice.facets[1:])
 
     monkeypatch.setattr(pipeline_module, "oracle_lattice", dropping)
