@@ -112,7 +112,7 @@ def _polytope_report(a: Analysis) -> dict:
 
 
 def _hull_report(a: Analysis) -> dict:
-    r, g = a.report, a.diagram
+    r, g, colors = a.report, a.diagram, a.coloring.colors
     return {
         "dim": r.dim,
         "type": r.hull_type,
@@ -121,7 +121,7 @@ def _hull_report(a: Analysis) -> dict:
         "galeDiagram": [
             {
                 "index": j,
-                "color": g.colors[j],
+                "color": colors[j],
                 "point": [str(x) for x in g.points[j]],
                 "normalized": list(g.normalized[j]),
             }
@@ -144,15 +144,17 @@ def cmd_analyze(args) -> dict:
 
 def cmd_verify(args) -> dict:
     v = verify_polytope(_resolve_input(args, require_face_cap))
+    model = v.analysis.report
     report = _analysis_report(v.analysis)
     report["verify"] = {
         "facesMatchOracle": True,
         "oracleFaceCount": len(v.oracle.faces),
         "simplicialAgrees": True,
         "pyramid": v.pyramid_report,
-        "neighborlinessMatches": v.neighborliness_matches,
+        # verify raises on a type IV hull whose neighborliness is not m2 - 1
+        "neighborlinessMatches": True if model.hull_type == "IV" else None,
         "typeOne": v.type_one_report,
-        "reference": v.analysis.report.structure,
+        "reference": model.structure,
         "referenceIsomorphic": True,
         "witnessBijection": [
             [i, j] for i, j in sorted(v.reference_witness.items())

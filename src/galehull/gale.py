@@ -44,7 +44,7 @@ from .errors import (
     TheoremViolation,
     TooManyPoints,
 )
-from .linalg import affine_coordinates, affine_dimension, dot, primitive_vector
+from .linalg import affine_dimension, dot, primitive_vector
 from .polytopes import FaceColoring, PlanarPolytope
 
 ANALYSIS_VERTEX_CAP = 24  # hull vertices (= faces of the input polytope)
@@ -140,11 +140,6 @@ class GaleDiagram:
 
     class_points: tuple[Point, Point, Point]   # sorted class slot -> its point
     slots: tuple[int, ...]                     # hull vertex -> its sorted class slot
-    colors: tuple[int, ...]                    # face color per point
-
-    @property
-    def ambient(self) -> int:
-        return len(self.class_points[0])
 
     @cached_property
     def points(self) -> tuple[Point, ...]:
@@ -270,9 +265,6 @@ class FaceLattice:
         simplicial = all(abs(k) == d + 1 for k, d in hist if 0 <= d < self.dim)
         return tuple(fvector), simplicial, neighborly
 
-    def proper_faces(self) -> dict[int, int]:
-        return {f: d for f, d in self.faces.items() if 0 <= d < self.dim}
-
 
 def members(mask: int) -> list[int]:
     """The vertex indices of a face bitmask, ascending."""
@@ -347,21 +339,18 @@ def gale_transform(s: IncidenceSystem, model: HullModel) -> GaleDiagram:
     else:
         div = next(y[slot][0] for slot in latest_first if y[slot][0])
         class_points = tuple((p / div,) for (p,) in y)
-    return GaleDiagram(class_points=class_points, slots=s.slots, colors=s.coloring.colors)
+    return GaleDiagram(class_points=class_points, slots=s.slots)
 
 
-def rref_gale_points(s: IncidenceSystem) -> tuple[Point, ...]:
+def rref_gale_points(base: list[int], table: list[tuple[int, ...]]) -> tuple[Point, ...]:
     """The Gale points by elimination: rows of the canonical null-space
     basis of the homogenized vertex matrix, one vector per free column in
-    increasing order. affine_coordinates' table is that matrix's RREF
-    times table[base[0]][0], so a free point's row is a unit vector and
-    base point i's row holds -table[f][i] over that multiple at each free
-    column f. Cubic in n; verification runs it as an independent
-    cross-check of gale_transform, on the table its oracle reads too."""
-    return _rref_gale_points(*affine_coordinates(s.vectors))
-
-
-def _rref_gale_points(base: list[int], table: list[tuple[int, ...]]) -> tuple[Point, ...]:
+    increasing order. (base, table) is affine_coordinates of the vertices:
+    the table is that matrix's RREF times table[base[0]][0], so a free
+    point's row is a unit vector and base point i's row holds
+    -table[f][i] over that multiple at each free column f. The
+    elimination, cubic in n, is the one verification runs for its oracle
+    too; this reads it as an independent cross-check of gale_transform."""
     scale = table[base[0]][0]
     slot = dict(zip(base, range(len(base))))
     free = [f for f in range(len(table)) if f not in slot]

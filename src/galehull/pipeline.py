@@ -26,7 +26,6 @@ from .gale import (
     GaleDiagram,
     HullModel,
     IncidenceSystem,
-    _rref_gale_points,
     enumerate_faces,
     fvector,
     gale_transform,
@@ -35,6 +34,7 @@ from .gale import (
     incidence_system,
     members,
     neighborliness,
+    rref_gale_points,
     simpliciality_check,
 )
 from .linalg import affine_coordinates
@@ -157,7 +157,6 @@ class Verification:
     analysis: Analysis
     oracle: FaceLattice
     pyramid_report: Optional[dict]
-    neighborliness_matches: Optional[bool]
     type_one_report: Optional[dict]
     reference: tuple[int, ...]      # the model's facets
     reference_witness: dict[int, int]
@@ -170,7 +169,7 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     points = _check_points(analysis.system.vectors)  # the oracle's cap bounds the elimination
     elimination = affine_coordinates(points)  # the one of the oracle, RREF route and type I
     oracle = oracle_lattice(points, *elimination)
-    by_rref, closed = _rref_gale_points(*elimination), analysis.diagram.points
+    by_rref, closed = rref_gale_points(*elimination), analysis.diagram.points
     for j, (a, b) in enumerate(zip(closed, by_rref)):
         if a != b:
             raise DiagramMismatch(
@@ -218,13 +217,10 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
             "facetCount": len(reference),
         }
 
-    neighborliness_matches = None
-    if model.hull_type == "IV":
-        neighborliness_matches = model.neighborly == model.sizes[1] - 1
-        if not neighborliness_matches:
-            raise StructureMismatch(
-                f"neighborliness {model.neighborly} != m2-1 = {model.sizes[1] - 1}"
-            )
+    if model.hull_type == "IV" and model.neighborly != model.sizes[1] - 1:
+        raise StructureMismatch(
+            f"neighborliness {model.neighborly} != m2-1 = {model.sizes[1] - 1}"
+        )
 
     type_one_report = None
     if model.hull_type == "I":
@@ -234,7 +230,6 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
         analysis=analysis,
         oracle=oracle,
         pyramid_report=pyramid_report,
-        neighborliness_matches=neighborliness_matches,
         type_one_report=type_one_report,
         reference=reference,
         reference_witness=witness,

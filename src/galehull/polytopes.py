@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from typing import ClassVar, Optional, Sequence
 
@@ -50,18 +49,6 @@ class PlanarPolytope:
     @property
     def fvector(self) -> tuple[int, int, int]:
         return (2 * self.n, 3 * self.n, self.n + 2)
-
-    @cached_property
-    def edges(self) -> frozenset[frozenset[int]]:
-        """The edges as vertex pairs, built on first read."""
-        return frozenset(frozenset((u, v)) for u, vs in self.skeleton.items() for v in vs if u < v)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        """Face index -> the faces it shares an edge with, built on first
-        read: on a validated map, the faces it shares a vertex with."""
-        at = self.vertex_faces.__getitem__
-        return tuple(frozenset(chain(*map(at, f))) - {i} for i, f in enumerate(self.faces))
 
 
 @dataclass(frozen=True)

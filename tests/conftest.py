@@ -5,7 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, compress, islice, repeat
+from itertools import chain, combinations, compress, islice, repeat
 from math import comb, gcd, lcm
 from operator import add, and_, getitem, ne, or_, rshift
 from pathlib import Path
@@ -126,7 +126,8 @@ OVER_CAP = [
 # The front end as it was before validate counted edges by int key and
 # three_color checked the colors per vertex, kept verbatim as the reference
 # of the differential test in test_polytopes.py. validate_by_sorted_edges
-# returns a namespace with the fields and views that PlanarPolytope has.
+# returns a namespace with the fields that PlanarPolytope has, plus the
+# edges and face adjacency that polytope_edges and face_adjacency read off it.
 
 def validate_by_sorted_edges(raw: Sequence[Sequence[int]]) -> SimpleNamespace:
     """Check the polyhedral-map axioms and build derived structures."""
@@ -437,7 +438,7 @@ def enumerate_faces_by_subset(s, g, t) -> FaceLattice:
                 f"type {t.hull_type} criterion says {by_formula}"
             )
         if by_formula:
-            dim = mask.bit_count() - 1 - g.ambient + gale_rank
+            dim = mask.bit_count() - 1 - len(g.class_points[0]) + gale_rank
             if support not in anchored:
                 anchored.add(support)
                 on_face = [s.vectors[j] for j in range(npts) if mask >> j & 1]
@@ -1041,6 +1042,23 @@ def lattice_isomorphic(a: FaceLattice, b: FaceLattice) -> Optional[dict[int, int
         return False
 
     return dict(mapping) if search(0) else None
+
+
+def proper_faces(lattice: FaceLattice) -> dict[int, int]:
+    """The faces of dimension 0 .. d-1 (no module of galehull lists them)."""
+    return {f: d for f, d in lattice.faces.items() if 0 <= d < lattice.dim}
+
+
+def polytope_edges(p) -> frozenset[frozenset[int]]:
+    """The edges of a PlanarPolytope as vertex pairs, read off its skeleton."""
+    return frozenset(frozenset((u, v)) for u, vs in p.skeleton.items() for v in vs if u < v)
+
+
+def face_adjacency(p) -> tuple[frozenset[int], ...]:
+    """Face index -> the faces it shares an edge with: on a validated map,
+    the faces it shares a vertex with."""
+    at = p.vertex_faces.__getitem__
+    return tuple(frozenset(chain(*map(at, f))) - {i} for i, f in enumerate(p.faces))
 
 
 def lattice_to_json(lattice: FaceLattice) -> dict:

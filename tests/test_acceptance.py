@@ -25,7 +25,15 @@ from galehull import (
     verify_polytope,
 )
 from galehull.linalg import rank
-from conftest import cyclic_facets, lattice_isomorphic, pyramid, relabel_faces, type4_model
+from conftest import (
+    cyclic_facets,
+    lattice_isomorphic,
+    polytope_edges,
+    proper_faces,
+    pyramid,
+    relabel_faces,
+    type4_model,
+)
 from instances import type_one_polytope
 
 OCTAHEDRON = [
@@ -53,10 +61,10 @@ def test_criterion_1_cube_end_to_end():
         assert a.report.hull_type == "IV"
 
         g = a.diagram
-        assert g.ambient == 2
+        assert len(g.class_points[0]) == 2
         rays: dict = {}
         for j, norm in enumerate(g.normalized):
-            rays.setdefault(norm, []).append(g.colors[j])
+            rays.setdefault(norm, []).append(a.coloring.colors[j])
         assert len(rays) == 3
         assert all(len(cols) == 2 and len(set(cols)) == 1 for cols in rays.values())
         assert relint_contains_zero(g.points)
@@ -225,7 +233,7 @@ def test_criterion_6_invariant_suite():
             closed = _closed_form_faces(a)
             byrelint = _relint_faces(a)
             assert closed == byrelint
-            assert {_mask(f) for f in closed} == set(a.lattice.proper_faces()) | {0}
+            assert {_mask(f) for f in closed} == set(proper_faces(a.lattice)) | {0}
 
             simplicial = simpliciality_check(a.lattice)
             assert simplicial == (a.report.hull_type in ("I", "IV"))
@@ -269,5 +277,6 @@ def test_criterion_8_hamiltonicity():
             assert elapsed < 5.0, f"{name} search took {elapsed:.2f}s, budget 5s"
             assert cycle is not None and len(cycle) == length
             assert len(set(cycle)) == length
+            edges = polytope_edges(p)
             for x, y in zip(cycle, cycle[1:] + cycle[:1]):
-                assert frozenset((x, y)) in p.edges
+                assert frozenset((x, y)) in edges

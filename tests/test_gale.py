@@ -7,7 +7,6 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import and_, or_
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +25,7 @@ from conftest import (
     gluings,
     neighborliness_by_combinations,
     null_space_by_fractions,
+    proper_faces,
     ranks_by_elimination,
     vectors_by_faces,
 )
@@ -52,7 +52,7 @@ from galehull import (
 from galehull.cli import main
 from galehull.errors import DimensionMismatch, TheoremViolation
 from galehull.gale import IncidenceSystem, rref_gale_points, subset_table
-from galehull.linalg import affine_dimension, dot, rank
+from galehull.linalg import affine_coordinates, affine_dimension, dot, rank
 from galehull.polytopes import coloring_from_assignment
 
 F = Fraction
@@ -217,18 +217,10 @@ def test_type_four_relint_off_the_criterion_raises(cube_analysis, monkeypatch):
         hull_model(cube_analysis.report.sizes)
 
 
-def test_simpliciality_check_makes_no_proper_faces_copy(cube_analysis, monkeypatch):
-    def copying(self):
-        raise AssertionError("proper_faces() copies the face dict")
-
-    monkeypatch.setattr(type(cube_analysis.lattice), "proper_faces", copying)
-    assert simpliciality_check(cube_analysis.lattice)
-
-
 def test_gale_transform_residuals_are_zero(prism6_analysis):
     s, g = prism6_analysis.system, prism6_analysis.diagram
     npts = s.n + 2
-    for b in range(g.ambient):
+    for b in range(len(g.class_points[0])):
         assert sum(g.points[j][b] for j in range(npts)) == 0
         for v in range(2 * s.n):
             assert sum(s.vectors[j][v] * g.points[j][b] for j in range(npts)) == 0
@@ -256,7 +248,7 @@ RREF_INSTANCES = GALE_INSTANCES + [
 @pytest.mark.parametrize("name,p", RREF_INSTANCES, ids=[n for n, _ in RREF_INSTANCES])
 def test_closed_form_diagram_equals_rref_route(name, p):
     s = incidence_system(p, three_color(p))
-    assert _gale(s).points == rref_gale_points(s)
+    assert _gale(s).points == rref_gale_points(*affine_coordinates(s.vectors))
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -267,7 +259,7 @@ def test_closed_form_diagram_equals_rref_route_relabelled(data):
     labels = data.draw(st.permutations(range(p.num_vertices)))
     q = validate([[labels[v] for v in f] for f in faces])
     s = incidence_system(q, three_color(q))
-    assert _gale(s).points == rref_gale_points(s)
+    assert _gale(s).points == rref_gale_points(*affine_coordinates(s.vectors))
 
 
 def _gale_points_by_fractions(points):
@@ -281,15 +273,15 @@ def _gale_points_by_fractions(points):
 @example(([(0,), (1,)], [(0,), (1,)]))
 @example(([(3,), (3,)], [(3, 1), (3, 1)]))
 def test_rref_gale_points_equal_the_fraction_reference(sets):
-    """rref_gale_points reads only s.vectors, so it applies to any points:
+    """rref_gale_points reads only the points' elimination, so it applies to any points:
     on each set and on its image off full dimension it gives the Fraction
     RREF's canonical basis, whose columns are affine dependencies, one per
     point off a base. An injective affine map keeps every affine
     dependency, so the image has the same Gale points."""
     points, image = sets
-    by_rref = rref_gale_points(SimpleNamespace(vectors=points))
+    by_rref = rref_gale_points(*affine_coordinates(points))
     assert by_rref == _gale_points_by_fractions(points)
-    assert rref_gale_points(SimpleNamespace(vectors=image)) == by_rref
+    assert rref_gale_points(*affine_coordinates(image)) == by_rref
     assert _gale_points_by_fractions(image) == by_rref
     columns = list(zip(*by_rref))
     assert len(columns) == len(points) - 1 - affine_dimension(points)
@@ -300,10 +292,10 @@ def test_rref_gale_points_equal_the_fraction_reference(sets):
 
 def test_rref_gale_points_hand_solved():
     # x + y + z = 0, y + 2z = 0  =>  (x, y, z) = z * (1, -2, 1)
-    assert rref_gale_points(SimpleNamespace(vectors=[(0,), (1,), (2,)])) == ((1,), (-2,), (1,))
+    assert rref_gale_points(*affine_coordinates([(0,), (1,), (2,)])) == ((1,), (-2,), (1,))
     # affinely independent points have no dependency; the free column takes the 1
-    assert rref_gale_points(SimpleNamespace(vectors=[(0, 0), (1, 0), (0, 1)])) == ((), (), ())
-    assert rref_gale_points(SimpleNamespace(vectors=[(5,), (5,)])) == ((-1,), (1,))
+    assert rref_gale_points(*affine_coordinates([(0, 0), (1, 0), (0, 1)])) == ((), (), ())
+    assert rref_gale_points(*affine_coordinates([(5,), (5,)])) == ((-1,), (1,))
 
 
 def _incidences_equal_the_eager_build(p):
@@ -382,19 +374,17 @@ def test_gale_transform_takes_no_affine_dimension(monkeypatch):
 
 
 def test_only_verify_runs_the_rref_route(monkeypatch):
-    """verify's one elimination lives in pipeline and feeds the RREF route;
-    gale's rref_gale_points, which eliminates on its own, is not called."""
-    import galehull.gale as gale_module
+    """verify's one elimination lives in pipeline and feeds the oracle and
+    the RREF route; analyze eliminates nothing."""
     import galehull.pipeline as pipeline_module
 
     calls = []
-    exact = gale_module.affine_coordinates
+    exact = pipeline_module.affine_coordinates
 
     def counting(points):
         calls.append(len(points))
         return exact(points)
 
-    monkeypatch.setattr(gale_module, "affine_coordinates", counting)
     monkeypatch.setattr(pipeline_module, "affine_coordinates", counting)
     for name, param in (("cube", None), ("prism", 6)):
         p = catalog(name, param)
@@ -410,14 +400,14 @@ def test_disagreeing_rref_route_fails_verify(monkeypatch, capsys):
 
     import galehull.pipeline as pipeline_module
 
-    honest = pipeline_module._rref_gale_points
+    honest = pipeline_module.rref_gale_points
 
     def disagreeing(base, table):
         pts = list(honest(base, table))
         pts[0] = tuple(-x for x in pts[0])
         return tuple(pts)
 
-    monkeypatch.setattr(pipeline_module, "_rref_gale_points", disagreeing)
+    monkeypatch.setattr(pipeline_module, "rref_gale_points", disagreeing)
     assert main(["verify", "--catalog", "cube"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["error"]["code"] == "DiagramMismatch"
@@ -464,10 +454,10 @@ def test_wrong_classes_of_the_right_sizes_trip_the_class_certificate(cube):
 
 def test_gale_diagram_cube(cube_analysis):
     g = cube_analysis.diagram
-    assert g.ambient == 2 and len(g.points) == 6
+    assert len(g.class_points[0]) == 2 and len(g.points) == 6
     rays = {}
     for j, norm in enumerate(g.normalized):
-        rays.setdefault(norm, []).append(g.colors[j])
+        rays.setdefault(norm, []).append(cube_analysis.coloring.colors[j])
     assert len(rays) == 3
     for norm, colors in rays.items():
         assert len(colors) == 2 and len(set(colors)) == 1
@@ -477,7 +467,7 @@ def test_gale_diagram_cube(cube_analysis):
 def test_gale_diagram_hexagonal_prism(prism6_analysis):
     g = prism6_analysis.diagram
     s = prism6_analysis.system
-    assert g.ambient == 1
+    assert len(g.class_points[0]) == 1
     values = [g.normalized[j][0] for j in range(8)]
     hexagons = s.class_indices(0)
     assert all(values[j] == 0 for j in hexagons)
@@ -599,7 +589,7 @@ def test_chain_family_above_equal_classes(prism6_analysis):
     base = _mask(s.class_indices(1)) | _mask(s.class_indices(2))
     apexes = s.class_indices(0)
     containing = {
-        f for f in prism6_analysis.lattice.proper_faces() if f & base == base
+        f for f in proper_faces(prism6_analysis.lattice) if f & base == base
     }
     expected = {
         base | _mask(a)
@@ -615,7 +605,7 @@ def test_chain_family_above_equal_classes_big_apex(trunc_oct_analysis):
     base = _mask(s.class_indices(0)) | _mask(s.class_indices(1))
     apexes = s.class_indices(2)
     containing = {
-        f for f in trunc_oct_analysis.lattice.proper_faces() if f & base == base
+        f for f in proper_faces(trunc_oct_analysis.lattice) if f & base == base
     }
     expected = {
         base | _mask(a)
@@ -680,7 +670,7 @@ def test_gale_diagram_is_one_point_per_class(cube_analysis, prism6_analysis, tru
         assert len(g.class_points) == 3 and g.slots == s.slots
         for slot in range(3):
             assert {g.points[j] for j in s.class_indices(slot)} == {g.class_points[slot]}
-        assert g.ambient == len(g.points[0]) == (2 if a.report.hull_type == "IV" else 1)
+        assert len(g.class_points[0]) == len(g.points[0]) == (2 if a.report.hull_type == "IV" else 1)
 
 
 def test_hull_dimension_runs_once_per_summary(monkeypatch):

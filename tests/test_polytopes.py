@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import (
     UP_TO_14,
     dependency_roots_by_sorting,
+    face_adjacency,
     gluings,
+    polytope_edges,
     three_color_by_adjacency,
     validate_by_sorted_edges,
 )
@@ -45,7 +47,7 @@ K33_TORUS = [
 def test_validate_cube(cube):
     assert cube.n == 4
     assert cube.fvector == (8, 12, 6)
-    assert len(cube.edges) == 12
+    assert len(polytope_edges(cube)) == 12
     assert all(len(owners) == 3 for owners in cube.vertex_faces)
 
 
@@ -132,12 +134,13 @@ def _backtracking_colors(p):
     """Lexicographically first proper face coloring with face 0 fixed to 1,
     by plain backtracking: the reference the propagation must reproduce."""
     colors = [0] * len(p.faces)
+    adjacency = face_adjacency(p)
 
     def extend(idx):
         if idx == len(colors):
             return True
         for c in (1,) if idx == 0 else (1, 2, 3):
-            if all(colors[j] != c for j in p.adjacency[idx] if j < idx):
+            if all(colors[j] != c for j in adjacency[idx] if j < idx):
                 colors[idx] = c
                 if extend(idx + 1):
                     return True
@@ -202,7 +205,7 @@ def _assert_hamiltonian(p, cycle):
     assert cycle is not None
     assert len(cycle) == p.num_vertices
     assert len(set(cycle)) == p.num_vertices
-    edges = p.edges
+    edges = polytope_edges(p)
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
         assert frozenset((a, b)) in edges
 
@@ -306,8 +309,9 @@ def _require_reference_front_end(raw, assignment=None):
     assert error == ref_error
     if error:
         return error
-    fields = ("faces", "n", "num_vertices", "vertex_faces", "adjacency", "edges", "skeleton")
+    fields = ("faces", "n", "num_vertices", "vertex_faces", "skeleton")
     assert [getattr(p, f) for f in fields] == [getattr(ref, f) for f in fields]
+    assert (face_adjacency(p), polytope_edges(p)) == (ref.adjacency, ref.edges)
     colorings = [_outcome(three_color, p)]
     assert colorings[0] == _outcome(three_color_by_adjacency, ref)
     if assignment is not None:
@@ -349,9 +353,3 @@ def test_a_face_listed_twice_is_named_with_all_its_owners():
     error = _require_reference_front_end(faces)
     assert error == (BadEdge, "edge (0,1) lies in faces [0, 2, 998], expected exactly 2")
 
-
-def test_edges_and_adjacency_are_built_on_first_read(cube):
-    p = validate([list(f) for f in cube.faces])
-    assert "edges" not in vars(p) and "adjacency" not in vars(p)
-    assert p.edges == cube.edges and p.adjacency == cube.adjacency
-    assert "edges" in vars(p) and "adjacency" in vars(p)

@@ -27,6 +27,7 @@ from conftest import (
     _facets,
     cyclic_facets,
     lattice_isomorphic,
+    proper_faces,
     pyramid,
     reference_model,
     tkn_model,
@@ -59,7 +60,7 @@ def test_cyclic_c64_fvector_and_faces():
     lat = cyclic_facets(6, 4)
     assert fvector(lat) == (6, 15, 18, 9)
     expected = _criterion_faces(6)
-    assert set(lat.proper_faces()) | {0} == expected | {0}
+    assert set(proper_faces(lat)) | {0} == expected | {0}
     assert lat.faces[0] == -1
 
 

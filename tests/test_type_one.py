@@ -26,6 +26,7 @@ from galehull import (
 from conftest import gen, lattice_isomorphic, simplex_beyond_count, tkn_model
 from galehull.errors import CriterionMismatch, StructureMismatch
 from galehull.gale import hull_model, rref_gale_points
+from galehull.linalg import affine_coordinates
 from galehull.pipeline import type_one_checks
 from instances import type_one_polytope, type_one_polytope_mirror
 
@@ -241,7 +242,7 @@ def test_degenerate_others_raise(point, others):
     analysis = SimpleNamespace(
         report=hull_model((4, 5, 6)),
         system=SimpleNamespace(vectors=points, class_indices=lambda slot: (len(others),)),
-        diagram=SimpleNamespace(points=rref_gale_points(SimpleNamespace(vectors=points))),
+        diagram=SimpleNamespace(points=rref_gale_points(*affine_coordinates(points))),
     )
     with pytest.raises(
         StructureMismatch, match="^the other points are no simplex whose affine hull holds the point$"
