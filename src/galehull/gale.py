@@ -243,10 +243,7 @@ class FaceLattice:
 
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], bool, int]:
-        """The f-vector, simpliciality and neighborliness, read on first use off
-        one histogram of the faces by (vertex count, dim), not counting points
-        that are not vertices. All k-subsets of the vertices V are faces iff
-        C(|V|, k) faces inside V have k points, so a face outside V counts negated."""
+        """histogram_counts of one walk over the faces, on first read."""
         vmask, faces = sum(1 << v for v in self.vertex_indices), self.faces
         if vmask == self.top:
             hist = Counter(zip(map(int.bit_count, faces), faces.values()))
@@ -255,15 +252,23 @@ class FaceLattice:
                 (-(f & vmask).bit_count() if f & ~vmask else f.bit_count(), d)
                 for f, d in faces.items()
             )
-        fvector, by_size, nverts, neighborly = [0] * self.dim, Counter(), vmask.bit_count(), 0
-        for (k, d), count in hist.items():
-            by_size[k] += count
-            if 0 <= d < self.dim:
-                fvector[d] += count
-        while neighborly + 1 < nverts and by_size[neighborly + 1] == comb(nverts, neighborly + 1):
-            neighborly += 1
-        simplicial = all(abs(k) == d + 1 for k, d in hist if 0 <= d < self.dim)
-        return tuple(fvector), simplicial, neighborly
+        return histogram_counts(hist, self.dim)
+
+
+def histogram_counts(hist: Counter, dim: int) -> tuple[tuple[int, ...], bool, int]:
+    """The counts off the faces by (vertex count, dim), a face through a point
+    that is no vertex by its vertices negated. The top face holds all vertices
+    V, and all k-subsets of V are faces iff C(|V|, k) faces in V have k points."""
+    fvector, by_size, neighborly = [0] * dim, Counter(), 0
+    nverts = max((abs(k) for k, d in hist if d == dim), default=0)
+    for (k, d), count in hist.items():
+        by_size[k] += count
+        if 0 <= d < dim:
+            fvector[d] += count
+    while neighborly + 1 < nverts and by_size[neighborly + 1] == comb(nverts, neighborly + 1):
+        neighborly += 1
+    simplicial = all(abs(k) == d + 1 for k, d in hist if 0 <= d < dim)
+    return tuple(fvector), simplicial, neighborly
 
 
 def members(mask: int) -> list[int]:
@@ -511,6 +516,24 @@ def grade_anchors(s: IncidenceSystem, model: HullModel) -> None:
             )
 
 
+def _face_rows(s: IncidenceSystem, model: HullModel):
+    """The split bit, each high half's pattern and per pattern one row: the low
+    halves that complete a face, and their dims. A half mask h holds a class with
+    no bit in the half's complement of h; pattern 7 is the full mask's alone."""
+    _require_vertex_cap(s)  # bounds the 2^(n+2) faces the rows stand for
+    low = (s.n + 2) // 2
+    bits = [1 << slot for slot in s.slots]
+    lows, highs = (
+        [7 & ~t for t in reversed(subset_table(half, or_, 0))] for half in (bits[:low], bits[low:])
+    )
+    by_pattern = (*model.offset, None)
+    rows = {}  # high half pattern -> (low halves completing a face, their dims)
+    for high in set(highs):
+        keys = [lo for lo, pattern in enumerate(lows) if by_pattern[high & pattern] is not None]
+        rows[high] = keys, [lo.bit_count() + by_pattern[high & lows[lo]] for lo in keys]
+    return low, highs, rows
+
+
 def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, model: HullModel) -> FaceLattice:
     """All faces of the hull, built one high half mask at a time.
 
@@ -519,28 +542,14 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, model: HullModel) -> Fac
     pattern in the model's table, which grade_anchors cross-checks by
     exact rank. A subset holds a class when both halves of its mask, split
     at bit low = (n+2) // 2, hold their parts of it, so its pattern is the
-    AND of the patterns of its two halves. Per high half pattern one row
-    lists the low halves that complete a face, with their dimensions; a
-    high half adds its popcount to them and its bits to the keys, in
-    ascending mask order. The table holds every Gale point this needs; g
-    stays a parameter because perfbench/spans.py reads the diagram off
-    this call to count supports.
+    AND of the patterns of its two halves. A high half adds its popcount to
+    its pattern's _face_rows row and its bits to the keys, in ascending mask
+    order. The table holds every Gale point this needs; g stays a parameter
+    because perfbench/spans.py reads the diagram off this call to count
+    supports.
     """
-    _require_vertex_cap(s)  # bounds the 2^(n+2) face dict
-    npts = s.n + 2
-    full = (1 << npts) - 1
-    low = npts // 2
-    # a half mask h holds a class with no bit in the half's complement of h
-    bits = [1 << slot for slot in s.slots]
-    lows, highs = (
-        [7 & ~t for t in reversed(subset_table(half, or_, 0))] for half in (bits[:low], bits[low:])
-    )
-    # pattern 7 holds every class, which only the full mask does: it comes last
-    by_pattern = (*model.offset, None)
-    rows = {}  # high half pattern -> (low halves completing a face, their dims)
-    for high in set(highs):
-        keys = [lo for lo, pattern in enumerate(lows) if by_pattern[high & pattern] is not None]
-        rows[high] = keys, [lo.bit_count() + by_pattern[high & lows[lo]] for lo in keys]
+    low, highs, rows = _face_rows(s, model)
+    full = (1 << (s.n + 2)) - 1
     shifted: dict[tuple[int, int], list[int]] = {}  # (high pattern, popcount) -> dims
     faces: dict[int, int] = {}
     for h, high in enumerate(highs):
@@ -549,8 +558,8 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, model: HullModel) -> Fac
         if (high, count) not in shifted:
             shifted[high, count] = [d + count for d in dims]
         base = h << low
-        if len(keys) == len(lows):  # every low half completes a face
-            keys = range(base, base + len(lows))
+        if len(keys) == 1 << low:  # every low half completes a face
+            keys = range(base, base + len(keys))
         else:
             keys = map(base.__or__, keys)
         faces.update(zip(keys, shifted[high, count]))
@@ -558,6 +567,19 @@ def enumerate_faces(s: IncidenceSystem, g: GaleDiagram, model: HullModel) -> Fac
     # gale_transform pinned model.dim to hull_dimension's certificate
     faces[full] = model.dim
     return FaceLattice(dim=model.dim, top=full, faces=faces)
+
+
+def criterion_counts(s: IncidenceSystem, model: HullModel) -> tuple[tuple[int, ...], bool, int]:
+    """histogram_counts of enumerate_faces' lattice in 2^((n+2)/2) work: each
+    row's histogram shifted by a high half's popcount in vertex count and dim,
+    weighted by the high halves of that pattern and popcount, and the top face."""
+    _, highs, rows = _face_rows(s, model)
+    by_row = {h: Counter(zip(map(int.bit_count, keys), dims)) for h, (keys, dims) in rows.items()}
+    hist = Counter({(s.n + 2, model.dim): 1})
+    for (high, count), times in Counter(zip(highs, map(int.bit_count, range(len(highs))))).items():
+        for (k, d), faces in by_row[high].items():
+            hist[k + count, d + count] += faces * times
+    return histogram_counts(hist, model.dim)
 
 
 def _subsets_by_size(m: int, held: bool) -> list[int]:

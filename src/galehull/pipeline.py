@@ -26,16 +26,14 @@ from .gale import (
     GaleDiagram,
     HullModel,
     IncidenceSystem,
+    criterion_counts,
     enumerate_faces,
-    fvector,
     gale_transform,
     grade_anchors,
     hull_model,
     incidence_system,
     members,
-    neighborliness,
     rref_gale_points,
-    simpliciality_check,
 )
 from .linalg import affine_coordinates
 from .oracle import _check_points, _oracle_lattice as oracle_lattice  # the name tracers wrap
@@ -166,6 +164,8 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     """Analysis plus every oracle cross-check; raises on any mismatch."""
     analysis = analyze_polytope(p)
     model = analysis.report
+    # checked below; counted before the oracle's 2^N faces, so as not to raise the peak heap
+    counts = criterion_counts(analysis.system, model)
     points = _check_points(analysis.system.vectors)  # the oracle's cap bounds the elimination
     elimination = affine_coordinates(points)  # the one of the oracle, RREF route and type I
     oracle = oracle_lattice(points, *elimination)
@@ -182,15 +182,13 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
             "criterion and oracle lattices differ: "
             + _face_diff(analysis.lattice, oracle)
         )
-    # the model's counts against the oracle lattice's, read in one walk over its faces
-    _require_fvector(model, fvector(oracle), "the oracle lattice")
-    for name, counted, by_walk in (
-        ("simpliciality", model.simplicial, simpliciality_check(oracle)),
-        ("neighborliness", model.neighborly, neighborliness(oracle)),
-    ):
-        if counted != by_walk:
+    # the model's counts against the oracle lattice's, off the equal criterion lattice's rows
+    _require_fvector(model, counts[0], "the oracle lattice")
+    names = ("simpliciality", "neighborliness")
+    for name, counted, by_rows in zip(names, model.counts[1:], counts[1:]):
+        if counted != by_rows:
             raise CriterionMismatch(
-                f"{name}: class patterns give {counted}, the oracle lattice {by_walk}"
+                f"{name}: class patterns give {counted}, the oracle lattice {by_rows}"
             )
     _require_fvector(model, free_sum_fvector(model), "the free-sum f-polynomial")
 

@@ -3,8 +3,8 @@
 A polytope map is given purely combinatorially as a list of faces, each a
 cyclic list of vertex ids. Validation certifies the polyhedral-map axioms
 (cubic vertices, edge-manifold condition, Euler's formula, connectivity);
-3-connectivity is deliberately not checked, so inputs are trusted to be
-polytopal maps of the 2-sphere.
+no 3-connectivity, which the rank certificate does not need: it uses only
+a connected 1-skeleton and one face of each class at every vertex.
 """
 
 from __future__ import annotations

@@ -88,6 +88,17 @@ def test_verify_cube(capsys):
     assert v["neighborlinessMatches"] is True
     assert len(v["witnessBijection"]) == 6
 
+def test_verify_two_cubes(tmp_path, capsys):
+    """Not 3-connected, so no polytope's map, yet every certificate of
+    verify holds: the rank certificate needs only a connected 1-skeleton
+    and one face of each class at every vertex."""
+    path = tmp_path / "two-cubes.json"
+    path.write_text(json.dumps({"faces": [list(f) for f in instances.two_cubes_polytope().faces]}))
+    code, out = run(capsys, ["verify", str(path)])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["hull"]["type"] == "III" and doc["verify"]["referenceIsomorphic"] is True
+
 def test_verify_prism6_pyramid(capsys):
     code, out = run(capsys, ["verify", "--catalog", "prism:6"])
     doc = json.loads(out)

@@ -428,7 +428,10 @@ def test_type_four_neighborliness_off_m2_fails_verify(cube, monkeypatch):
 
     # both neighborliness routes agree, on one more than the cube's m2 - 1 = 1
     monkeypatch.setattr(pipeline_module, "hull_model", miscounting)
-    monkeypatch.setattr(pipeline_module, "neighborliness", lambda lattice: 2)
+    rows = pipeline_module.criterion_counts
+    monkeypatch.setattr(
+        pipeline_module, "criterion_counts", lambda s, model: (*rows(s, model)[:2], 2)
+    )
     with pytest.raises(StructureMismatch, match=r"neighborliness 2 != m2-1 = 1"):
         verify_polytope(cube)
 

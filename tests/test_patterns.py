@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import instances
-from conftest import OVER_CAP, UP_TO_14, enumerate_faces_by_mask_scan, gen, gluings
+from conftest import (
+    OVER_CAP,
+    UP_TO_14,
+    counts_by_walks,
+    enumerate_faces_by_mask_scan,
+    gen,
+    gluings,
+)
 from galehull import (
     FaceLattice,
     PlanarPolytope,
@@ -34,7 +41,7 @@ from galehull import (
 )
 from galehull.cli import main
 from galehull.errors import CriterionMismatch, TheoremViolation, TooManyPoints
-from galehull.gale import IncidenceSystem
+from galehull.gale import IncidenceSystem, criterion_counts
 
 
 def _walked(lattice):
@@ -108,15 +115,15 @@ def test_generated_gluings_verify(inst, shuffle_seed):
 
 @pytest.fixture
 def no_walks(monkeypatch):
+    """The walks over a lattice's faces raise: the three public counts and
+    FaceLattice.vertex_indices, which FaceLattice.counts reads first."""
     import galehull.gale as gale_module
-    import galehull.pipeline as pipeline_module
 
     def walking(*args, **kwargs):
         raise AssertionError("a pass over the enumerated faces")
 
-    for module in (gale_module, pipeline_module):
-        for name in ("fvector", "simpliciality_check", "neighborliness"):
-            monkeypatch.setattr(module, name, walking)
+    for name in ("fvector", "simpliciality_check", "neighborliness"):
+        monkeypatch.setattr(gale_module, name, walking)
     monkeypatch.setattr(FaceLattice, "vertex_indices", property(walking))
 
 
@@ -124,6 +131,43 @@ def no_walks(monkeypatch):
 def test_analyze_makes_no_pass_over_the_faces(spec, no_walks):
     a = analyze_polytope(catalog(*spec))
     assert a.report.simplicial == (spec == ("cube",))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: catalog("cube"),
+    lambda: catalog("prism", 6),
+    lambda: catalog("truncated-octahedron"),
+    instances.type_one_polytope,
+], ids=["cube", "prism:6", "truncated-octahedron", "type_one_polytope"])
+def test_verify_makes_no_pass_over_the_faces_for_its_counts(build, no_walks):
+    """verify enumerates the lattice and the oracle's, and compares them
+    face by face, but counts from the enumeration's rows."""
+    v = verify_polytope(build())
+    assert v.oracle.faces == v.analysis.lattice.faces
+
+
+ROW_COUNTED = [
+    ("cube", lambda: catalog("cube")),
+    ("truncated-octahedron", lambda: catalog("truncated-octahedron")),
+    *((f"prism:{k}", lambda k=k: catalog("prism", k)) for k in range(4, 17, 2)),
+    *((b.__name__, b) for b in (*instances.INSTANCE_BUILDERS, instances.two_cubes_polytope)),
+]
+
+
+@pytest.mark.parametrize("name,build", ROW_COUNTED, ids=[n for n, _ in ROW_COUNTED])
+def test_row_counts_equal_the_walks_of_both_lattices(name, build):
+    """criterion_counts, read off the enumeration's rows, equals the walks
+    over the criterion lattice and over the oracle lattice, in the built-in
+    face order and in three shuffled ones, which split the classes at the
+    half mask differently."""
+    faces = [list(f) for f in build().faces]
+    for seed in (None, 1, 2, 3):
+        if seed is not None:
+            random.Random(seed).shuffle(faces)
+        v = verify_polytope(validate(faces))
+        counts = criterion_counts(v.analysis.system, v.analysis.report)
+        assert counts == counts_by_walks(v.analysis.lattice) == counts_by_walks(v.oracle)
+        assert counts == v.analysis.report.counts
 
 
 def _perturbing(monkeypatch, change):
@@ -156,6 +200,45 @@ def test_verify_names_the_differing_quantity(quantity, change, prism6, monkeypat
     _perturbing(monkeypatch, change)
     with pytest.raises(CriterionMismatch, match=f"{quantity}: class patterns give"):
         verify_polytope(prism6)
+
+
+# mutant -> (a fragment of criterion_counts, its replacement, verify's message)
+ROW_COUNT_MUTANTS = {
+    "one edge too many": (
+        "Counter({(s.n + 2, model.dim): 1})",
+        "Counter({(s.n + 2, model.dim): 1, (2, 1): 1})",
+        r"f-vector at dimension 1: class patterns count (\d+) faces, the oracle lattice (\d+)",
+    ),
+    "no top face": (
+        "Counter({(s.n + 2, model.dim): 1})",
+        "Counter()",
+        r"neighborliness: class patterns give \d+, the oracle lattice 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", ["cube", "prism:6", "truncated-octahedron"])
+@pytest.mark.parametrize("mutant", sorted(ROW_COUNT_MUTANTS))
+def test_a_row_count_mutant_fails_verify(mutant, spec, capsys, monkeypatch):
+    import inspect
+    import re
+
+    import galehull.gale as gale_module
+    import galehull.pipeline as pipeline_module
+
+    old, new, message = ROW_COUNT_MUTANTS[mutant]
+    source = inspect.getsource(gale_module.criterion_counts)
+    assert source.count(old) == 1
+    namespace = dict(vars(gale_module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(pipeline_module, "criterion_counts", namespace["criterion_counts"])
+    assert main(["verify", "--catalog", spec]) == 3
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["code"] == "CriterionMismatch"
+    found = re.fullmatch(message, error["message"])
+    assert found, error["message"]
+    if found.groups():
+        assert int(found[2]) == int(found[1]) + 1
 
 
 def test_pattern_simpliciality_is_checked_against_the_type(cube, monkeypatch):
