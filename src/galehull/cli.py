@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 from .equivalence import equivalence_witness, equivalent
 from .errors import BadInput, GalehullError, ResourceLimitError
 from .gale import require_face_cap
-from .pipeline import Analysis, summarize_polytope, verify_polytope
+from .pipeline import Analysis, Verification, summarize_polytope, verify_polytope
 from .polytopes import (
     CATALOG_NAMES,
     PlanarPolytope,
@@ -54,9 +54,12 @@ def _load_faces(path: str) -> list[list[int]]:
 def _parse_catalog_spec(spec: str, cap: Callable[[int], None]) -> PlanarPolytope:
     name, _, param = spec.partition(":")
     if param:
+        digits = param.removeprefix("-")
         try:
+            if not (digits.isascii() and digits.isdigit()):  # int() takes "+6", " 6", "1_0"
+                raise ValueError
             parameter: Optional[int] = int(param)
-        except ValueError:
+        except ValueError:  # also past int's digit limit
             raise BadInput(f"catalog parameter {param!r} is not an integer")
     else:
         parameter = None
@@ -142,25 +145,49 @@ def cmd_analyze(args) -> dict:
     return _analysis_report(summarize_polytope(_resolve_input(args, require_face_cap)))
 
 
-def cmd_verify(args) -> dict:
-    v = verify_polytope(_resolve_input(args, require_face_cap))
-    model = v.analysis.report
+def _verify_report(v: Verification) -> dict:
+    model, pyramid, type_one = v.analysis.report, None, None
+    if model.apexes:
+        # in the model, apex j misses only the facet that joins the base
+        # with the other apexes; the RREF cross-check pinned their zero points
+        apex_slot = model.apexes.bit_length() - 1
+        apexes = v.analysis.system.class_indices(apex_slot)
+        pyramid = {
+            "apexSlot": apex_slot + 1,
+            "apexVertices": list(apexes),
+            "apexCount": len(apexes),
+            "zeroGalePoints": True,
+            "apexFacetSignature": True,
+            "facetCount": len(v.reference),
+        }
+    if v.beyond is not None:
+        # verify checks simpliciality and the oracle lattice, and pins the Gale
+        # column to (1 - k, k, -1), before it counts: no flag needs a second check
+        type_one = {
+            "simplicial": True,
+            "facesMatchOracle": True,
+            "beyondCounts": {str(j): c for j, c in sorted(v.beyond.items())},
+            "expectedBeyond": model.sizes[1] - 1,
+            "kRatioVerified": True,
+        }
     report = _analysis_report(v.analysis)
     report["verify"] = {
         "facesMatchOracle": True,
         "oracleFaceCount": len(v.oracle.faces),
         "simplicialAgrees": True,
-        "pyramid": v.pyramid_report,
+        "pyramid": pyramid,
         # verify raises on a type IV hull whose neighborliness is not m2 - 1
         "neighborlinessMatches": True if model.hull_type == "IV" else None,
-        "typeOne": v.type_one_report,
+        "typeOne": type_one,
         "reference": model.structure,
         "referenceIsomorphic": True,
-        "witnessBijection": [
-            [i, j] for i, j in sorted(v.reference_witness.items())
-        ],
+        "witnessBijection": [[i, j] for i, j in sorted(v.reference_witness.items())],
     }
     return report
+
+
+def cmd_verify(args) -> dict:
+    return _verify_report(verify_polytope(_resolve_input(args, require_face_cap)))
 
 
 def cmd_compare(args) -> dict:

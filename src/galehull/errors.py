@@ -14,7 +14,6 @@ class GalehullError(Exception):
 
     def __init__(self, message: str = ""):
         super().__init__(message or self.code)
-        self.message = message or self.code
 
 
 class InputError(GalehullError):

@@ -180,36 +180,26 @@ class HullModel:
 
     @cached_property
     def counts(self) -> tuple[tuple[int, ...], bool, int]:
-        """The f-vector, simpliciality and neighborliness, counted from the
-        pattern table on first read, with no pass over the faces.
-
-        The subsets of a pattern are counted by size by the product of one
-        _subsets_by_size polynomial per sorted class. Each subset of size
-        |J| of a face pattern with offset o is a face of dimension |J| + o,
-        so the hull is simplicial iff every face pattern that reaches
-        dimensions 0 .. d-1 has o = -1. Every k-subset is a face for k below
-        the smallest non-face, the least subset of a non-face pattern;
-        neighborliness is one less than that, and at most f0 - 1. The hull
-        must be simplicial exactly when it is no pyramid (TheoremViolation
-        otherwise).
+        """histogram_counts of the pattern table, on first read, with no pass
+        over the faces. The subsets of a pattern are counted by size by the
+        product of one _subsets_by_size polynomial per class it does not hold
+        (each of the 7 leaves one out), shifted by the sizes of the classes it
+        holds whole. Each subset of size |J| of a face pattern with offset o
+        is a face of dimension |J| + o, and the top face holds all n + 2
+        vertices. The hull must be simplicial exactly when it is no pyramid
+        (TheoremViolation otherwise).
         """
-        counts = [0] * self.dim
-        simplicial = True
-        nonfaces = []
+        hist = {(sum(self.sizes), self.dim): 1}
         for held, o in enumerate(self.offset):
-            if o is None:
-                nonfaces.append(sum(m for i, m in enumerate(self.sizes) if held >> i & 1))
-                continue
-            by_size = reduce(
-                _times, (_subsets_by_size(m, held >> i & 1) for i, m in enumerate(self.sizes))
-            )
-            for size, count in enumerate(by_size):
-                if count and 0 <= size + o < self.dim:
-                    counts[size + o] += count
-                    simplicial = simplicial and o == -1
-        if simplicial != (not self.apexes):
-            raise TheoremViolation(f"type {self.hull_type} hull has simpliciality {simplicial}")
-        return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
+            if o is not None:
+                whole = sum(m for i, m in enumerate(self.sizes) if held >> i & 1)
+                rest = (_subsets_by_size(m) for i, m in enumerate(self.sizes) if not held >> i & 1)
+                for size, count in enumerate(reduce(_times, rest), whole):
+                    hist[size, size + o] = hist.get((size, size + o), 0) + count
+        counts = histogram_counts(hist, self.dim)
+        if counts[1] != (not self.apexes):
+            raise TheoremViolation(f"type {self.hull_type} hull has simpliciality {counts[1]}")
+        return counts
 
     @property
     def fvector(self) -> tuple[int, ...]:
@@ -255,20 +245,21 @@ class FaceLattice:
         return histogram_counts(hist, self.dim)
 
 
-def histogram_counts(hist: Counter, dim: int) -> tuple[tuple[int, ...], bool, int]:
+def histogram_counts(hist: dict, dim: int) -> tuple[tuple[int, ...], bool, int]:
     """The counts off the faces by (vertex count, dim), a face through a point
     that is no vertex by its vertices negated. The top face holds all vertices
     V, and all k-subsets of V are faces iff C(|V|, k) faces in V have k points."""
-    fvector, by_size, neighborly = [0] * dim, Counter(), 0
+    fvector, by_size = [0] * dim, {}
     nverts = max((abs(k) for k, d in hist if d == dim), default=0)
     for (k, d), count in hist.items():
-        by_size[k] += count
+        by_size[k] = by_size.get(k, 0) + count
         if 0 <= d < dim:
             fvector[d] += count
-    while neighborly + 1 < nverts and by_size[neighborly + 1] == comb(nverts, neighborly + 1):
-        neighborly += 1
+    k = 1  # every j-subset of V is a face for j < k
+    while k < nverts and by_size.get(k) == comb(nverts, k):
+        k += 1
     simplicial = all(abs(k) == d + 1 for k, d in hist if 0 <= d < dim)
-    return tuple(fvector), simplicial, neighborly
+    return tuple(fvector), simplicial, k - 1
 
 
 def members(mask: int) -> list[int]:
@@ -582,10 +573,10 @@ def criterion_counts(s: IncidenceSystem, model: HullModel) -> tuple[tuple[int, .
     return histogram_counts(hist, model.dim)
 
 
-def _subsets_by_size(m: int, held: bool) -> list[int]:
-    """Coefficients of x^m (the whole class) or sum_{a<m} C(m, a) x^a
-    (any part of it short of the whole)."""
-    return [0] * m + [1] if held else [comb(m, a) for a in range(m)]
+def _subsets_by_size(m: int) -> list[int]:
+    """Coefficients of sum_{a<m} C(m, a) x^a: the parts of a class of m
+    vertices short of the whole, by size."""
+    return [comb(m, a) for a in range(m)]
 
 
 def _times(p: list[int], q: list[int]) -> list[int]:

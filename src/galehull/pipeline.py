@@ -107,10 +107,11 @@ def _require_fvector(model: HullModel, other: Sequence[int], route: str) -> None
             )
 
 
-def type_one_checks(analysis: Analysis) -> dict:
+def type_one_checks(analysis: Analysis) -> dict[int, int]:
     """Property suite that must hold for every hull with three distinct
     class sizes: every middle-class vertex beyond exactly m2-1 facets of
-    the simplex spanned by the others.
+    the simplex spanned by the others. Returns {middle-class vertex:
+    facets beyond}.
 
     On a type I hull the Gale diagram is one column lam, the one affine
     dependency of the N = n + 2 vertices; verify_polytope checks it equal
@@ -121,9 +122,7 @@ def type_one_checks(analysis: Analysis) -> dict:
     opposite j iff lam[j] lam[v] > 0. A hull facet misses v iff it is a
     facet of S with v strictly beneath; the witness maps the hull onto
     T^n_{m2-1}, where a class-A vertex misses m1 + m3 facets, so is beyond
-    N - 1 - (m1 + m3) = m2 - 1: the sign count checks that geometrically.
-    Simpliciality and equality with the oracle lattice are checked before
-    this runs, so the report states them without a second check."""
+    N - 1 - (m1 + m3) = m2 - 1: the sign count checks that geometrically."""
     report = analysis.report
     if report.hull_type != "I":
         raise ValueError("type I checks apply to type I hulls only")
@@ -141,21 +140,14 @@ def type_one_checks(analysis: Analysis) -> dict:
             raise StructureMismatch(
                 f"middle-class vertex {v0} beyond {count} facets, expected {m2 - 1}"
             )
-    return {
-        "simplicial": True,
-        "facesMatchOracle": True,
-        "beyondCounts": {str(v): c for v, c in sorted(beyond.items())},
-        "expectedBeyond": m2 - 1,
-        "kRatioVerified": True,
-    }
+    return beyond
 
 
 @dataclass(frozen=True)
 class Verification:
     analysis: Analysis
     oracle: FaceLattice
-    pyramid_report: Optional[dict]
-    type_one_report: Optional[dict]
+    beyond: Optional[dict[int, int]]  # type_one_checks' counts, on type I hulls only
     reference: tuple[int, ...]      # the model's facets
     reference_witness: dict[int, int]
 
@@ -200,35 +192,15 @@ def verify_polytope(p: PlanarPolytope) -> Verification:
     witness = {v: i for i, v in enumerate(order)}
     check_witness(oracle.facets, reference, witness, f"witness onto {model.structure}")
 
-    pyramid_report = None
-    if model.apexes:
-        # in the model, apex j misses only the facet that joins the base
-        # with the other apexes; the RREF cross-check pinned their zero points
-        apex_slot = model.apexes.bit_length() - 1
-        apexes = analysis.system.class_indices(apex_slot)
-        pyramid_report = {
-            "apexSlot": apex_slot + 1,
-            "apexVertices": list(apexes),
-            "apexCount": len(apexes),
-            "zeroGalePoints": True,
-            "apexFacetSignature": True,
-            "facetCount": len(reference),
-        }
-
     if model.hull_type == "IV" and model.neighborly != model.sizes[1] - 1:
         raise StructureMismatch(
             f"neighborliness {model.neighborly} != m2-1 = {model.sizes[1] - 1}"
         )
 
-    type_one_report = None
-    if model.hull_type == "I":
-        type_one_report = type_one_checks(analysis)
-
     return Verification(
         analysis=analysis,
         oracle=oracle,
-        pyramid_report=pyramid_report,
-        type_one_report=type_one_report,
+        beyond=type_one_checks(analysis) if model.hull_type == "I" else None,
         reference=reference,
         reference_witness=witness,
     )

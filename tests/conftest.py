@@ -32,7 +32,14 @@ from galehull.errors import (
     TheoremViolation,
     TooManyPoints,
 )
-from galehull.gale import ANALYSIS_VERTEX_CAP, FaceLattice, HullModel, members, subset_table
+from galehull.gale import (
+    ANALYSIS_VERTEX_CAP,
+    FaceLattice,
+    HullModel,
+    _times,
+    members,
+    subset_table,
+)
 from galehull.linalg import (
     affine_coordinates,
     affine_dimension,
@@ -343,6 +350,46 @@ def counts_by_walks(lattice) -> tuple[tuple[int, ...], bool, int]:
     kept as its reference."""
     walks = (fvector_by_walk, simpliciality_by_walk, neighborliness_by_walk)
     return tuple(walk(lattice) for walk in walks)
+
+
+def _subsets_by_size(m: int, held: bool) -> list[int]:
+    """Coefficients of x^m (the whole class) or sum_{a<m} C(m, a) x^a
+    (any part of it short of the whole)."""
+    return [0] * m + [1] if held else [comb(m, a) for a in range(m)]
+
+
+def counts_by_patterns(model: HullModel) -> tuple[tuple[int, ...], bool, int]:
+    """The pattern count that HullModel.counts replaced by histogram_counts
+    of the pattern table, kept as its reference; _subsets_by_size above is
+    the class polynomial it read, x^m for a class held whole included.
+
+    The subsets of a pattern are counted by size by the product of one
+    _subsets_by_size polynomial per sorted class. Each subset of size
+    |J| of a face pattern with offset o is a face of dimension |J| + o,
+    so the hull is simplicial iff every face pattern that reaches
+    dimensions 0 .. d-1 has o = -1. Every k-subset is a face for k below
+    the smallest non-face, the least subset of a non-face pattern;
+    neighborliness is one less than that, and at most f0 - 1. The hull
+    must be simplicial exactly when it is no pyramid (TheoremViolation
+    otherwise).
+    """
+    counts = [0] * model.dim
+    simplicial = True
+    nonfaces = []
+    for held, o in enumerate(model.offset):
+        if o is None:
+            nonfaces.append(sum(m for i, m in enumerate(model.sizes) if held >> i & 1))
+            continue
+        by_size = reduce(
+            _times, (_subsets_by_size(m, held >> i & 1) for i, m in enumerate(model.sizes))
+        )
+        for size, count in enumerate(by_size):
+            if count and 0 <= size + o < model.dim:
+                counts[size + o] += count
+                simplicial = simplicial and o == -1
+    if simplicial != (not model.apexes):
+        raise TheoremViolation(f"type {model.hull_type} hull has simpliciality {simplicial}")
+    return tuple(counts), simplicial, min([counts[0], *nonfaces]) - 1
 
 
 @pytest.fixture(autouse=True, scope="session")

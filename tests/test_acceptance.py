@@ -24,6 +24,7 @@ from galehull import (
     validate,
     verify_polytope,
 )
+from galehull.cli import _verify_report
 from galehull.linalg import rank
 from conftest import (
     cyclic_facets,
@@ -252,7 +253,7 @@ def test_criterion_7_distinct_sizes_property_suite():
         assert three_color(p).class_sizes == (4, 5, 6)
         v = verify_polytope(p)
         assert v.analysis.report.hull_type == "I"
-        report = v.type_one_report
+        report = _verify_report(v)["verify"]["typeOne"]
         assert report is not None
         assert report["simplicial"] and report["facesMatchOracle"]
         assert report["kRatioVerified"]

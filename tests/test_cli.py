@@ -151,6 +151,29 @@ def test_catalog_dump_composes_with_analyze(tmp_path, capsys):
     assert doc["hull"]["type"] == "III"
     assert doc["hull"]["m"] == [4, 4, 6]
 
+CATALOG_ENTRY_POINTS = {
+    "analyze": lambda spec: ["analyze", "--catalog", spec],
+    "compare": lambda spec: ["compare", f"catalog:{spec}", "catalog:cube"],
+    "catalog": lambda spec: ["catalog", spec],
+}
+
+@pytest.mark.parametrize("entry", sorted(CATALOG_ENTRY_POINTS))
+@pytest.mark.parametrize("param,code,message", [
+    # int() takes all four, as prism:10 and prism:6
+    pytest.param("1_0", "BadInput", "catalog parameter '1_0' is not an integer", id="underscore"),
+    pytest.param("+6", "BadInput", "catalog parameter '+6' is not an integer", id="plus"),
+    pytest.param(" 6", "BadInput", "catalog parameter ' 6' is not an integer", id="space"),
+    pytest.param("٦", "BadInput", "catalog parameter '٦' is not an integer", id="arabic-6"),
+    pytest.param("--4", "BadInput", "catalog parameter '--4' is not an integer", id="two-minus"),
+    pytest.param("-4", "BadParameters", "prism parameter must be >= 4, got -4", id="minus"),
+    pytest.param("9" * 5000, "BadInput", "is not an integer", id="past-digit-limit"),
+])
+def test_a_catalog_parameter_is_ascii_digits(entry, param, code, message, capsys):
+    exit_code, out = run(capsys, CATALOG_ENTRY_POINTS[entry](f"prism:{param}"))
+    assert exit_code == 2
+    error = json.loads(out)["error"]
+    assert error["code"] == code and message in error["message"]
+
 def test_output_flag_and_pretty(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, _ = run(capsys, ["analyze", "--catalog", "cube", "--output", str(target)])

@@ -14,6 +14,7 @@ from galehull import (
     equivalent,
     verify_polytope,
 )
+from galehull.cli import _verify_report
 from conftest import lattice_isomorphic, type4_model
 from instances import (
     all_equal_polytope,
@@ -36,7 +37,7 @@ def test_prism_sweep(k):
     else:
         assert a.report.hull_type == "II"
         assert a.report.dim == k
-        assert v.pyramid_report["apexCount"] == 2
+        assert _verify_report(v)["verify"]["pyramid"]["apexCount"] == 2
 
 
 def test_all_equal_glued_instance():
@@ -61,7 +62,7 @@ def test_smallest_distinct_glued_instance():
     assert a.report.hull_type == "II"
     assert a.report.dim == 11
     assert a.report.structure == "3-fold 11-pyramid over C(10,8)"
-    assert v.pyramid_report["apexCount"] == 3
+    assert _verify_report(v)["verify"]["pyramid"]["apexCount"] == 3
     assert not a.report.simplicial
 
 
@@ -74,7 +75,7 @@ def test_largest_distinct_glued_instance():
     assert a.report.hull_type == "III"
     assert a.report.dim == 11
     assert a.report.structure == "5-fold 11-pyramid over C(8,6)"
-    assert v.pyramid_report["apexCount"] == 5
+    assert _verify_report(v)["verify"]["pyramid"]["apexCount"] == 5
     assert not a.report.simplicial
 
 
@@ -84,7 +85,7 @@ def test_type_one_mirror_instance():
     a = v.analysis
     assert a.coloring.class_sizes == (4, 5, 6)
     assert a.report.hull_type == "I"
-    assert v.type_one_report is not None
+    assert v.beyond is not None
 
 
 def test_equivalent_hulls_from_different_gluings():

@@ -39,6 +39,7 @@ from galehull import (
     validate,
     verify_polytope,
 )
+from galehull.cli import _verify_report
 from galehull.errors import (
     DegenerateInput,
     DimensionMismatch,
@@ -576,7 +577,7 @@ def test_verify_pyramid_structure_prism(prism6, prism8):
     model."""
     for p in (prism6, prism8):
         v = verify_polytope(p)
-        report = v.pyramid_report
+        report = _verify_report(v)["verify"]["pyramid"]
         apexes = set(v.analysis.system.class_indices(0))
         assert set(report["apexVertices"]) == apexes
         assert report["apexCount"] == 2
@@ -587,7 +588,7 @@ def test_verify_pyramid_structure_prism(prism6, prism8):
 
 
 def test_verify_pyramid_structure_rejects_type_four(cube):
-    assert verify_polytope(cube).pyramid_report is None
+    assert _verify_report(verify_polytope(cube))["verify"]["pyramid"] is None
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,7 @@ from galehull import (
 from conftest import (
     _face_counts,
     _facets,
+    counts_by_patterns,
     cyclic_facets,
     lattice_isomorphic,
     proper_faces,
@@ -397,6 +398,7 @@ def test_free_sum_fvector_equals_the_pattern_counts():
     for sizes in triples:
         model = hull_model(sizes)
         assert reference.free_sum_fvector(model) == model.fvector, sizes
+        assert model.counts == counts_by_patterns(model), sizes
 
 
 def test_free_sum_fvector_of_prism16():

@@ -10,11 +10,15 @@ class (and not assigned in its function) is that class. A read on any
 other receiver counts for every class. The public names of
 galehull.__all__, the entry point main and the dunder methods that Python
 calls itself need no caller.
+
+The JSON keys of the reports are written in cli alone: no other module
+uses a camelCase string literal as a dict key.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import Optional
 
@@ -155,3 +159,36 @@ def main(other):
 def test_a_method_counts_only_reads_on_its_class(read, found, tmp_path):
     (tmp_path / "shapes.py").write_text(SHAPES.format(read=read))
     assert uncalled(tmp_path) == found
+
+
+def camel_case_keys(package: Path) -> list[str]:
+    """module:line:key of every camelCase string literal that a module other
+    than cli uses as a dict key, in a dict display or a subscript: the JSON
+    keys of the reports are written in cli alone."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Dict):
+                keys = node.keys
+            elif isinstance(node, ast.Subscript):
+                keys = [node.slice]
+            else:
+                continue
+            for key in keys:
+                if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                    if re.fullmatch(r"[a-z]+[A-Z][A-Za-z0-9]*", key.value):
+                        found.append(f"{path.stem}:{key.lineno}:{key.value}")
+    return found
+
+
+def test_only_cli_writes_report_keys():
+    assert camel_case_keys(PACKAGE) == []
+
+
+def test_a_report_key_outside_cli_is_named(tmp_path):
+    report = 'def report(v):\n    doc = {"apexCount": 1, "n": v}\n    doc["typeOne"] = None\n'
+    (tmp_path / "cli.py").write_text(report)
+    (tmp_path / "pipeline.py").write_text(report)
+    assert camel_case_keys(tmp_path) == ["pipeline:2:apexCount", "pipeline:3:typeOne"]

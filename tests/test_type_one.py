@@ -24,6 +24,7 @@ from galehull import (
     verify_polytope,
 )
 from conftest import gen, lattice_isomorphic, simplex_beyond_count, tkn_model
+from galehull.cli import _verify_report
 from galehull.errors import CriterionMismatch, StructureMismatch
 from galehull.gale import hull_model, rref_gale_points
 from galehull.linalg import affine_coordinates
@@ -131,7 +132,7 @@ def test_a_lattice_off_the_oracle_names_its_first_faces(type_one, branch, monkey
 
 
 def test_distinct_size_suite_runs_and_passes(verification):
-    report = verification.type_one_report
+    report = _verify_report(verification)["verify"]["typeOne"]
     assert report is not None
     assert report["expectedBeyond"] == 4
     assert all(v == 4 for v in report["beyondCounts"].values())
@@ -187,12 +188,12 @@ def test_barycentric_count_equals_facet_scan(build):
     analysis = analyze_polytope(build())
     s = analysis.system
     facets = oracle_lattice(s.vectors).facets
-    counts = type_one_checks(analysis)["beyondCounts"]
-    assert sorted(map(int, counts)) == list(s.class_indices(1))
+    counts = type_one_checks(analysis)
+    assert sorted(counts) == list(s.class_indices(1))
     for v0 in s.class_indices(1):
         rest = [s.vectors[j] for j in range(len(s.vectors)) if j != v0]
-        assert counts[str(v0)] == simplex_beyond_count(s.vectors[v0], rest)
-        assert counts[str(v0)] == _beyond_by_oracle_facets(facets, len(s.vectors), v0)
+        assert counts[v0] == simplex_beyond_count(s.vectors[v0], rest)
+        assert counts[v0] == _beyond_by_oracle_facets(facets, len(s.vectors), v0)
 
 
 def test_barycentric_count_on_a_triangle():
@@ -273,8 +274,8 @@ def test_one_facet_scan_and_no_fraction_elimination(verification, monkeypatch):
             for attr in ("affine_coordinates", "null_vector"):
                 if hasattr(module, attr):
                     counted(module, attr)
-    report = type_one_checks(verification.analysis)
-    assert report == verification.type_one_report
+    beyond = type_one_checks(verification.analysis)
+    assert beyond == verification.beyond
     assert calls == {"_facet_supports": 0, "affine_coordinates": 0, "null_vector": 0}
     oracle_lattice(verification.analysis.system.vectors)
     assert calls["_facet_supports"] == 1 and calls["affine_coordinates"] == 1
